@@ -4,8 +4,9 @@ Layers, bottom up:
 
 - ``gf2``: bit-packed GF(2) matrices, reduced column echelon form, payload
   replay of column operations.
-- ``pnc``: per-collision-size weighted matrix families, the solvability
-  (gamma) machinery, and the cached per-model polynomial tables.
+- ``pnc``: per-collision-size matrix families (the stock family counted per
+  member shape), the solvability (gamma) machinery, and the cached
+  per-model polynomial tables.
 - ``frames``: degree distributions, reproducible frame sampling, and the
   per-slot batch structure.
 - ``decoders``: batched and ordinary peeling plus the global-elimination
@@ -25,6 +26,7 @@ from .decoders import (
 from .evolution import (
     EvolutionResult,
     FixedPointResult,
+    InvariantError,
     PoissonMixture,
     edge_update,
     evolve,
@@ -47,6 +49,7 @@ from .optimize import OptimizationResult, SweepPoint, achievable_rate, optimize,
 from .pnc import (
     GammaPoly,
     PncModel,
+    StockFamily,
     WeightedMatrixFamily,
     example_family,
     family_size,
@@ -68,9 +71,11 @@ __all__ = [
     "Frame",
     "FrameInconsistencyError",
     "GammaPoly",
+    "InvariantError",
     "OptimizationResult",
     "PncModel",
     "PoissonMixture",
+    "StockFamily",
     "SweepPoint",
     "SystemConfig",
     "WeightedMatrixFamily",

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .decoders import FrameInconsistencyError, batched_bp, ge_oracle, ordinary_bp
-from .evolution import PoissonMixture, evolve, rate_upper_bound
+from .evolution import InvariantError, evolve, rate_upper_bound
 from .frames import DegreeDistribution, SystemConfig, sample_frame
 from .optimize import optimize, sweep
 from .pnc import PncModel, family_size, gamma_closed_form, gamma_k_enum
@@ -224,7 +224,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     lam = (users / slots) * dist.mean()
     meta = {
-        "schema": "ncsa-simulate-v1",
+        "schema": "ncsa-simulate-v2",
         "command": "simulate", "users": users, "slots": slots,
         "rate": users / slots, "lam": lam, "dist": dist.to_pairs(),
         "model": cfg.get("model", f"stock cap={model.max_decodable}"),
@@ -297,7 +297,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         certificate_ok=result.certificate_ok,
         grid_violations=len(result.violations),
     )
-    assert result.dist is not None
+    if result.dist is None:
+        raise InvariantError("a feasible optimum carries no distribution")
     edge = result.dist.edge_weights()
     rows = [
         [d, result.dist.prob(d), edge[d - 1]]
@@ -551,7 +552,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, FrameInconsistencyError) as exc:
+    except (InvariantError, FrameInconsistencyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

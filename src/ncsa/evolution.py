@@ -18,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import DegreeDistribution
-from .pnc import PncModel, example_expected_rank
+from .pnc import PncModel
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, not bad input.  Raised
+    explicitly so that the check also runs under ``python -O``."""
 
 
 def poisson_weights(lam: float, tail_tol: float = 1e-12, min_terms: int = 0) -> np.ndarray:
@@ -54,8 +59,8 @@ class PoissonMixture:
 
     def __call__(self, x):
         value = sum(w * poly(x) for w, poly in self._polys)
-        assert np.all((np.asarray(value) >= -1e-9) & (np.asarray(value) <= 1.0 + 1e-9)), \
-            f"mixture left [0,1]: {value!r}"
+        if not np.all((np.asarray(value) >= -1e-9) & (np.asarray(value) <= 1.0 + 1e-9)):
+            raise InvariantError(f"mixture left [0,1]: {value!r}")
         return value
 
 
@@ -105,7 +110,8 @@ def evolve(
     converged = False
     for _ in range(iters - 1):
         z_next = float(edge_update(z, lam, dist, model, mix))
-        assert -1e-9 <= z_next <= 1.0 + 1e-9, f"edge value left [0,1]: {z_next!r}"
+        if not -1e-9 <= z_next <= 1.0 + 1e-9:
+            raise InvariantError(f"edge value left [0,1]: {z_next!r}")
         trajectory.append(z_next)
         if abs(z_next - z) < tol:
             converged = True
@@ -161,17 +167,9 @@ def fixed_point(
 def rate_upper_bound(lam: float, model: PncModel, tail_tol: float = 1e-12) -> float:
     """Mean decoded combinations per slot: the ceiling on packets per slot.
 
-    Computed by enumerating each family's members and averaging their
-    ranks under the Poisson(lam) collision law.  For the stock model the
-    same number is recomputed from the closed-form member counts and the
-    two routes are required to agree to near machine precision.
+    Averages each collision size's mean rank under the Poisson(lam)
+    collision law; for the stock model the mean ranks are exact counts.
     """
     weights = poisson_weights(lam, tail_tol, min_terms=model.max_decodable)
     dmax = min(len(weights) - 1, model.max_decodable)
-    generic = sum(float(weights[d]) * model.expected_rank(d) for d in range(1, dmax + 1))
-    if model.is_example:
-        expanded = sum(float(weights[d]) * example_expected_rank(d) for d in range(1, dmax + 1))
-        assert abs(generic - expanded) <= 1e-12, (
-            f"rank-sum routes disagree: enumerated {generic!r} vs closed-form {expanded!r}"
-        )
-    return generic
+    return sum(float(weights[d]) * model.expected_rank(d) for d in range(1, dmax + 1))

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .evolution import PoissonMixture, rate_upper_bound
+from .evolution import InvariantError, PoissonMixture, rate_upper_bound
 from .frames import DegreeDistribution
 from .pnc import PncModel
 
@@ -211,7 +211,7 @@ def sweep(
         try:
             upper = rate_upper_bound(lam, model)
             res = optimize(lam, model, eps=eps, eta=eta, max_degree=max_degree, grid_points=grid_points)
-        except Exception as exc:  # defensive: a bad point must not kill the sweep
+        except (ValueError, InvariantError) as exc:  # a bad point must not kill the sweep
             points.append(SweepPoint(lam=lam, feasible=False, rate=None, rate_star=None,
                                      upper_bound=float("nan"), error=str(exc)))
             continue

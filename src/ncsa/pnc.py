@@ -6,12 +6,16 @@ per decoded combination; the receiver of a degree-d slot observes the
 products (payload row-vector) x (matrix).  Above the model's cap nothing is
 decoded and the family degenerates to the empty matrix.
 
-The stock model (`example_family`) captures a receiver that resolves one or
-two XOR combinations out of a collision: either the XOR of everything
-(single all-ones column), or two combinations whose rows split the users
-into [1,0] / [0,1] / [1,1] patterns.  The family lists every distinct row
-arrangement explicitly, all equally likely, so sampling a member also picks
-the (uniform) assignment of users to rows.
+The stock model captures a receiver that resolves one or two XOR
+combinations out of a collision: either the XOR of everything (single
+all-ones column), or two combinations whose rows split the users into
+[1,0] / [0,1] / [1,1] patterns.  Every distinct row arrangement is a member,
+all equally likely, so sampling a member also picks the (uniform) assignment
+of users to rows.  The family grows about 3^d, so `StockFamily` holds it as
+its O(d^2) member shapes (row-type counts) with their arrangement counts:
+ranks, the mean rank, the solvability polynomials and sampling all follow
+from one representative per shape.  `example_family` lists every member and
+is kept as the enumerated reference the counted routes are tested against.
 
 `gamma_set` is the solvability footprint a decoder cares about: which
 subsets of the first d-1 users, once known, let the last user's packet be
@@ -24,8 +28,9 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gf2 import BitMatrix, in_colspan, rank, select_rows
@@ -79,23 +84,60 @@ def _split_specs(d: int) -> list[tuple[int, int, int]]:
     return specs
 
 
+def _stock_shapes(d: int) -> Iterator[tuple[tuple[int, int, int] | None, int]]:
+    """(shape, member count) for every stock member shape at collision size
+    d >= 2.  A shape is the row-type counts (a1, a2, a3) of a two-column
+    member (see `_split_specs`); None is the single all-ones column."""
+    yield None, 1
+    for spec in _split_specs(d):
+        yield spec, _multinomial(d, spec)
+
+
+def _shape_rows(d: int, shape: tuple[int, int, int] | None) -> list[tuple[int, ...]]:
+    """The rows of a shape's representative, grouped by type."""
+    if shape is None:
+        return [(1,)] * d
+    a1, a2, a3 = shape
+    return [_T01] * a1 + [_T10] * a2 + [_T11] * a3
+
+
+def _target_routes(d: int) -> Iterator[tuple[tuple[int, int, int] | None, tuple[int, ...], int, tuple[int, ...]]]:
+    """(shape, target type, arrangements, route sizes) for every stock member
+    shape at collision size d >= 2 and every row type it contains, shape by
+    shape in `_stock_shapes` order.
+
+    `arrangements` counts the members of the shape whose last row (the
+    target) has that type; summed over the types it is the shape's member
+    count.  A route is an exposed combination containing the target row that
+    solves it once every other row in it is known; its size is the number of
+    those other rows.  The all-ones column is one route through all d-1
+    others.  In a pure split the target's own column is its only useful
+    route: the column sum contains every row.  In a mixed split (a1 rows
+    [0,1], a2 rows [1,0], a3 rows [1,1]) each target has two routes among
+    column 1, column 2 and their sum, in which the [1,1] rows cancel: a
+    [0,1] target is in column 2 (the other [0,1] rows and the [1,1] rows)
+    and in the sum (the other [0,1] rows and the [1,0] rows), a [1,0] target
+    likewise, and a [1,1] target is in both columns.  The two routes of one
+    target together contain every other row.
+    """
+    k = d - 1
+    yield None, (1,), 1, (k,)
+    for a1, a2, a3 in _split_specs(d):
+        shape = (a1, a2, a3)
+        if a3 == 0:
+            yield shape, _T01, comb(k, a1 - 1), (a1 - 1,)
+            yield shape, _T10, comb(k, a2 - 1), (a2 - 1,)
+        else:
+            yield shape, _T01, _multinomial(k, [a1 - 1, a2, a3]), (a1 - 1 + a3, a1 - 1 + a2)
+            yield shape, _T10, _multinomial(k, [a1, a2 - 1, a3]), (a2 - 1 + a3, a2 - 1 + a1)
+            yield shape, _T11, _multinomial(k, [a1, a2, a3 - 1]), (a3 - 1 + a1, a3 - 1 + a2)
+
+
 def family_size(d: int) -> int:
     """Number of members of the stock family at collision size d (d >= 2)."""
     if d < 2:
         raise ValueError("collision size must be at least 2")
-    return 1 + sum(_multinomial(d, [a1, a2, a3]) for a1, a2, a3 in _split_specs(d))
-
-
-def example_expected_rank(d: int) -> float:
-    """Mean decoded-combination count of the stock family at collision size d,
-    from the arrangement counts alone: one member yields a single combination,
-    every two-column member yields two."""
-    if d < 1:
-        raise ValueError("collision size must be positive")
-    if d == 1:
-        return 1.0
-    two_col = sum(_multinomial(d, [a1, a2, a3]) for a1, a2, a3 in _split_specs(d))
-    return float(Fraction(1 + 2 * two_col, 1 + two_col))
+    return sum(count for _, count in _stock_shapes(d))
 
 
 class WeightedMatrixFamily:
@@ -127,6 +169,11 @@ class WeightedMatrixFamily:
     def size(self) -> int:
         return len(self.entries)
 
+    @property
+    def expected_rank(self) -> float:
+        """Mean decoded-combination count (matrix rank)."""
+        return sum(prob * rank(matrix) for matrix, prob in self.entries)
+
     def sample(self, rng) -> BitMatrix:
         idx = bisect_left(self._cum, rng.random())
         return self.entries[min(idx, len(self.entries) - 1)][0]
@@ -135,15 +182,65 @@ class WeightedMatrixFamily:
         return iter(self.entries)
 
 
+class StockFamily:
+    """The stock family at one collision size d >= 2, counted per member shape.
+
+    Holds one representative per shape with its member count, so no member
+    is built until one is sampled.  Row permutations preserve rank, so
+    rank-checking the representatives covers every member, and the mean rank
+    is exact.  Iterating lists every member through `example_family`.
+    """
+
+    def __init__(self, degree: int):
+        if degree < 2:
+            raise ValueError("the stock family needs a collision size of at least 2")
+        shapes = []
+        ranked = 0
+        for shape, count in _stock_shapes(degree):
+            rep = BitMatrix.from_rows(_shape_rows(degree, shape))
+            r = rank(rep)
+            if r != rep.cols:
+                raise ValueError("transfer matrices must have full column rank")
+            shapes.append((rep, count))
+            ranked += r * count
+        self.degree = degree
+        self.shapes = tuple(shapes)
+        self.size = sum(count for _, count in shapes)
+        self.expected_rank = Fraction(ranked, self.size)
+        # float cumulative shape probabilities: the size outgrows int64 above d = 40
+        self._cum = [float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes)]
+        # per shape, per column: the representative's rows with a 1 there
+        self._support = [
+            [[r for r in range(degree) if (mask >> r) & 1] for mask in rep.column_masks()]
+            for rep, _ in shapes
+        ]
+
+    def sample(self, rng) -> BitMatrix:
+        """A uniform member: a shape by its member count, then a uniform
+        arrangement of its rows, representative row r landing in row pos[r].
+        Every member has probability 1/size."""
+        support = self._support[bisect_left(self._cum, rng.random())]
+        pos = list(range(self.degree))
+        rng.shuffle(pos)  # the draws of rng.permutation(d), without the array round trip
+        return BitMatrix(self.degree, len(support), [sum([1 << pos[r] for r in rows]) for rows in support])
+
+    def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
+        return iter(example_family(self.degree, self.degree))
+
+
 def _empty_family(degree: int) -> WeightedMatrixFamily:
     return WeightedMatrixFamily(degree, [(BitMatrix(degree, 0), 1.0)])
 
 
 def example_family(d: int, cap: int) -> WeightedMatrixFamily:
-    """The stock family at collision size d for a receiver capped at `cap`.
+    """The stock family at collision size d for a receiver capped at `cap`,
+    with every member listed.
 
     All members are equally likely.  Size 1 gives the packet itself; sizes
-    above the cap give the empty matrix (nothing decoded).
+    above the cap give the empty matrix (nothing decoded).  Within the cap
+    the members number about 3^d: the model counts them per shape
+    (`StockFamily`), and this listing is the reference the counted routes
+    are tested against.
     """
     if d < 1:
         raise ValueError("collision size must be positive")
@@ -153,11 +250,11 @@ def example_family(d: int, cap: int) -> WeightedMatrixFamily:
         return WeightedMatrixFamily(1, [(BitMatrix.from_rows([[1]]), 1.0)])
     if d > cap:
         return _empty_family(d)
-    members = [BitMatrix.from_rows([[1]] * d)]
-    for a1, a2, a3 in _split_specs(d):
-        types = [_T01] * a1 + [_T10] * a2 + [_T11] * a3
-        for arrangement in _distinct_permutations(types):
-            members.append(BitMatrix.from_rows(arrangement))
+    members = [
+        BitMatrix.from_rows(arrangement)
+        for shape, _ in _stock_shapes(d)
+        for arrangement in _distinct_permutations(_shape_rows(d, shape))
+    ]
     prob = 1.0 / len(members)
     return WeightedMatrixFamily(d, [(m, prob) for m in members])
 
@@ -219,46 +316,42 @@ def gamma_closed_form(
     mixed split with a1 rows of [0,1] and a2 rows of [1,0].  Validates that
     the probabilities, multiplied by their arrangement counts, sum to 1.
 
-    Note: a mixed-split member with a1 rows [0,1], a2 rows [1,0] and a3
-    rows [1,1] exposes three routes: column 1, column 2 and their sum, in
-    which the [1,1] rows cancel.  A target row is solved when one route
-    containing it leaves only the target unknown.  A [0,1] target is in
-    column 2 (needs the other [0,1] rows and the [1,1] rows) and in the sum
-    (needs the other [0,1] rows and the [1,0] rows), which gives
-    x^(a1-1) * (x^a3 + x^a2 - x^(a2+a3)); a [1,0] target is the same with
-    a1 and a2 swapped, and a [1,1] target is in both columns but not in the
-    sum, x^(a3-1) * (x^a1 + x^a2 - x^(a1+a2)).  The result agrees with
-    `gamma_k_enum` on the stock family.
+    A target row is solved once every other row of one of its routes is
+    known (see `_target_routes`): the all-ones column and a pure split give
+    x^r for a route through r other rows; a mixed split target with routes
+    through r1 and r2 others gives x^r1 + x^r2 - x^(d-1).  Written around
+    the rows both routes share, a [0,1] target is
+    x^(a1-1) * (x^a3 + x^a2 - x^(a2+a3)), a [1,0] target the same with a1
+    and a2 swapped, and a [1,1] target x^(a3-1) * (x^a1 + x^a2 - x^(a1+a2)).
+    The result agrees with `gamma_k_enum` on the stock family.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    total = g1
-    for a in range(1, d // 2 + 1):
-        total += comb(d, a) * g2[a]
-    for a1 in range(1, d - 1):
-        for a2 in range(a1, d - a1):
-            total += _multinomial(d, [a1, a2, d - a1 - a2]) * g3[(a1, a2)]
+    k = d - 1
+    total = value = 0.0
+    for shape, targets in groupby(_target_routes(d), key=itemgetter(0)):
+        if shape is None:
+            prob = g1
+        elif shape[2] == 0:
+            prob = g2[shape[0]]
+        else:
+            prob = g3[shape[:2]]
+        targets = list(targets)
+        total += sum(arrangements for _, _, arrangements, _ in targets) * prob
+        value += prob * sum(_route_term(arrangements, routes, k, x) for _, _, arrangements, routes in targets)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"shape probabilities sum to {total!r}, not 1")
-
-    value = g1 * x ** (d - 1)
-    for a in range(1, d // 2 + 1):
-        value += g2[a] * (comb(d - 1, a - 1) * x ** (a - 1) + comb(d - 1, a) * x ** (d - a - 1))
-    for a1 in range(1, d - 1):
-        for a2 in range(a1, d - a1):
-            a3 = d - a1 - a2
-            value += g3[(a1, a2)] * (
-                _multinomial(d - 1, [a1 - 1, a2, a3])
-                * x ** (a1 - 1)
-                * (x**a3 + x**a2 - x ** (a2 + a3))
-                + _multinomial(d - 1, [a1, a2 - 1, a3])
-                * x ** (a2 - 1)
-                * (x**a3 + x**a1 - x ** (a1 + a3))
-                + _multinomial(d - 1, [a1, a2, a3 - 1])
-                * x ** (d - a1 - a2 - 1)
-                * (x**a1 + x**a2 - x ** (a1 + a2))
-            )
     return value
+
+
+def _route_term(arrangements: int, routes: tuple[int, ...], k: int, x: float) -> float:
+    """`arrangements` times the probability that one of a target's routes is
+    fully known, each of the other k rows being known with probability x."""
+    if len(routes) == 1:
+        return arrangements * x ** routes[0]
+    shared = sum(routes) - k
+    e1, e2 = (r - shared for r in routes)
+    return arrangements * x**shared * (x**e1 + x**e2 - x ** (e1 + e2))
 
 
 @dataclass(frozen=True)
@@ -301,33 +394,21 @@ def _counts_to_coeffs(k: int, counts: Sequence) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs)
 
 
-def _example_gamma_counts(d: int) -> list[Fraction]:
+def _stock_gamma_counts(d: int) -> list[Fraction]:
     """Qualifying-subset size counts for the stock family at size d, averaged
-    over members.
+    over members, counted per (shape, target type) from the route sizes.
 
-    Exploits that permuting the first d-1 rows permutes the subsets without
-    changing their sizes: within one member shape, every arrangement with the
-    same target-row type has identical counts.  One representative per
-    (shape, target type) is enumerated and weighted by the number of
-    arrangements that share it, which cuts the work from family-size times
-    2^(d-1) to a few dozen enumerations.
+    A target whose only route runs through the r other rows of set A is
+    solved by the C(k-r, j-r) size-j subsets of the k = d-1 others that
+    contain A.  With two routes A and B whose union is all k others, the
+    subsets containing A or B number C(k-|A|, j-|A|) + C(k-|B|, j-|B|) - [j = k].
     """
-    weighted = [Fraction(0)] * d
-
-    def add(rep: list[tuple], arrangements: int) -> None:
-        counts = _subset_size_counts(BitMatrix.from_rows(rep))
-        for j, c in enumerate(counts):
-            if c:
-                weighted[j] += arrangements * c
-
-    add([(1,)] * d, 1)
-    for a1, a2, a3 in _split_specs(d):
-        for target, taken in ((_T01, (1, 0, 0)), (_T10, (0, 1, 0)), (_T11, (0, 0, 1))):
-            rest = (a1 - taken[0], a2 - taken[1], a3 - taken[2])
-            if min(rest) < 0:
-                continue
-            rep_rows = [_T01] * rest[0] + [_T10] * rest[1] + [_T11] * rest[2] + [target]
-            add(rep_rows, _multinomial(d - 1, list(rest)))
+    k = d - 1
+    weighted = [0] * d
+    for _, _, arrangements, routes in _target_routes(d):
+        for j in range(d):
+            solved = sum(comb(k - r, j - r) for r in routes if r <= j) - (len(routes) - 1) * (j == k)
+            weighted[j] += arrangements * solved
     g = Fraction(1, family_size(d))
     return [g * w for w in weighted]
 
@@ -398,15 +479,17 @@ class PncModel:
     def is_example(self) -> bool:
         return self._custom is None
 
-    def family(self, d: int) -> WeightedMatrixFamily:
+    def family(self, d: int) -> WeightedMatrixFamily | StockFamily:
         if d < 1:
             raise ValueError("collision size must be positive")
         fam = self._families.get(d)
         if fam is None:
             if self._custom is not None or d > self.max_decodable:
                 fam = _empty_family(d)
+            elif d == 1:
+                fam = example_family(1, self.max_decodable)
             else:
-                fam = example_family(d, self.max_decodable)
+                fam = StockFamily(d)
             self._families[d] = fam
         return fam
 
@@ -423,7 +506,7 @@ class PncModel:
         elif d == 1:
             poly = GammaPoly(0, (1.0,))
         elif self.is_example:
-            poly = GammaPoly(k, _counts_to_coeffs(k, _example_gamma_counts(d)))
+            poly = GammaPoly(k, _counts_to_coeffs(k, _stock_gamma_counts(d)))
         else:
             counts = [0.0] * d
             for matrix, prob in self.family(d):
@@ -434,9 +517,10 @@ class PncModel:
         return poly
 
     def expected_rank(self, d: int) -> float:
-        """Mean decoded-combination count (matrix rank) at collision size d."""
+        """Mean decoded-combination count (matrix rank) at collision size d;
+        exact for the stock model."""
         val = self._expected_rank.get(d)
         if val is None:
-            val = sum(prob * rank(matrix) for matrix, prob in self.family(d))
+            val = float(self.family(d).expected_rank)
             self._expected_rank[d] = val
         return val

@@ -5,6 +5,7 @@ import pytest
 
 from ncsa.cli import main, read_csv
 from ncsa.frames import DegreeDistribution
+from ncsa.pnc import family_size
 
 
 def run(tmp_path, *argv):
@@ -25,7 +26,7 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     meta, header, rows = read_csv(str(a))
-    assert meta["schema"] == "ncsa-simulate-v1"
+    assert meta["schema"] == "ncsa-simulate-v2"
     assert len(rows) == 3
     assert all(row["seconds"] == "0.0" for row in rows)
     assert "predicted_fraction" in meta
@@ -139,6 +140,17 @@ def test_gamma_table(tmp_path):
             assert float(r["enum_dev"]) <= 1e-12
     # the compact algebraic form agrees with the enumerated table at every
     # degree it covers
+    for r in rows[1:]:
+        assert float(r["closed_form_dev"]) <= 1e-12
+
+
+def test_gamma_table_cap_thirty(tmp_path):
+    # the counted stock tables reach collision sizes far beyond enumeration
+    code, out = run(tmp_path, "gamma", "--cap", "30")
+    assert code == 0
+    _, _, rows = read_csv(str(out))
+    assert [int(r["degree"]) for r in rows] == list(range(1, 31))
+    assert int(rows[-1]["family_size"]) == family_size(30)
     for r in rows[1:]:
         assert float(r["closed_form_dev"]) <= 1e-12
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import ncsa
 from ncsa.evolution import (
     evolve,
     fixed_point,
@@ -143,6 +148,29 @@ def test_evolve_validation():
         evolve(dist, 0.0, 5, model=model)
     with pytest.raises(ValueError):
         evolve(dist, 1.0, 0, model=model)
+
+
+def test_mixture_range_check_survives_optimize_flag():
+    script = (
+        "import sys\n"
+        "from ncsa.evolution import InvariantError, PoissonMixture\n"
+        "from ncsa.pnc import GammaPoly, PncModel\n"
+        "assert False, 'asserts must be stripped'\n"
+        "mix = PoissonMixture(1.0, PncModel.example(3))\n"
+        "mix._polys = [(1.0, GammaPoly(0, (2.0,)))]\n"
+        "try:\n"
+        "    mix(0.5)\n"
+        "except InvariantError as exc:\n"
+        "    print('raised', sys.flags.optimize, exc)\n"
+    )
+    src = str(Path(ncsa.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("raised 1 mixture left [0,1]")
 
 
 # --- capacity bound ----------------------------------------------------------

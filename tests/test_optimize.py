@@ -103,6 +103,23 @@ def test_sweep_records_per_point_errors():
     assert points[0].rate_star <= points[0].upper_bound + 1e-9
 
 
+def test_sweep_lets_programming_errors_through():
+    # only bad input and failed invariants become per-point errors
+    with pytest.raises(AttributeError):
+        sweep([1.0], None)
+
+
+def test_sweep_heavy_load_reports_the_lp_status():
+    # the stock cap-12 mean ranks are exact, so the heaviest default load
+    # reaches the LP and reports why it is infeasible
+    (point,) = sweep([10.0], PncModel.example(12))
+    assert not point.feasible
+    assert math.isfinite(point.upper_bound)
+    assert point.upper_bound == pytest.approx(1.579893045223459, abs=1e-12)
+    assert point.error == point.result.status
+    assert "infeasible" in point.error
+
+
 def test_validation():
     with pytest.raises(ValueError):
         optimize(0.0, MODEL)

@@ -1,16 +1,20 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ncsa.gf2 import BitMatrix, rank
 from ncsa.pnc import (
     PncModel,
+    StockFamily,
     WeightedMatrixFamily,
-    example_expected_rank,
+    _counts_to_coeffs,
+    _stock_gamma_counts,
     example_family,
     family_size,
     gamma_closed_form,
@@ -51,6 +55,38 @@ def oracle_gamma_set(rows: list[list[int]]) -> set[frozenset[int]]:
             if oracle_solvable(rows, set(subset)):
                 out.add(frozenset(i + 1 for i in subset))  # 1-based
     return out
+
+
+def representative_gamma_counts(d: int) -> list[Fraction]:
+    """Qualifying-subset size counts for the stock family at size d, averaged
+    over members, by enumerating the gamma set of one representative per
+    (shape, target type).
+
+    Permuting the first d-1 rows permutes the subsets without changing their
+    sizes, so within one member shape every arrangement with the same
+    target-row type has identical counts; each representative is weighted by
+    the number of arrangements that share it.
+    """
+    t01, t10, t11 = (0, 1), (1, 0), (1, 1)
+    weighted = [Fraction(0)] * d
+
+    def add(rows, arrangements):
+        for subset in gamma_set(BitMatrix.from_rows(rows)):
+            weighted[len(subset)] += arrangements
+
+    add([(1,)] * d, 1)
+    shapes = [(a, d - a, 0) for a in range(1, d // 2 + 1)]
+    shapes += [(a1, a2, d - a1 - a2) for a1 in range(1, d - 1) for a2 in range(a1, d - a1)]
+    for a1, a2, a3 in shapes:
+        for target, (r1, r2, r3) in ((t01, (a1 - 1, a2, a3)), (t10, (a1, a2 - 1, a3)), (t11, (a1, a2, a3 - 1))):
+            if min(r1, r2, r3) < 0:
+                continue
+            arrangements = math.factorial(d - 1) // (
+                math.factorial(r1) * math.factorial(r2) * math.factorial(r3)
+            )
+            add([t01] * r1 + [t10] * r2 + [t11] * r3 + [target], arrangements)
+    g = Fraction(1, family_size(d))
+    return [g * w for w in weighted]
 
 
 def oracle_gamma_value(model: PncModel, k: int, x: float) -> float:
@@ -139,6 +175,39 @@ def test_family_degree_one_and_above_cap():
     assert matrix.cols == 0 and prob == 1.0
 
 
+def test_counted_family_matches_enumeration():
+    for d in range(2, 9):
+        counted = PncModel.example(d).family(d)
+        assert isinstance(counted, StockFamily)
+        listed = example_family(d, d)
+        assert counted.size == family_size(d) == listed.size
+        assert list(counted) == list(listed)
+        # the shapes partition the members: group the listed members by
+        # their multiset of rows and compare with the representatives
+        by_shape = Counter(tuple(sorted(map(tuple, m.to_rows()))) for m, _ in listed)
+        shapes = {tuple(sorted(map(tuple, rep.to_rows()))): count for rep, count in counted.shapes}
+        assert shapes == dict(by_shape)
+
+
+def test_counted_sample_is_uniform():
+    # fixed seeds; p is about 0.54 at d=3 and 0.45 at d=4
+    for d, draws, seed in ((3, 20000, 0), (4, 35000, 1)):
+        fam = StockFamily(d)
+        rng = np.random.default_rng(seed)
+        seen = Counter(fam.sample(rng) for _ in range(draws))
+        members = [m for m, _ in example_family(d, d)]
+        assert set(seen) == set(members)
+        assert scipy.stats.chisquare([seen[m] for m in members]).pvalue > 0.01
+
+
+def test_counted_sample_beyond_int64_sizes():
+    fam = PncModel.example(50).family(45)
+    assert fam.size > 2**63
+    matrix = fam.sample(np.random.default_rng(3))
+    assert matrix.rows == 45
+    assert rank(matrix) == matrix.cols
+
+
 def test_example_family_rejects_degree_zero():
     with pytest.raises(ValueError):
         example_family(0, 10)
@@ -222,6 +291,14 @@ def test_gamma_k_enum_agrees_with_table():
         poly = model.gamma_poly(k)
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             assert abs(gamma_k_enum(model, k, x) - poly(x)) < 1e-12
+
+
+def test_stock_gamma_counts_match_representative_enumeration():
+    model = PncModel.example(12)
+    for d in range(2, 13):
+        reference = representative_gamma_counts(d)
+        assert _stock_gamma_counts(d) == reference
+        assert model.gamma_poly(d - 1).coeffs == _counts_to_coeffs(d - 1, reference)
 
 
 def test_gamma_poly_zero_and_cap():
@@ -369,16 +446,21 @@ def test_model_from_dict_validation():
 
 
 def test_expected_rank_routes_agree():
-    model = PncModel.example(8)
+    # the counted mean rank equals the exact rank sum over every listed member
+    model = PncModel.example(9)
     assert model.expected_rank(1) == 1.0
-    for d in range(2, 8):
-        assert abs(model.expected_rank(d) - example_expected_rank(d)) < 1e-12
-    # explicit small case: (1*1 + 2*2) / 3 at collision size 2
-    assert abs(model.expected_rank(2) - Fraction(5, 3)) < 1e-12
-    assert model.expected_rank(9) == 0.0
+    for d in range(2, 10):
+        listed = example_family(d, d)
+        enumerated = Fraction(sum(rank(m) for m, _ in listed), listed.size)
+        assert model.family(d).expected_rank == enumerated
+        assert model.expected_rank(d) == float(enumerated)
+    assert model.expected_rank(10) == 0.0
 
 
 def test_expected_rank_closed_route_values():
-    assert example_expected_rank(1) == 1.0
-    assert abs(example_expected_rank(2) - 5 / 3) < 1e-15
-    assert abs(example_expected_rank(3) - 19 / 10) < 1e-15
+    # one all-ones member of rank 1, the rest of rank 2: (1 + 2(n-1)) / n
+    model = PncModel.example(3)
+    assert model.expected_rank(1) == 1.0
+    assert model.family(2).expected_rank == Fraction(5, 3)
+    assert model.family(3).expected_rank == Fraction(19, 10)
+    assert model.expected_rank(3) == 19 / 10
