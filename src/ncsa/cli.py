@@ -177,8 +177,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     users = int(cfg["users"])
     if ("slots" in cfg) == ("rate" in cfg):
         raise ConfigError("give exactly one of --slots or --rate")
-    # a design rate R maps to ceil(K / R) slots
-    slots = int(cfg["slots"]) if "slots" in cfg else math.ceil(users / float(cfg["rate"]))
+    if "slots" in cfg:
+        slots = int(cfg["slots"])
+    else:
+        rate = float(cfg["rate"])
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigError(f"--rate must be a positive finite number, got {rate!r}")
+        # a design rate R maps to ceil(K / R) slots
+        slots = math.ceil(users / rate)
     trials = int(cfg.get("trials", 1))
     if trials < 1:
         raise ConfigError("--trials must be positive")
@@ -381,7 +387,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
             closed_dev = float(np.max(np.abs(closed_vals - table_vals)))
         enum_dev: float | None = None
         if d <= enum_limit:
-            enum_vals = np.array([gamma_k_enum(model, k, x) for x in xs])
+            enum_vals = np.array(gamma_k_enum(model, k, xs))
             enum_dev = float(np.max(np.abs(enum_vals - table_vals)))
         rows.append([d, model.family(d).size, _poly_str(poly.coeffs), closed_dev, enum_dev])
     meta = {

@@ -7,8 +7,11 @@ Three recovery strategies, strictly ordered by power:
 * `batched_bp` works per slot: substitute known packets out of the outputs,
   column-reduce the remaining rows of the transfer matrix, and harvest every
   unit column.  This is the decoder the asymptotic recursion describes.
-* `ge_oracle` answers what any decoder could achieve by rank queries
-  against the frame's global matrix.
+* `ge_oracle` answers what any decoder could achieve by Gaussian
+  elimination over the whole frame.  It peels with `batched_bp` first and
+  then eliminates only the residual core of still-unknown users, which
+  gives the same set as eliminating the frame's global matrix; like the
+  peelers it raises FrameInconsistencyError on a corrupt frame.
 
 Both iterative decoders run in strict generations by default: an iteration
 sees only the knowledge available when it started, so results do not depend
@@ -25,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .frames import Frame, global_matrix
-from .gf2 import rcef, select_rows, xor_bytes
+from .frames import Frame
+from .gf2 import rcef, select_rows, span_basis, units_in_span, xor_bytes
 
 
 class FrameInconsistencyError(Exception):
@@ -236,32 +239,30 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None) -> froz
     User u is recoverable exactly when its unit vector lies in the span of
     the global matrix columns plus unit columns for pre-known users.  This
     bounds every iterative decoder from above.
+
+    Computed by peeling first and eliminating only what is left
+    (inactivation decoding): every user `batched_bp` recovers lies in that
+    span, so only the residual core of still-unknown users goes through
+    elimination, over transfer columns restricted to the core's rows.  The
+    result is the same set as eliminating the whole frame; the bitmasks are
+    only as wide as the core, and an empty core costs nothing beyond the
+    peel.  Raises FrameInconsistencyError when the peel finds the frame
+    corrupt.
     """
-    known = _checked_preknown(frame, preknown)
-    basis: dict[int, int] = {}
-
-    def insert(mask: int) -> None:
-        while mask:
-            low = mask & -mask
-            if low in basis:
-                mask ^= basis[low]
-            else:
-                basis[low] = mask
-                return
-
-    for mask in global_matrix(frame).column_masks():
-        insert(mask)
-    for u in known:
-        insert(1 << u)
-
-    out = []
-    for u in range(frame.users):
-        mask = 1 << u
-        while mask:
-            low = mask & -mask
-            if low not in basis:
-                break
-            mask ^= basis[low]
-        if not mask:
-            out.append(u)
-    return frozenset(out)
+    peeled = batched_bp(frame, preknown).recovered
+    core = [u for u in range(frame.users) if u not in peeled]
+    if not core:
+        return frozenset(peeled)
+    row_of = {u: i for i, u in enumerate(core)}
+    masks = []
+    for batch in frame.batches:
+        rows = [row_of.get(u) for u in batch.users]
+        for col in batch.transfer.column_masks():
+            mask = 0
+            for pos, r in enumerate(rows):
+                if r is not None and (col >> pos) & 1:
+                    mask |= 1 << r
+            if mask:
+                masks.append(mask)
+    solved = units_in_span(span_basis(masks), len(core))
+    return frozenset(peeled).union(core[i] for i in solved)

@@ -155,14 +155,53 @@ def _reduce_against(basis: dict[int, int], mask: int) -> int:
     return 0
 
 
-def rank(matrix: BitMatrix) -> int:
-    """GF(2) rank (equals row rank by duality)."""
+def span_basis(masks: Iterable[int]) -> dict[int, int]:
+    """Basis of the span of column masks, keyed by each vector's lowest set bit.
+
+    Every stored vector's lowest set bit is its key, and no two keys repeat,
+    so the basis size is the rank and `_reduce_against` decides membership.
+    """
     basis: dict[int, int] = {}
-    for m in matrix.column_masks():
+    for m in masks:
         m = _reduce_against(basis, m)
         if m:
             basis[m & -m] = m
-    return len(basis)
+    return basis
+
+
+def units_in_span(basis: dict[int, int], n: int) -> list[int]:
+    """Rows i < n whose unit vector 1 << i lies in the span of a `span_basis`
+    basis over n rows.
+
+    Same answer as ``_reduce_against(basis, 1 << i) == 0`` for each i, in one
+    pass over the basis's set bits instead of one reduction per row.  A unit
+    vector lies in the span exactly when every vector orthogonal to the span
+    is 0 at its row.  The orthogonal complement has one basis vector per
+    non-key row j: 1 at j, 0 at the other non-key rows, and at key row p the
+    parity of its entries on the other bits of the basis vector keyed p, all
+    of which lie above p, so key rows are filled in from the top.  Bit k of
+    `ortho[i]` holds complement vector k's entry at row i.
+    """
+    ortho = [0] * n
+    free = 0
+    for i in range(n):
+        if (1 << i) not in basis:
+            ortho[i] = 1 << free
+            free += 1
+    for key in sorted(basis, reverse=True):
+        rest = basis[key] ^ key
+        acc = 0
+        while rest:
+            low = rest & -rest
+            acc ^= ortho[low.bit_length() - 1]
+            rest ^= low
+        ortho[key.bit_length() - 1] = acc
+    return [i for i in range(n) if not ortho[i]]
+
+
+def rank(matrix: BitMatrix) -> int:
+    """GF(2) rank (equals row rank by duality)."""
+    return len(span_basis(matrix.column_masks()))
 
 
 def rcef(matrix: BitMatrix) -> tuple[BitMatrix, ColumnOpTrace]:
@@ -222,12 +261,7 @@ def in_colspan(matrix: BitMatrix, vector: Sequence[int] | int) -> bool:
                 raise ValueError("entries must be 0 or 1")
             if v:
                 mask |= 1 << r
-    basis: dict[int, int] = {}
-    for m in matrix.column_masks():
-        m = _reduce_against(basis, m)
-        if m:
-            basis[m & -m] = m
-    return _reduce_against(basis, mask) == 0
+    return _reduce_against(span_basis(matrix.column_masks()), mask) == 0
 
 
 def select_rows(matrix: BitMatrix, rows: Iterable[int]) -> BitMatrix:

@@ -280,26 +280,31 @@ def gamma_set(matrix: BitMatrix) -> set[frozenset[int]]:
     return out
 
 
-def _gamma_value(matrix: BitMatrix, prob: float, k: int, x: float) -> float:
+def _gamma_value(sizes: Sequence[int], prob: float, k: int, x: float) -> float:
     total = 0.0
-    for subset in gamma_set(matrix):
-        s = len(subset)
+    for s in sizes:
         total += x**s * (1.0 - x) ** (k - s)
     return prob * total
 
 
-def gamma_k_enum(model: "PncModel", k: int, x: float) -> float:
+def gamma_k_enum(model: "PncModel", k: int, x: float | Iterable[float]) -> float | list[float]:
     """Degree-k solvability polynomial by brute enumeration of the family.
 
     Walks every member of family(k+1), enumerates its gamma set, and sums
     the weighted subset polynomial.  Deliberately the slow reference route;
-    cost grows with family size times 2^k.
+    cost grows with family size times 2^k.  `x` is one point or an iterable
+    of points (then a list of values is returned); each member's gamma set
+    is enumerated once for all of them.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not 0.0 <= x <= 1.0:
+    scalar = not hasattr(x, "__iter__")
+    points = [x] if scalar else list(x)
+    if not all(0.0 <= p <= 1.0 for p in points):
         raise ValueError("x must lie in [0, 1]")
-    return sum(_gamma_value(m, p, k, x) for m, p in model.family(k + 1))
+    members = [(prob, [len(subset) for subset in gamma_set(m)]) for m, prob in model.family(k + 1)]
+    values = [sum(_gamma_value(sizes, prob, k, p) for prob, sizes in members) for p in points]
+    return values[0] if scalar else values
 
 
 def gamma_closed_form(

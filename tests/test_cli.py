@@ -247,6 +247,15 @@ def test_exit_codes_for_bad_input(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("rate", ["0", "-1", "nan"])
+def test_simulate_rejects_nonpositive_rate(tmp_path, capsys, rate):
+    code, out = run(tmp_path, "simulate", "--users", "10", "--rate", rate, "--dist", "3:1")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--rate must be a positive finite number" in err
+
+
 def test_read_csv_round_trips_own_output(tmp_path):
     code, out = run(tmp_path, "evolve", "--dist", "2:0.5,3:0.5", "--lam", "1.2",
                     "--cap", "5", "--iters", "10")

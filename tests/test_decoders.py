@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsa.decoders import (
     FrameInconsistencyError,
@@ -8,7 +11,7 @@ from ncsa.decoders import (
     ge_oracle,
     ordinary_bp,
 )
-from ncsa.frames import Batch, DegreeDistribution, Frame, SystemConfig, sample_frame
+from ncsa.frames import Batch, DegreeDistribution, Frame, SystemConfig, global_matrix, sample_frame
 from ncsa.gf2 import BitMatrix, combine
 from ncsa.pnc import PncModel
 
@@ -32,6 +35,55 @@ def frame_from_batches(payloads, batch_specs, n_slots=None):
         payloads=payloads,
         slot_choices=tuple(tuple(sorted(c)) for c in choices),
         batches=tuple(batches),
+    )
+
+
+def reference_ge_oracle(frame, preknown=None):
+    """Plain elimination over the whole global matrix: the oracle's reference.
+
+    User u is recoverable exactly when its unit vector lies in the span of
+    the global matrix columns plus unit columns for pre-known users.
+    """
+    basis = {}
+
+    def insert(mask):
+        while mask:
+            low = mask & -mask
+            if low in basis:
+                mask ^= basis[low]
+            else:
+                basis[low] = mask
+                return
+
+    for mask in global_matrix(frame).column_masks():
+        insert(mask)
+    for u in preknown or ():
+        insert(1 << u)
+
+    out = []
+    for u in range(frame.users):
+        mask = 1 << u
+        while mask:
+            low = mask & -mask
+            if low not in basis:
+                break
+            mask ^= basis[low]
+        if not mask:
+            out.append(u)
+    return frozenset(out)
+
+
+def corrupted_two_slot_frame():
+    """User 0 alone in two slots, the second slot claiming a different value."""
+    payloads = [b"x"]
+    frame = frame_from_batches(payloads, [(0, (0,), [[1]]), (1, (0,), [[1]])])
+    bad = Batch(slot=1, users=(0,), transfer=frame.batches[1].transfer, outputs=(b"y",))
+    return Frame(
+        n_slots=frame.n_slots,
+        payload_len=frame.payload_len,
+        payloads=frame.payloads,
+        slot_choices=frame.slot_choices,
+        batches=(frame.batches[0], bad),
     )
 
 
@@ -228,17 +280,7 @@ def test_repeat_runs_identical():
 
 
 def test_conflicting_batches_raise():
-    payloads = [b"x"]
-    frame = frame_from_batches(payloads, [(0, (0,), [[1]]), (1, (0,), [[1]])])
-    # corrupt the second batch so it claims a different value for user 0
-    bad = Batch(slot=1, users=(0,), transfer=frame.batches[1].transfer, outputs=(b"y",))
-    corrupted = Frame(
-        n_slots=frame.n_slots,
-        payload_len=frame.payload_len,
-        payloads=frame.payloads,
-        slot_choices=frame.slot_choices,
-        batches=(frame.batches[0], bad),
-    )
+    corrupted = corrupted_two_slot_frame()
     with pytest.raises(FrameInconsistencyError):
         batched_bp(corrupted)
     with pytest.raises(FrameInconsistencyError):
@@ -250,3 +292,76 @@ def test_oracle_identity_frame():
     specs = [(i, (i,), [[1]]) for i in range(6)]
     frame = frame_from_batches(payloads, specs)
     assert ge_oracle(frame) == frozenset(range(6))
+
+
+# --- peel-then-eliminate oracle against plain elimination ---------------------
+
+
+def test_oracle_matches_reference_on_small_frames():
+    model = PncModel.example(5)
+    dist = DegreeDistribution({1: 0.15, 2: 0.35, 3: 0.3, 4: 0.2})
+    rng = random.Random(7)
+    for seed in range(300):
+        cfg = SystemConfig(users=50, slots=60, dist=dist, model=model, seed=seed, payload_len=2)
+        frame = sample_frame(cfg)
+        assert ge_oracle(frame) == reference_ge_oracle(frame)
+        given_users = rng.sample(range(50), rng.randint(1, 12))
+        pre = {u: frame.payloads[u] for u in given_users}
+        assert ge_oracle(frame, pre) == reference_ge_oracle(frame, pre)
+
+
+def test_oracle_matches_reference_past_the_peeling_threshold():
+    model = PncModel.example(10)
+    dist = DegreeDistribution({3: 1.0})
+    users = 400
+    full_rank_cores = partial_cores = 0
+    for seed in range(10):
+        cfg = SystemConfig(
+            users=users, slots=math.ceil(users / 1.75), dist=dist, model=model, seed=seed, payload_len=1,
+        )
+        frame = sample_frame(cfg)
+        peeled = len(batched_bp(frame).recovered)
+        oracle = ge_oracle(frame)
+        assert oracle == reference_ge_oracle(frame)
+        if peeled < users:
+            # the core is eliminated: either all of it falls out, or a strict part
+            full_rank_cores += len(oracle) == users
+            partial_cores += peeled < len(oracle) < users
+    assert full_rank_cores > 0 and partial_cores > 0
+
+
+def test_oracle_raises_on_a_corrupt_frame():
+    corrupted = corrupted_two_slot_frame()
+    # plain elimination never looks at payloads, so it cannot notice
+    assert reference_ge_oracle(corrupted) == {0}
+    with pytest.raises(FrameInconsistencyError):
+        ge_oracle(corrupted)
+
+
+@st.composite
+def small_systems(draw):
+    weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any))
+    dist = DegreeDistribution([w / sum(weights) for w in weights])
+    users = draw(st.integers(1, 40))
+    slots = draw(st.integers(dist.max_degree, 50))
+    cap = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    frame = sample_frame(SystemConfig(
+        users=users, slots=slots, dist=dist, model=PncModel.example(cap), seed=seed, payload_len=2,
+    ))
+    given_users = draw(st.sets(st.integers(0, users - 1), max_size=users))
+    return frame, {u: frame.payloads[u] for u in given_users}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(small_systems())
+def test_decoder_dominance_property(system):
+    frame, pre = system
+    plain = ordinary_bp(frame, pre)
+    batched = batched_bp(frame, pre)
+    oracle = ge_oracle(frame, pre)
+    assert set(plain.recovered) <= set(batched.recovered) <= oracle
+    assert oracle == reference_ge_oracle(frame, pre)
+    for report in (plain, batched):
+        for u, payload in report.recovered.items():
+            assert payload == frame.payloads[u]

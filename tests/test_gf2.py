@@ -5,12 +5,15 @@ import pytest
 
 from ncsa.gf2 import (
     BitMatrix,
+    _reduce_against,
     apply_trace,
     combine,
     in_colspan,
     rank,
     rcef,
     select_rows,
+    span_basis,
+    units_in_span,
     xor_bytes,
 )
 
@@ -111,6 +114,30 @@ def test_rank_matches_row_reduction_oracle():
         rows = [[rng.randint(0, 1) for _ in range(c)] for _ in range(r)]
         m = BitMatrix.from_rows(rows, cols=c)
         assert rank(m) == brute_rank(rows)
+
+
+def test_span_basis_is_keyed_by_lowest_bit_and_spans_its_input():
+    rng = random.Random(5)
+    for _ in range(200):
+        r = rng.randint(1, 8)
+        c = rng.randint(0, 8)
+        rows = [[rng.randint(0, 1) for _ in range(c)] for _ in range(r)]
+        masks = BitMatrix.from_rows(rows, cols=c).column_masks()
+        basis = span_basis(masks)
+        assert len(basis) == brute_rank(rows)
+        assert all(key == vec & -vec for key, vec in basis.items())
+        assert all(_reduce_against(basis, m) == 0 for m in masks)
+
+
+def test_units_in_span_matches_reduction():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))]
+        basis = span_basis(masks)
+        assert units_in_span(basis, n) == [i for i in range(n) if _reduce_against(basis, 1 << i) == 0]
+    assert units_in_span({}, 3) == []
+    assert units_in_span(span_basis([0b011, 0b110, 0b100]), 3) == [0, 1, 2]
 
 
 def test_rank_invariant_under_permutations_and_rcef():

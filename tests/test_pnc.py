@@ -293,6 +293,15 @@ def test_gamma_k_enum_agrees_with_table():
             assert abs(gamma_k_enum(model, k, x) - poly(x)) < 1e-12
 
 
+def test_gamma_k_enum_grid_equals_pointwise():
+    model = PncModel.example(6)
+    grid = [0.0, 0.1, 0.35, 0.8, 1.0]
+    for k in range(0, 5):
+        assert gamma_k_enum(model, k, grid) == [gamma_k_enum(model, k, x) for x in grid]
+    with pytest.raises(ValueError):
+        gamma_k_enum(model, 2, [0.5, 1.5])
+
+
 def test_stock_gamma_counts_match_representative_enumeration():
     model = PncModel.example(12)
     for d in range(2, 13):
