@@ -233,7 +233,11 @@ def ordinary_bp(
     )
 
 
-def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None) -> frozenset[int]:
+def ge_oracle(
+    frame: Frame,
+    preknown: Mapping[int, bytes] | None = None,
+    peeled: DecodeReport | None = None,
+) -> frozenset[int]:
     """Users recoverable by full Gaussian elimination on the whole frame.
 
     User u is recoverable exactly when its unit vector lies in the span of
@@ -248,11 +252,21 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None) -> froz
     only as wide as the core, and an empty core costs nothing beyond the
     peel.  Raises FrameInconsistencyError when the peel finds the frame
     corrupt.
+
+    `peeled` is the report of a `batched_bp` run on the same frame and
+    `preknown`, which then replaces the oracle's own peel.  Any such run
+    will do, strict or eager or stopped early by `max_iters`: what it
+    recovered lies in the span either way.  The corruption check is then
+    the one that run made.
     """
-    peeled = batched_bp(frame, preknown).recovered
-    core = [u for u in range(frame.users) if u not in peeled]
+    if peeled is None:
+        peeled = batched_bp(frame, preknown)
+    elif peeled.users != frame.users or peeled.preknown != frozenset(preknown or ()):
+        raise ValueError("the peel report belongs to another frame or preknown set")
+    known = peeled.recovered
+    core = [u for u in range(frame.users) if u not in known]
     if not core:
-        return frozenset(peeled)
+        return frozenset(known)
     row_of = {u: i for i, u in enumerate(core)}
     masks = []
     for batch in frame.batches:
@@ -265,4 +279,4 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None) -> froz
             if mask:
                 masks.append(mask)
     solved = units_in_span(span_basis(masks), len(core))
-    return frozenset(peeled).union(core[i] for i in solved)
+    return frozenset(known).union(core[i] for i in solved)

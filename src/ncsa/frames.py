@@ -5,23 +5,27 @@ picks that many distinct slots uniformly, and repeats its packet in them.
 Each slot with transmitters draws a transfer matrix from the model's family
 for its collision size and exposes the decoded combinations.
 
-Randomness is split into one stream per user and one per slot (spawn keys
-off the frame seed), so generation is reproducible and order-independent:
-any subset of users or slots can be regenerated in isolation.
+A frame comes from one generator seeded with the config seed, drawn in
+numpy blocks and always in the same order: every user's degree, every
+user's slots (one block per degree), every payload, then the transfer
+matrices (one block per collision size).  The same seed and config give the
+same frame; a single user or slot cannot be redrawn on its own.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .gf2 import BitMatrix, combine
 from .pnc import PncModel
 
-_USER_SPACE = 0
-_SLOT_SPACE = 1
+# Below this chance that d uniform slots are distinct, a user's slots come
+# from one `choice` without replacement instead of resampling repeats.
+_MIN_DISTINCT_PROB = 0.1
 
 
 class DegreeDistribution:
@@ -178,68 +182,89 @@ class Frame:
         return len(self.payloads)
 
 
-def _user_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_USER_SPACE, index)))
+def _distinct_rows(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
+    """`count` independent uniform d-subsets of range(n), one ascending row each.
 
-def _slot_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_SLOT_SPACE, index)))
-
-
-def _choose_slots(rng: np.random.Generator, degree: int, n: int) -> tuple[int, ...]:
-    """Uniform ordered sample of `degree` distinct slots via partial shuffle."""
-    chosen = []
-    swapped: dict[int, int] = {}
-    for j in range(degree):
-        r = j + int(rng.integers(0, n - j))
-        chosen.append(swapped.get(r, r))
-        swapped[r] = swapped.get(j, j)
-    return tuple(sorted(chosen))
+    Rows of d uniform slots are drawn in one block and only the rows that
+    repeat a slot are drawn again, which keeps every accepted row uniform
+    over the subsets.  When repeats are likely (d close to n) each row is
+    one `choice` without replacement instead, so the loop always ends.
+    """
+    if math.prod((n - j) / n for j in range(d)) < _MIN_DISTINCT_PROB:
+        return np.sort([rng.choice(n, d, replace=False) for _ in range(count)], axis=1)
+    rows = np.sort(rng.integers(0, n, size=(count, d)), axis=1)
+    redo = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+    while len(redo):
+        fresh = np.sort(rng.integers(0, n, size=(len(redo), d)), axis=1)
+        rows[redo] = fresh
+        redo = redo[(fresh[:, 1:] == fresh[:, :-1]).any(axis=1)]
+    return rows
 
 
 def sample_frame(config: SystemConfig) -> Frame:
     """Draw one frame deterministically from the config seed."""
     n = config.slots
-    model = config.model
+    users = config.users
     payload_len = config.payload_len
-    payloads = []
-    choices = []
-    occupants: dict[int, list[int]] = {}
-    for i in range(config.users):
-        rng = _user_rng(config.seed, i)
-        degree = config.dist.degree_from_uniform(float(rng.random()))
-        slots = _choose_slots(rng, degree, n)
-        payloads.append(rng.bytes(payload_len) if payload_len else b"")
-        choices.append(slots)
-        for t in slots:
-            occupants.setdefault(t, []).append(i)
+    dist = config.dist
+    rng = np.random.default_rng(config.seed)
 
+    # degrees: the inverse-CDF lookup of `degree_from_uniform`, for every user at once
+    degrees = np.minimum(np.searchsorted(dist._cum, rng.random(users)), dist.max_degree - 1) + 1
+    ends = np.cumsum(degrees)
+    flat = np.empty(int(ends[-1]), dtype=np.int64)  # every user's slots, user by user
+    for d in np.unique(degrees).tolist():
+        who = np.flatnonzero(degrees == d)
+        flat[(ends[who] - d)[:, None] + np.arange(d)] = _distinct_rows(rng, len(who), d, n)
+    # Python ints made once and shared by `slot_choices` and the batches:
+    # the frame holds one int object per user and per transmission.  Each
+    # temporary is dropped once used, which keeps the peak memory of a
+    # frame draw below that of drawing it user by user.
+    slot_ids = flat.astype(object)
+    slot_list = slot_ids.tolist()
+    choices = tuple(tuple(slot_list[e - d:e]) for d, e in zip(degrees.tolist(), ends.tolist()))
+    del slot_list
+
+    blob = rng.bytes(users * payload_len)
+    payloads = tuple(blob[i * payload_len:(i + 1) * payload_len] for i in range(users))
+    del blob
+
+    # occupancy: a stable sort by slot keeps each slot's users ascending
+    order = np.argsort(flat, kind="stable")
+    by_slot = flat[order]
+    first = np.flatnonzero(np.diff(by_slot, prepend=-1))
+    sizes = np.diff(first, append=len(by_slot))
+    slot_of = slot_ids[order[first]].tolist()
+    occupant_list = np.repeat(np.arange(users, dtype=object), degrees)[order].tolist()
+    del flat, slot_ids, order, by_slot
+
+    transfers: list[BitMatrix | None] = [None] * len(first)
+    for c in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == c)
+        for k, transfer in zip(at.tolist(), config.model.family(c).sample(rng, len(at))):
+            transfers[k] = transfer
+
+    bounds = [*first.tolist(), len(occupant_list)]
     batches = []
-    for t in sorted(occupants):
-        users = sorted(occupants[t])
-        fam = model.family(len(users))
-        if fam.size == 1:
-            transfer = fam.entries[0][0]
-        else:
-            transfer = fam.sample(_slot_rng(config.seed, t))
-        outputs = tuple(combine([payloads[u] for u in users], transfer))
-        batches.append(Batch(slot=t, users=tuple(users), transfer=transfer, outputs=outputs))
+    for k, t in enumerate(slot_of):
+        slot_users = tuple(occupant_list[bounds[k]:bounds[k + 1]])
+        transfer = transfers[k]
+        outputs = tuple(combine([payloads[u] for u in slot_users], transfer))
+        batches.append(Batch(slot=t, users=slot_users, transfer=transfer, outputs=outputs))
 
     return Frame(
         n_slots=n,
         payload_len=payload_len,
-        payloads=tuple(payloads),
-        slot_choices=tuple(choices),
+        payloads=payloads,
+        slot_choices=choices,
         batches=tuple(batches),
     )
 
 
 def slot_degree_histogram(frame: Frame) -> np.ndarray:
     """Counts of slots by collision size; index d = number of slots with d transmitters."""
-    per_slot = np.zeros(frame.n_slots, dtype=np.int64)
-    for slots in frame.slot_choices:
-        for t in slots:
-            per_slot[t] += 1
-    return np.bincount(per_slot)
+    flat = np.fromiter(chain.from_iterable(frame.slot_choices), dtype=np.int64)
+    return np.bincount(np.bincount(flat, minlength=frame.n_slots))
 
 
 def global_matrix(frame: Frame) -> BitMatrix:

@@ -289,20 +289,24 @@ def combine(payloads: Sequence[bytes], matrix: BitMatrix) -> list[bytes]:
     """Multiply a payload row-vector by a matrix: out[j] = XOR of payloads in column j.
 
     This is how slot outputs are formed from user packets. Requires one
-    payload per matrix row; all payloads must share a length.
+    payload per matrix row; all payloads must share a length.  Each payload
+    is read as one integer and each output written once, whatever the
+    number of XORs.
     """
     if len(payloads) != matrix.rows:
         raise ValueError("payload count does not match row count")
     length = len(payloads[0]) if payloads else 0
-    zero = bytes(length)
+    values = []
+    for p in payloads:
+        if len(p) != length:
+            raise ValueError(f"length mismatch: {len(p)} vs {length}")
+        values.append(int.from_bytes(p, "big"))
     out = []
     for m in matrix.column_masks():
-        acc = zero
-        r = 0
+        acc = 0
         while m:
-            if m & 1:
-                acc = xor_bytes(acc, payloads[r])
-            m >>= 1
-            r += 1
-        out.append(acc)
+            low = m & -m
+            acc ^= values[low.bit_length() - 1]
+            m ^= low
+        out.append(acc.to_bytes(length, "big"))
     return out

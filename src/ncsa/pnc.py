@@ -25,13 +25,14 @@ the asymptotic recursion; they are computed here once per model and cached.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
 from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .gf2 import BitMatrix, in_colspan, rank, select_rows
 
@@ -162,7 +163,7 @@ class WeightedMatrixFamily:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.degree = degree
         self.entries = entries
-        self._cum = list(accumulate(p for _, p in entries))
+        self._cum = np.fromiter(accumulate(p for _, p in entries), dtype=float, count=len(entries))
         self._cum[-1] = 1.0
 
     @property
@@ -174,9 +175,10 @@ class WeightedMatrixFamily:
         """Mean decoded-combination count (matrix rank)."""
         return sum(prob * rank(matrix) for matrix, prob in self.entries)
 
-    def sample(self, rng) -> BitMatrix:
-        idx = bisect_left(self._cum, rng.random())
-        return self.entries[min(idx, len(self.entries) - 1)][0]
+    def sample(self, rng, count: int) -> list[BitMatrix]:
+        """`count` independent members, each drawn at its probability."""
+        picks = np.minimum(np.searchsorted(self._cum, rng.random(count)), len(self.entries) - 1)
+        return [self.entries[i][0] for i in picks.tolist()]
 
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
         return iter(self.entries)
@@ -208,21 +210,27 @@ class StockFamily:
         self.size = sum(count for _, count in shapes)
         self.expected_rank = Fraction(ranked, self.size)
         # float cumulative shape probabilities: the size outgrows int64 above d = 40
-        self._cum = [float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes)]
-        # per shape, per column: the representative's rows with a 1 there
-        self._support = [
-            [[r for r in range(degree) if (mask >> r) & 1] for mask in rep.column_masks()]
+        self._cum = np.array([float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes)])
+        # per shape: how many columns, and the representative's entries
+        # padded to two columns
+        self._shape_cols = np.array([rep.cols for rep, _ in shapes])
+        self._rep_bits = np.array([
+            [[(rep.column_mask(j) >> r) & 1 if j < rep.cols else 0 for j in range(2)] for r in range(degree)]
             for rep, _ in shapes
-        ]
+        ])
 
-    def sample(self, rng) -> BitMatrix:
-        """A uniform member: a shape by its member count, then a uniform
-        arrangement of its rows, representative row r landing in row pos[r].
-        Every member has probability 1/size."""
-        support = self._support[bisect_left(self._cum, rng.random())]
-        pos = list(range(self.degree))
-        rng.shuffle(pos)  # the draws of rng.permutation(d), without the array round trip
-        return BitMatrix(self.degree, len(support), [sum([1 << pos[r] for r in rows]) for rows in support])
+    def sample(self, rng, count: int) -> list[BitMatrix]:
+        """`count` independent uniform members.  Each is a shape drawn by its
+        member count, then a uniform arrangement of its rows (representative
+        row r lands in row pos[r] for a uniform permutation pos), so every
+        member has probability 1/size."""
+        d = self.degree
+        shape = np.searchsorted(self._cum, rng.random(count))
+        pos = np.argsort(rng.random((count, d)), axis=1)
+        # int64 holds the masks up to d = 63; Python ints beyond
+        ones = np.ones(pos.shape, dtype=np.int64 if d <= 63 else object)
+        masks = (np.left_shift(ones, pos)[:, :, None] * self._rep_bits[shape]).sum(axis=1)
+        return [BitMatrix(d, c, m[:c]) for c, m in zip(self._shape_cols[shape].tolist(), masks.tolist())]
 
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
         return iter(example_family(self.degree, self.degree))

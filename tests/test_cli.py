@@ -26,7 +26,7 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     meta, header, rows = read_csv(str(a))
-    assert meta["schema"] == "ncsa-simulate-v2"
+    assert meta["schema"] == "ncsa-simulate-v3"
     assert len(rows) == 3
     assert all(row["seconds"] == "0.0" for row in rows)
     assert "predicted_fraction" in meta

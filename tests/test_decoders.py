@@ -297,6 +297,17 @@ def test_oracle_identity_frame():
 # --- peel-then-eliminate oracle against plain elimination ---------------------
 
 
+def peel_reports(frame, pre=None):
+    """The oracle's own peel (None), then `batched_bp` reports it may reuse:
+    strict, eager, and cut short after one iteration."""
+    return (
+        None,
+        batched_bp(frame, pre),
+        batched_bp(frame, pre, eager=True),
+        batched_bp(frame, pre, max_iters=1),
+    )
+
+
 def test_oracle_matches_reference_on_small_frames():
     model = PncModel.example(5)
     dist = DegreeDistribution({1: 0.15, 2: 0.35, 3: 0.3, 4: 0.2})
@@ -304,30 +315,45 @@ def test_oracle_matches_reference_on_small_frames():
     for seed in range(300):
         cfg = SystemConfig(users=50, slots=60, dist=dist, model=model, seed=seed, payload_len=2)
         frame = sample_frame(cfg)
-        assert ge_oracle(frame) == reference_ge_oracle(frame)
         given_users = rng.sample(range(50), rng.randint(1, 12))
-        pre = {u: frame.payloads[u] for u in given_users}
-        assert ge_oracle(frame, pre) == reference_ge_oracle(frame, pre)
+        for pre in (None, {u: frame.payloads[u] for u in given_users}):
+            expected = reference_ge_oracle(frame, pre)
+            for report in peel_reports(frame, pre):
+                assert ge_oracle(frame, pre, report) == expected
 
 
 def test_oracle_matches_reference_past_the_peeling_threshold():
+    # about 3% of these frames leave a rank-deficient core, so frames are
+    # drawn until both kinds of core have been eliminated (at most 300)
     model = PncModel.example(10)
     dist = DegreeDistribution({3: 1.0})
     users = 400
     full_rank_cores = partial_cores = 0
-    for seed in range(10):
+    for seed in range(300):
         cfg = SystemConfig(
             users=users, slots=math.ceil(users / 1.75), dist=dist, model=model, seed=seed, payload_len=1,
         )
         frame = sample_frame(cfg)
         peeled = len(batched_bp(frame).recovered)
-        oracle = ge_oracle(frame)
-        assert oracle == reference_ge_oracle(frame)
+        expected = reference_ge_oracle(frame)
+        for report in peel_reports(frame):
+            assert ge_oracle(frame, peeled=report) == expected
         if peeled < users:
             # the core is eliminated: either all of it falls out, or a strict part
-            full_rank_cores += len(oracle) == users
-            partial_cores += peeled < len(oracle) < users
+            full_rank_cores += len(expected) == users
+            partial_cores += peeled < len(expected) < users
+        if full_rank_cores and partial_cores:
+            break
     assert full_rank_cores > 0 and partial_cores > 0
+
+
+def test_oracle_rejects_a_report_of_another_frame():
+    frame = four_user_frame()
+    with pytest.raises(ValueError):
+        ge_oracle(frame, peeled=batched_bp(frame, {0: frame.payloads[0]}))
+    other = frame_from_batches([b"a"] * 3, [(0, (0, 1, 2), [[1], [1], [1]])])
+    with pytest.raises(ValueError):
+        ge_oracle(frame, peeled=batched_bp(other))
 
 
 def test_oracle_raises_on_a_corrupt_frame():

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +21,68 @@ from ncsa.pnc import PncModel, example_family
 
 def small_model() -> PncModel:
     return PncModel.example(5)
+
+
+# --- test-only references: the per-user, per-slot sampler and the loop histogram
+
+
+def _user_rng(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, index)))
+
+
+def _slot_rng(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
+
+
+def _choose_slots(rng, degree, n):
+    """Uniform ordered sample of `degree` distinct slots via partial shuffle."""
+    chosen = []
+    swapped = {}
+    for j in range(degree):
+        r = j + int(rng.integers(0, n - j))
+        chosen.append(swapped.get(r, r))
+        swapped[r] = swapped.get(j, j)
+    return tuple(sorted(chosen))
+
+
+def reference_sample_frame(config):
+    """The frame sampler with one seeded generator per user and per slot,
+    which `sample_frame` replaced by block draws from one generator: same
+    distribution, different seed-to-frame mapping."""
+    n = config.slots
+    payloads = []
+    choices = []
+    occupants = {}
+    for i in range(config.users):
+        rng = _user_rng(config.seed, i)
+        degree = config.dist.degree_from_uniform(float(rng.random()))
+        slots = _choose_slots(rng, degree, n)
+        payloads.append(rng.bytes(config.payload_len) if config.payload_len else b"")
+        choices.append(slots)
+        for t in slots:
+            occupants.setdefault(t, []).append(i)
+    batches = []
+    for t in sorted(occupants):
+        users = sorted(occupants[t])
+        fam = config.model.family(len(users))
+        transfer = fam.sample(_slot_rng(config.seed, t), 1)[0]
+        outputs = tuple(combine([payloads[u] for u in users], transfer))
+        batches.append(Batch(slot=t, users=tuple(users), transfer=transfer, outputs=outputs))
+    return Frame(
+        n_slots=n,
+        payload_len=config.payload_len,
+        payloads=tuple(payloads),
+        slot_choices=tuple(choices),
+        batches=tuple(batches),
+    )
+
+
+def reference_slot_degree_histogram(frame):
+    per_slot = np.zeros(frame.n_slots, dtype=np.int64)
+    for slots in frame.slot_choices:
+        for t in slots:
+            per_slot[t] += 1
+    return np.bincount(per_slot)
 
 
 # --- degree distributions ----------------------------------------------------
@@ -154,9 +218,14 @@ def test_outputs_match_ground_truth_recomputation():
             assert len(batch.users) <= 5  # cap respected when decoding happened
         expected = combine([frame.payloads[u] for u in batch.users], batch.transfer)
         assert list(batch.outputs) == expected
-    # batches exist exactly for occupied slots
-    from_choices = {t for slots in frame.slot_choices for t in slots}
-    assert occupied == from_choices
+    # batches exist exactly for occupied slots, each holding the users that chose it
+    occupants = {}
+    for u, slots in enumerate(frame.slot_choices):
+        for t in slots:
+            occupants.setdefault(t, []).append(u)
+    assert occupied == set(occupants)
+    assert [b.slot for b in frame.batches] == sorted(occupants)
+    assert all(list(b.users) == occupants[b.slot] for b in frame.batches)
 
 
 def test_above_cap_collision_decodes_nothing():
@@ -206,7 +275,7 @@ def test_histogram_empty_frame():
 
 
 def test_degree_frequencies_chi_square_smoke():
-    # smoke alarm only: the seeded draw should never be wildly off the target
+    # fixed seed; p is about 0.14
     dist = DegreeDistribution({1: 0.2, 2: 0.5, 4: 0.3})
     cfg = SystemConfig(users=100_000, slots=200, dist=dist, model=small_model(), seed=77, payload_len=0)
     frame = sample_frame(cfg)
@@ -216,7 +285,7 @@ def test_degree_frequencies_chi_square_smoke():
     observed = [counts[1], counts[2], counts[4]]
     expected = [100_000 * p for p in (0.2, 0.5, 0.3)]
     _, p_value = stats.chisquare(observed, expected)
-    assert p_value > 1e-4
+    assert p_value > 0.01
 
 
 def test_slot_histogram_near_poisson_smoke():
@@ -228,6 +297,61 @@ def test_slot_histogram_near_poisson_smoke():
     pois = [math.exp(-lam) * lam**d / math.factorial(d) for d in range(len(emp))]
     tv = 0.5 * (np.abs(emp - pois).sum() + (1.0 - sum(pois)))
     assert tv < 0.05
+
+
+@pytest.mark.parametrize("degree", [3, 5])
+def test_slot_subsets_are_uniform(degree):
+    # n = 6: three distinct slots come from resampling rows that repeat a
+    # slot, five (distinct with chance 0.09) from `choice` per row
+    n, users = 6, 24_000
+    cfg = SystemConfig(users=users, slots=n, dist=DegreeDistribution({degree: 1.0}), model=small_model(),
+                       seed=5, payload_len=0)
+    seen = Counter(sample_frame(cfg).slot_choices)
+    subsets = list(combinations(range(n), degree))
+    assert set(seen) == set(subsets)  # 20 subsets of size 3, 6 of size 5
+    assert stats.chisquare([seen[s] for s in subsets]).pvalue > 0.01
+
+
+def test_every_slot_taken_when_degree_equals_slots():
+    cfg = SystemConfig(users=200, slots=12, dist=DegreeDistribution({12: 1.0}), model=small_model(), seed=3)
+    frame = sample_frame(cfg)
+    assert frame.slot_choices == (tuple(range(12)),) * 200
+    assert [b.users for b in frame.batches] == [tuple(range(200))] * 12
+
+
+def test_collision_sizes_match_the_reference_sampler():
+    # two-sample chi-square on collision-size counts pooled over four frames
+    # (load 2 per slot); sizes from 6 up share one bin, so every expected
+    # count is well above 5
+    def pooled(sampler):
+        total = np.zeros(32, dtype=np.int64)
+        for seed in range(4):
+            cfg = SystemConfig(users=3000, slots=3000, dist=DegreeDistribution({1: 0.3, 2: 0.4, 3: 0.3}),
+                               model=small_model(), seed=seed, payload_len=0)
+            hist = slot_degree_histogram(sampler(cfg))
+            total[:len(hist)] += hist
+        return [*total[:6], total[6:].sum()]
+
+    assert stats.chi2_contingency([pooled(sample_frame), pooled(reference_sample_frame)]).pvalue > 0.01
+
+
+def test_histogram_matches_loop():
+    hand_built = [
+        Frame(n_slots=5, payload_len=0, payloads=(), slot_choices=(), batches=()),
+        Frame(n_slots=3, payload_len=0, payloads=(b"", b""), slot_choices=((), ()), batches=()),
+        Frame(n_slots=1, payload_len=1, payloads=(b"a",) * 4, slot_choices=((0,),) * 4, batches=()),
+    ]
+    rng = np.random.default_rng(0)
+    drawn = [
+        sample_frame(SystemConfig(
+            users=int(rng.integers(1, 300)), slots=int(rng.integers(4, 300)),
+            dist=DegreeDistribution({1: 0.25, 2: 0.25, 4: 0.5}), model=small_model(), seed=seed, payload_len=0,
+        ))
+        for seed in range(20)
+    ]
+    for frame in hand_built + drawn:
+        assert slot_degree_histogram(frame).tolist() == reference_slot_degree_histogram(frame).tolist()
+    assert slot_degree_histogram(hand_built[0]).tolist() == [5]
 
 
 # --- global matrix ----------------------------------------------------------------

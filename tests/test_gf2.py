@@ -285,3 +285,21 @@ def test_combine():
     m = BitMatrix.from_rows([[1, 0], [1, 1], [0, 1]])
     assert combine(v, m) == [b"\x03", b"\x06"]
     assert combine(v, BitMatrix(3, 0)) == []
+
+
+def test_combine_matches_xor_fold():
+    rng = random.Random(11)
+    for _ in range(300):
+        rows, cols, length = rng.randint(1, 8), rng.randint(0, 4), rng.choice([0, 1, 2, 7, 32])
+        m = random_matrix(rng, rows, cols)
+        v = [bytes(rng.getrandbits(8) for _ in range(length)) for _ in range(rows)]
+        expected = []
+        for j in range(cols):
+            acc = bytes(length)
+            for r in range(rows):
+                if m.get(r, j):
+                    acc = xor_bytes(acc, v[r])
+            expected.append(acc)
+        assert combine(v, m) == expected
+    with pytest.raises(ValueError):
+        combine([b"\x01", b"\x02\x03"], BitMatrix.from_rows([[1], [0]]))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from collections import Counter
@@ -7,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncsa.gf2 import BitMatrix, rank
 from ncsa.pnc import (
@@ -190,11 +193,11 @@ def test_counted_family_matches_enumeration():
 
 
 def test_counted_sample_is_uniform():
-    # fixed seeds; p is about 0.54 at d=3 and 0.45 at d=4
+    # fixed seeds; p is about 0.034 at d=3 and 0.93 at d=4
     for d, draws, seed in ((3, 20000, 0), (4, 35000, 1)):
         fam = StockFamily(d)
         rng = np.random.default_rng(seed)
-        seen = Counter(fam.sample(rng) for _ in range(draws))
+        seen = Counter(fam.sample(rng, draws))
         members = [m for m, _ in example_family(d, d)]
         assert set(seen) == set(members)
         assert scipy.stats.chisquare([seen[m] for m in members]).pvalue > 0.01
@@ -203,9 +206,33 @@ def test_counted_sample_is_uniform():
 def test_counted_sample_beyond_int64_sizes():
     fam = PncModel.example(50).family(45)
     assert fam.size > 2**63
-    matrix = fam.sample(np.random.default_rng(3))
+    (matrix,) = fam.sample(np.random.default_rng(3), 1)
     assert matrix.rows == 45
     assert rank(matrix) == matrix.cols
+
+
+def test_counted_sample_beyond_int64_masks():
+    # 70 rows: the column masks no longer fit in int64
+    fam = StockFamily(70)
+    for matrix in fam.sample(np.random.default_rng(4), 50):
+        assert matrix.rows == 70
+        assert rank(matrix) == matrix.cols
+        if matrix.cols == 1:
+            assert matrix.column_mask(0) == 2**70 - 1
+        else:
+            # every row is of type [0,1], [1,0] or [1,1]
+            assert matrix.column_mask(0) | matrix.column_mask(1) == 2**70 - 1
+
+
+def test_weighted_sample_follows_probabilities():
+    members = [BitMatrix.from_rows(rows) for rows in ([[1], [1]], [[1, 0], [0, 1]], [[0, 1], [1, 1]])]
+    probs = [0.5, 0.3, 0.2]
+    fam = WeightedMatrixFamily(2, zip(members, probs))
+    draws = 20000
+    seen = Counter(fam.sample(np.random.default_rng(0), draws))
+    assert set(seen) == set(members)
+    # fixed seed; p is about 0.64
+    assert scipy.stats.chisquare([seen[m] for m in members], [draws * p for p in probs]).pvalue > 0.01
 
 
 def test_example_family_rejects_degree_zero():
@@ -452,6 +479,63 @@ def test_model_from_dict_validation():
     }
     with pytest.raises(ValueError):
         PncModel.from_dict(bad_first)
+
+
+@st.composite
+def model_dicts(draw):
+    """A valid custom model file: a family for every size 1..cap, each
+    member of full column rank, weights normalised to sum to 1."""
+    cap = draw(st.integers(1, 4))
+    families = {"1": [{"matrix": [[1]], "prob": 1.0}]}
+    for d in range(2, cap + 1):
+        matrices = []
+        for _ in range(draw(st.integers(1, 4))):
+            cols = []
+            for mask in draw(st.lists(st.integers(1, 2**d - 1), max_size=d)):
+                if rank(BitMatrix(d, len(cols) + 1, cols + [mask])) == len(cols) + 1:
+                    cols.append(mask)
+            matrices.append(BitMatrix(d, len(cols), cols).to_rows())
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(matrices), max_size=len(matrices)))
+        families[str(d)] = [{"matrix": m, "prob": w / sum(weights)} for m, w in zip(matrices, weights)]
+    return {"max_decodable": cap, "families": families}
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(model_dicts(), st.integers(0, 2**32 - 1))
+def test_model_from_dict_property(data, seed):
+    model = PncModel.from_dict(json.loads(json.dumps(data)))
+    assert model.max_decodable == data["max_decodable"] and not model.is_example
+    rng = np.random.default_rng(seed)
+    for key, entries in data["families"].items():
+        d = int(key)
+        listed = [
+            (BitMatrix.from_rows(e["matrix"]) if e["matrix"][0] else BitMatrix(d, 0), e["prob"]) for e in entries
+        ]
+        fam = model.family(d)
+        assert list(fam) == listed
+        assert set(fam.sample(rng, 64)) <= {m for m, _ in listed}
+    above = model.family(model.max_decodable + 1)
+    assert [m.cols for m, _ in above] == [0]
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(model_dicts(), st.sampled_from(["missing size", "row count", "probabilities", "rank"]), st.data())
+def test_model_from_dict_rejects_malformed_property(data, fault, pick):
+    d = pick.draw(st.integers(1, data["max_decodable"]))
+    entries = data["families"][str(d)]
+    if fault == "missing size":
+        del data["families"][str(d)]
+    elif fault == "row count":
+        entries[0]["matrix"] = [[1]] + [[0]] * d
+    elif fault == "probabilities":
+        scale = pick.draw(st.sampled_from([0.5, 1.5]))
+        for entry in entries:
+            entry["prob"] *= scale
+    else:
+        # repeat the first column, or add a zero one to an empty member
+        entries[0]["matrix"] = [row + [row[0] if row else 0] for row in entries[0]["matrix"]]
+    with pytest.raises(ValueError):
+        PncModel.from_dict(data)
 
 
 def test_expected_rank_routes_agree():
