@@ -167,7 +167,7 @@ def _poly_str(coeffs: Sequence[float]) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     keys = (
         "users", "slots", "rate", "dist", "cap", "model", "payload_bytes",
-        "trials", "seed", "decoder", "max_iters", "eager", "omit_times", "out",
+        "trials", "seed", "decoder", "max_iters", "omit_times", "out",
     )
     cfg = _merged(args, keys)
     model = _load_model(cfg)
@@ -194,7 +194,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("--decoder must be batched, ordinary, oracle or all")
     decoders = ("batched", "ordinary", "oracle") if which == "all" else (which,)
     max_iters = int(cfg.get("max_iters", 200))
-    eager = bool(cfg.get("eager", False))
     omit_times = bool(cfg.get("omit_times", False))
     payload = int(cfg.get("payload_bytes", 32))
 
@@ -216,7 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 row = [trial, seed + trial, name, len(got), frac, None, None]
             else:
                 if name == "batched":
-                    report = peel = batched_bp(frame, max_iters=max_iters, eager=eager)
+                    report = peel = batched_bp(frame, max_iters=max_iters)
                 else:
                     report = ordinary_bp(frame, max_iters=max_iters)
                 elapsed = time.perf_counter() - t0
@@ -236,7 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "rate": users / slots, "lam": lam, "dist": dist.to_pairs(),
         "model": cfg.get("model", f"stock cap={model.max_decodable}"),
         "payload_bytes": payload, "trials": trials, "seed": seed,
-        "eager": eager, "max_iters": max_iters,
+        "max_iters": max_iters,
     }
     for name in decoders:
         arr = np.asarray(fractions[name])
@@ -491,8 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--decoder", choices=["batched", "ordinary", "oracle", "all"])
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--eager", action="store_true", default=None,
-                   help="propagate recoveries inside a pass instead of between passes")
     p.add_argument("--omit-times", dest="omit_times", action="store_true", default=None,
                    help="write 0.0 in the seconds column for byte-reproducible output")
     model_opts(p)
@@ -553,9 +550,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

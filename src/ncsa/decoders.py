@@ -13,11 +13,13 @@ Three recovery strategies, strictly ordered by power:
   gives the same set as eliminating the frame's global matrix; like the
   peelers it raises FrameInconsistencyError on a corrupt frame.
 
-Both iterative decoders run in strict generations by default: an iteration
-sees only the knowledge available when it started, so results do not depend
-on the order batches are visited.  `eager=True` lets recoveries propagate
-within an iteration; that can only accelerate convergence, never change the
-final recovered set.
+Both peelers run one strict-generation driver and differ only in the rule
+that releases packets at a unit: a slot for `batched_bp`, a single output
+equation for `ordinary_bp`.  An iteration sees only the knowledge available
+when it started, which is the schedule the asymptotic recursion counts, so
+results do not depend on the order units are visited.  The driver compares
+the resolutions made within one pass; a unit that would contradict a packet
+recovered in an earlier pass is not re-checked.
 
 All payload XORs and elementary column operations are tallied in
 `DecodeReport.field_ops`; per-frame work stays linear in the number of
@@ -26,9 +28,9 @@ transmissions because a batch is reprocessed only after its known set grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
-from .frames import Frame
+from .frames import Batch, Frame
 from .gf2 import rcef, select_rows, span_basis, units_in_span, xor_bytes
 
 
@@ -66,11 +68,120 @@ def _checked_preknown(frame: Frame, preknown: Mapping[int, bytes] | None) -> dic
     return known
 
 
+def _peel(
+    frame: Frame,
+    units: Sequence[tuple[tuple[int, ...], object]],
+    release: Callable[..., tuple[Sequence[tuple[int, bytes]], int]],
+    preknown: Mapping[int, bytes] | None,
+    max_iters: int,
+) -> DecodeReport:
+    """Peel `units` in strict generations with the check-node rule `release`.
+
+    A unit is a pair (member users, rule data).  Each pass visits the dirty
+    units in index order and splits a unit's member positions into known
+    and unknown.  A unit with no unknown member is done for good; any other
+    goes to ``release(unit, known_pos, unknown_pos, known)``, which returns
+    the ``(user, payload)`` pairs it resolves and the field operations it
+    spent.  Recoveries are merged only after the pass, so every unit of a
+    pass sees the knowledge of its start and the visiting order cannot
+    matter.  A unit is revisited only when a later recovery touches one of
+    its members.
+
+    Raises FrameInconsistencyError when two resolutions of one pass
+    disagree about a packet (impossible for frames from `sample_frame`).
+    """
+    known = _checked_preknown(frame, preknown)
+    touching: dict[int, list[int]] = {}
+    for idx, (members, _) in enumerate(units):
+        for u in members:
+            touching.setdefault(u, []).append(idx)
+
+    ops = 0
+    per_iteration: list[int] = []
+    dirty = set(range(len(units)))
+    done: set[int] = set()
+    iterations = 0
+
+    while dirty and iterations < max_iters:
+        iterations += 1
+        found: dict[int, bytes] = {}
+        for idx in sorted(dirty):
+            unit = units[idx]
+            known_pos = []
+            unknown_pos = []
+            for pos, u in enumerate(unit[0]):
+                (known_pos if u in known else unknown_pos).append(pos)
+            if not unknown_pos:
+                done.add(idx)
+                continue
+            released, spent = release(unit, known_pos, unknown_pos, known)
+            ops += spent
+            for user, value in released:
+                prior = found.get(user)
+                if prior is not None and prior != value:
+                    raise FrameInconsistencyError(f"user {user} resolved to two different payloads")
+                found[user] = value
+
+        known.update(found)
+        per_iteration.append(len(found))
+        if not found:
+            break
+        dirty = {idx for u in found for idx in touching.get(u, ()) if idx not in done}
+
+    return DecodeReport(
+        recovered=known,
+        preknown=frozenset(preknown or ()),
+        iterations=iterations,
+        per_iteration=tuple(per_iteration),
+        field_ops=ops,
+        users=frame.users,
+    )
+
+
+def _release_slot(
+    unit: tuple[tuple[int, ...], Batch], known_pos: list[int], unknown_pos: list[int], known: dict[int, bytes],
+) -> tuple[list[tuple[int, bytes]], int]:
+    """Batched rule: substitute the known packets out of the outputs,
+    column-reduce the unknown rows, replay the reduction on the outputs and
+    release the user of every unit column."""
+    users, batch = unit
+    transfer = batch.transfer
+    outputs = list(batch.outputs)
+    ops = 0
+    for pos in known_pos:
+        payload = known[users[pos]]
+        bit = 1 << pos
+        for j, mask in enumerate(transfer.column_masks()):
+            if mask & bit:
+                outputs[j] = xor_bytes(outputs[j], payload)
+                ops += 1
+    reduced, trace = rcef(select_rows(transfer, unknown_pos))
+    if trace.ops:  # most visits find the unknown rows already reduced
+        outputs = trace.apply_to_payloads(outputs)
+        ops += len(trace.ops) + sum(1 for op in trace.ops if op[0] == "add")
+    released = []
+    for j, mask in enumerate(reduced.column_masks()):
+        if mask.bit_count() == 1:
+            released.append((users[unknown_pos[mask.bit_length() - 1]], outputs[j]))
+    return released, ops
+
+
+def _release_single(
+    unit: tuple[tuple[int, ...], bytes], known_pos: list[int], unknown_pos: list[int], known: dict[int, bytes],
+) -> tuple[tuple[tuple[int, bytes], ...], int]:
+    """Ordinary rule: an equation with exactly one unknown member releases it."""
+    if len(unknown_pos) != 1:
+        return (), 0
+    members, value = unit
+    for pos in known_pos:
+        value = xor_bytes(value, known[members[pos]])
+    return ((members[unknown_pos[0]], value),), len(known_pos)
+
+
 def batched_bp(
     frame: Frame,
     preknown: Mapping[int, bytes] | None = None,
     max_iters: int = 200,
-    eager: bool = False,
 ) -> DecodeReport:
     """Peel the frame slot-by-slot through per-batch Gaussian reduction.
 
@@ -83,81 +194,8 @@ def batched_bp(
     Raises FrameInconsistencyError when two resolutions of the same packet
     disagree (impossible for frames produced by `sample_frame`).
     """
-    known = _checked_preknown(frame, preknown)
-    batches = frame.batches
-    touching: dict[int, list[int]] = {}
-    for idx, batch in enumerate(batches):
-        if batch.transfer.cols == 0:
-            continue
-        for u in batch.users:
-            touching.setdefault(u, []).append(idx)
-
-    ops = 0
-    per_iteration: list[int] = []
-    dirty = set(idx for idx, b in enumerate(batches) if b.transfer.cols)
-    done: set[int] = set()
-    iterations = 0
-
-    while dirty and iterations < max_iters:
-        iterations += 1
-        # Strict generations: recoveries are merged only after the pass, so
-        # reading `known` mid-pass observes the start-of-pass snapshot.
-        view = known
-        found: dict[int, bytes] = {}
-        for idx in sorted(dirty):
-            batch = batches[idx]
-            users = batch.users
-            transfer = batch.transfer
-            known_pos = []
-            unknown_pos = []
-            for pos, u in enumerate(users):
-                (known_pos if u in view else unknown_pos).append(pos)
-            if not unknown_pos:
-                done.add(idx)
-                continue
-            outputs = list(batch.outputs)
-            for pos in known_pos:
-                payload = view[users[pos]]
-                for j in range(transfer.cols):
-                    if transfer.get(pos, j):
-                        outputs[j] = xor_bytes(outputs[j], payload)
-                        ops += 1
-            reduced, trace = rcef(select_rows(transfer, unknown_pos))
-            ops += len(trace.ops)
-            values = trace.apply_to_payloads(outputs)
-            ops += sum(1 for op in trace.ops if op[0] == "add")
-            for j, mask in enumerate(reduced.column_masks()):
-                if mask.bit_count() != 1:
-                    continue
-                user = users[unknown_pos[mask.bit_length() - 1]]
-                value = values[j]
-                prior = found.get(user)
-                if prior is not None and prior != value:
-                    raise FrameInconsistencyError(f"user {user} resolved to two different payloads")
-                found[user] = value
-                if eager and user not in known:
-                    known[user] = value
-
-        new = found  # holds only users unknown when their batch was processed
-        if not eager:
-            known.update(new)
-        per_iteration.append(len(new))
-        if not new:
-            break
-        dirty = set()
-        for u in new:
-            for idx in touching.get(u, ()):
-                if idx not in done:
-                    dirty.add(idx)
-
-    return DecodeReport(
-        recovered=known,
-        preknown=frozenset(preknown or ()),
-        iterations=iterations,
-        per_iteration=tuple(per_iteration),
-        field_ops=ops,
-        users=frame.users,
-    )
+    units = [(batch.users, batch) for batch in frame.batches if batch.transfer.cols]
+    return _peel(frame, units, _release_slot, preknown, max_iters)
 
 
 def ordinary_bp(
@@ -172,65 +210,16 @@ def ordinary_bp(
     Cross-column structure inside a batch is deliberately ignored, which is
     what makes this the weaker baseline.
     """
-    known = _checked_preknown(frame, preknown)
-    equations: list[tuple[tuple[int, ...], bytes]] = []
+    # Plain tuples of ints and bytes, which the garbage collector stops
+    # tracking, so tens of thousands of equations do not slow collections.
+    equations = []
     for batch in frame.batches:
-        transfer = batch.transfer
-        for j in range(transfer.cols):
-            members = tuple(batch.users[pos] for pos in range(transfer.rows) if transfer.get(pos, j))
-            equations.append((members, batch.outputs[j]))
-
-    touching: dict[int, list[int]] = {}
-    for idx, (members, _) in enumerate(equations):
-        for u in members:
-            touching.setdefault(u, []).append(idx)
-
-    ops = 0
-    per_iteration: list[int] = []
-    dirty = set(range(len(equations)))
-    done: set[int] = set()
-    iterations = 0
-
-    while dirty and iterations < max_iters:
-        iterations += 1
-        view = known  # merged only after the pass; see batched_bp
-        found: dict[int, bytes] = {}
-        for idx in sorted(dirty):
-            members, value = equations[idx]
-            unknown = [u for u in members if u not in view]
-            if not unknown:
-                done.add(idx)
-                continue
-            if len(unknown) > 1:
-                continue
-            for u in members:
-                if u in view:
-                    value = xor_bytes(value, view[u])
-                    ops += 1
-            user = unknown[0]
-            prior = found.get(user)
-            if prior is not None and prior != value:
-                raise FrameInconsistencyError(f"user {user} resolved to two different payloads")
-            found[user] = value
-
-        known.update(found)
-        per_iteration.append(len(found))
-        if not found:
-            break
-        dirty = set()
-        for u in found:
-            for idx in touching.get(u, ()):
-                if idx not in done:
-                    dirty.add(idx)
-
-    return DecodeReport(
-        recovered=known,
-        preknown=frozenset(preknown or ()),
-        iterations=iterations,
-        per_iteration=tuple(per_iteration),
-        field_ops=ops,
-        users=frame.users,
-    )
+        users = batch.users
+        everyone = (1 << len(users)) - 1
+        for mask, value in zip(batch.transfer.column_masks(), batch.outputs):
+            members = users if mask == everyone else tuple([u for pos, u in enumerate(users) if mask >> pos & 1])
+            equations.append((members, value))
+    return _peel(frame, equations, _release_single, preknown, max_iters)
 
 
 def ge_oracle(
@@ -255,8 +244,8 @@ def ge_oracle(
 
     `peeled` is the report of a `batched_bp` run on the same frame and
     `preknown`, which then replaces the oracle's own peel.  Any such run
-    will do, strict or eager or stopped early by `max_iters`: what it
-    recovered lies in the span either way.  The corruption check is then
+    will do, also one stopped early by `max_iters`: what it recovered lies
+    in the span either way.  The corruption check is then
     the one that run made.
     """
     if peeled is None:

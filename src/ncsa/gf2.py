@@ -280,11 +280,6 @@ def select_rows(matrix: BitMatrix, rows: Iterable[int]) -> BitMatrix:
     return BitMatrix(len(keep), matrix.cols, masks)
 
 
-def apply_trace(payloads: Sequence[bytes], trace: ColumnOpTrace) -> list[bytes]:
-    """Replay a recorded column-op trace on a payload list."""
-    return trace.apply_to_payloads(payloads)
-
-
 def combine(payloads: Sequence[bytes], matrix: BitMatrix) -> list[bytes]:
     """Multiply a payload row-vector by a matrix: out[j] = XOR of payloads in column j.
 

@@ -49,10 +49,6 @@ class OptimizationResult:
     certificate_ok: bool | None = None
 
 
-def _edge_curve(dist: DegreeDistribution, mix: PoissonMixture, xs: np.ndarray) -> np.ndarray:
-    return 1.0 - dist.node_deriv(1.0 - np.asarray(mix(xs))) / dist.mean()
-
-
 def optimize(
     lam: float,
     model: PncModel,

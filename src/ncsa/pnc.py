@@ -463,24 +463,25 @@ class PncModel:
         return cls(max_decodable, None)
 
     @classmethod
-    def from_families(cls, max_decodable: int, families: Mapping[int, WeightedMatrixFamily]) -> "PncModel":
-        return cls(max_decodable, families)
-
-    @classmethod
     def from_dict(cls, data: Mapping) -> "PncModel":
-        """Build from the JSON shape {"max_decodable": N, "families": {"d": [{"matrix": rows, "prob": p}, ...]}}."""
-        cap = data["max_decodable"]
-        families = {}
-        for key, entries in data["families"].items():
-            d = int(key)
-            fam = []
-            for entry in entries:
-                rows = entry["matrix"]
-                matrix = BitMatrix.from_rows(rows) if rows and rows[0] else BitMatrix(d, 0)
-                if matrix.rows == 0:
-                    matrix = BitMatrix(d, 0)
-                fam.append((matrix, float(entry["prob"])))
-            families[d] = WeightedMatrixFamily(d, fam)
+        """Build from the JSON shape {"max_decodable": N, "families": {"d": [{"matrix": rows, "prob": p}, ...]}}.
+
+        A missing key or a ragged matrix raises ValueError.
+        """
+        try:
+            cap = data["max_decodable"]
+            families = {}
+            for key, entries in data["families"].items():
+                d = int(key)
+                fam = []
+                for entry in entries:
+                    matrix = BitMatrix.from_rows(entry["matrix"])
+                    if matrix.cols == 0:  # "decodes nothing", however many empty rows are listed
+                        matrix = BitMatrix(d, 0)
+                    fam.append((matrix, float(entry["prob"])))
+                families[d] = WeightedMatrixFamily(d, fam)
+        except KeyError as exc:
+            raise ValueError(f"model is missing the key {exc}") from exc
         return cls(cap, families)
 
     @classmethod

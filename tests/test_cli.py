@@ -179,6 +179,26 @@ def test_gamma_custom_model(tmp_path):
     assert float(rows[1]["enum_dev"]) <= 1e-12
 
 
+def test_simulate_rejects_a_model_missing_a_key(tmp_path, capsys):
+    mpath = tmp_path / "bad.json"
+    mpath.write_text(json.dumps({"max_decodable": 2, "families": {"1": [{"matrix": [[1]]}]}}))
+    code, _ = run(tmp_path, "simulate", "--users", "10", "--slots", "10", "--dist", "2:1", "--model", str(mpath))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_simulate_rejects_the_removed_eager_option(tmp_path):
+    base = ["simulate", "--users", "10", "--slots", "10", "--dist", "2:1", "--cap", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*base, "--eager"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eager": True}))
+    code, _ = run(tmp_path, *base, "--config", str(cfg))
+    assert code == 2
+
+
 def test_plot_sweep(tmp_path):
     code, csv_out = run(tmp_path, "sweep", "--lam-grid", "0.5:3:0.5", "--cap", "6")
     assert code == 0

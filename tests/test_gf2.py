@@ -6,7 +6,6 @@ import pytest
 from ncsa.gf2 import (
     BitMatrix,
     _reduce_against,
-    apply_trace,
     combine,
     in_colspan,
     rank,
@@ -210,13 +209,13 @@ def test_trace_replay_matches_reduced_combination():
         v = [rng.randbytes(5) for _ in range(nrows)]
         u = combine(v, m)
         reduced, trace = rcef(m)
-        assert apply_trace(u, trace) == combine(v, reduced)
+        assert trace.apply_to_payloads(u) == combine(v, reduced)
 
 
 def test_apply_trace_examples():
     m = BitMatrix.from_rows([[1, 1], [0, 1]])
     _, empty = rcef(BitMatrix.identity(2))
-    assert apply_trace([b"a", b"b"], empty) == [b"a", b"b"]
+    assert empty.apply_to_payloads([b"a", b"b"]) == [b"a", b"b"]
     # single add: payload[dst] ^= payload[src]
     _, trace = rcef(m)
     assert ("add", 0, 1) in trace.ops or ("add", 1, 0) in trace.ops
@@ -230,7 +229,7 @@ def test_apply_trace_recovers_substituted_packet():
     u1, u2 = combine(v, h)
     sub_u1 = xor_bytes(u1, v[0])  # remove the known packet from column 1
     reduced, trace = rcef(select_rows(h, [1, 2, 3]))
-    replayed = apply_trace([sub_u1, u2], trace)
+    replayed = trace.apply_to_payloads([sub_u1, u2])
     assert reduced.to_rows() == [[1, 0], [0, 1], [0, 1]]
     assert replayed[0] == v[1]
     assert replayed[0] == xor_bytes(xor_bytes(u2, u1), v[0])
@@ -239,7 +238,7 @@ def test_apply_trace_recovers_substituted_packet():
 def test_apply_trace_length_mismatch():
     _, trace = rcef(BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]]))
     with pytest.raises(ValueError):
-        apply_trace([b"x"], trace)
+        trace.apply_to_payloads([b"x"])
 
 
 def test_in_colspan_examples():

@@ -519,12 +519,22 @@ def test_model_from_dict_property(data, seed):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(model_dicts(), st.sampled_from(["missing size", "row count", "probabilities", "rank"]), st.data())
+@given(
+    model_dicts(),
+    st.sampled_from(["missing size", "missing key", "ragged", "row count", "probabilities", "rank"]),
+    st.data(),
+)
 def test_model_from_dict_rejects_malformed_property(data, fault, pick):
     d = pick.draw(st.integers(1, data["max_decodable"]))
     entries = data["families"][str(d)]
     if fault == "missing size":
         del data["families"][str(d)]
+    elif fault == "missing key":
+        key = pick.draw(st.sampled_from(["max_decodable", "families", "matrix", "prob"]))
+        del (entries[0] if key in ("matrix", "prob") else data)[key]
+    elif fault == "ragged":
+        # an empty first row must not hide the non-empty rows after it
+        entries[0]["matrix"] = [[]] + [[1]] * max(d - 1, 1)
     elif fault == "row count":
         entries[0]["matrix"] = [[1]] + [[0]] * d
     elif fault == "probabilities":
