@@ -11,7 +11,7 @@ point locates the collapse rate without any sampling.
 import numpy as np
 
 from ncsa.decoders import batched_bp
-from ncsa.evolution import evolve, fixed_point
+from ncsa.evolution import evolve
 from ncsa.frames import DegreeDistribution, SystemConfig, sample_frame
 from ncsa.pnc import PncModel
 
@@ -41,6 +41,6 @@ print(f"mean over seeds {np.mean(fractions):.6f} vs prediction {result.z_star:.6
 print()
 print("terminal fraction across rates:")
 for r in (1.5, 1.6, 1.65, 1.7, 1.8):
-    fp = fixed_point(dist, r * dist.mean(), model=model)
-    mark = "" if fp.converged else "  (still moving after 1e5 rounds)"
-    print(f"  rate {r}: {fp.decoded_fraction:.4f}{mark}")
+    deep = evolve(dist, r * dist.mean(), 10**5, model)
+    mark = "" if deep.converged else "  (still moving after 1e5 rounds)"
+    print(f"  rate {r}: {deep.z_star:.4f}{mark}")

@@ -11,8 +11,8 @@ Layers, bottom up:
   per-slot batch structure.
 - ``decoders``: batched and ordinary peeling plus the global-elimination
   oracle.
-- ``evolution``: asymptotic iteration maps, fixed points, and the rate
-  upper bound.
+- ``evolution``: the asymptotic edge recursion, run to its fixed point by
+  ``evolve``, and the rate upper bound.
 - ``optimize``: LP design of degree distributions and load sweeps.
 """
 
@@ -25,12 +25,11 @@ from .decoders import (
 )
 from .evolution import (
     EvolutionResult,
-    FixedPointResult,
     InvariantError,
     PoissonMixture,
-    edge_update,
+    edge_fraction,
     evolve,
-    fixed_point,
+    node_fraction,
     poisson_weights,
     rate_upper_bound,
     resolve_prob,
@@ -45,7 +44,7 @@ from .frames import (
     slot_degree_histogram,
 )
 from .gf2 import BitMatrix, ColumnOpTrace, combine, in_colspan, rank, rcef, select_rows
-from .optimize import OptimizationResult, SweepPoint, achievable_rate, optimize, sweep
+from .optimize import OptimizationResult, SweepPoint, optimize, sweep
 from .pnc import (
     GammaPoly,
     PncModel,
@@ -67,7 +66,6 @@ __all__ = [
     "DecodeReport",
     "DegreeDistribution",
     "EvolutionResult",
-    "FixedPointResult",
     "Frame",
     "FrameInconsistencyError",
     "GammaPoly",
@@ -79,20 +77,19 @@ __all__ = [
     "SweepPoint",
     "SystemConfig",
     "WeightedMatrixFamily",
-    "achievable_rate",
     "batched_bp",
     "combine",
-    "edge_update",
+    "edge_fraction",
     "evolve",
     "example_family",
     "family_size",
-    "fixed_point",
     "gamma_closed_form",
     "gamma_k_enum",
     "gamma_set",
     "ge_oracle",
     "global_matrix",
     "in_colspan",
+    "node_fraction",
     "optimize",
     "ordinary_bp",
     "poisson_weights",

@@ -81,6 +81,21 @@ def _load_model(cfg: dict) -> PncModel:
     return PncModel.example(int(cfg.get("cap", 10)))
 
 
+def _model_label(cfg: dict, model: PncModel) -> str:
+    """The model as the CSV metadata names it: the file, or the stock cap."""
+    return cfg.get("model", f"stock cap={model.max_decodable}")
+
+
+def _design(cfg: dict) -> dict:
+    """`optimize`'s design keywords from the merged options, with its defaults."""
+    return {
+        "eps": float(cfg.get("eps", 1e-3)),
+        "eta": float(cfg.get("eta", 0.99)),
+        "max_degree": int(cfg.get("max_degree", 30)),
+        "grid_points": int(cfg.get("grid", 100)),
+    }
+
+
 def _load_dist(cfg: dict) -> DegreeDistribution:
     spec = cfg.get("dist")
     if spec is None:
@@ -233,7 +248,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "schema": "ncsa-simulate-v3",
         "command": "simulate", "users": users, "slots": slots,
         "rate": users / slots, "lam": lam, "dist": dist.to_pairs(),
-        "model": cfg.get("model", f"stock cap={model.max_decodable}"),
+        "model": _model_label(cfg, model),
         "payload_bytes": payload, "trials": trials, "seed": seed,
         "max_iters": max_iters,
     }
@@ -264,7 +279,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         "schema": "ncsa-evolve-v1",
         "command": "evolve", "lam": lam, "rate": lam / dist.mean(),
         "dist": dist.to_pairs(),
-        "model": cfg.get("model", f"stock cap={model.max_decodable}"),
+        "model": _model_label(cfg, model),
         "iters": iters, "converged": result.converged,
         "z_star": result.z_star,
     }
@@ -278,19 +293,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     model = _load_model(cfg)
     if "lam" not in cfg:
         raise ConfigError("--lam is required")
-    result = optimize(
-        float(cfg["lam"]), model,
-        eps=float(cfg.get("eps", 1e-3)),
-        eta=float(cfg.get("eta", 0.99)),
-        max_degree=int(cfg.get("max_degree", 30)),
-        grid_points=int(cfg.get("grid", 100)),
-    )
+    design = _design(cfg)
+    result = optimize(float(cfg["lam"]), model, **design)
     meta = {
         "schema": "ncsa-optimize-v1",
-        "command": "optimize", "lam": result.lam, "eps": result.eps,
-        "eta": result.eta, "max_degree": result.max_degree,
-        "grid_points": result.grid_points,
-        "model": cfg.get("model", f"stock cap={model.max_decodable}"),
+        "command": "optimize", "lam": result.lam, **design,
+        "model": _model_label(cfg, model),
         "feasible": result.feasible, "status": result.status,
     }
     if not result.feasible:
@@ -334,13 +342,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _merged(args, keys)
     model = _load_model(cfg)
     lams = _parse_lam_grid(str(cfg.get("lam_grid", "0.25:10:0.25")))
-    points = sweep(
-        lams, model,
-        eps=float(cfg.get("eps", 1e-3)),
-        eta=float(cfg.get("eta", 0.99)),
-        max_degree=int(cfg.get("max_degree", 30)),
-        grid_points=int(cfg.get("grid", 100)),
-    )
+    design = _design(cfg)
+    points = sweep(lams, model, **design)
     rows = [
         [p.lam, p.feasible, p.rate, p.rate_star, p.upper_bound, p.error or ""]
         for p in points
@@ -348,10 +351,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     meta = {
         "schema": "ncsa-sweep-v1",
         "command": "sweep",
-        "model": cfg.get("model", f"stock cap={model.max_decodable}"),
-        "eps": float(cfg.get("eps", 1e-3)), "eta": float(cfg.get("eta", 0.99)),
-        "max_degree": int(cfg.get("max_degree", 30)),
-        "grid_points": int(cfg.get("grid", 100)), "points": len(points),
+        "model": _model_label(cfg, model),
+        **design, "points": len(points),
     }
     header = ["lam", "feasible", "rate", "rate_star", "upper_bound", "error"]
     _write_csv(cfg.get("out"), meta, header, rows)
@@ -393,7 +394,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
     meta = {
         "schema": "ncsa-gamma-v1",
         "command": "gamma",
-        "model": cfg.get("model", f"stock cap={model.max_decodable}"),
+        "model": _model_label(cfg, model),
         "enum_limit": enum_limit, "grid_step": step,
         "note": "closed_form_dev compares the compact algebraic form against the enumerated table",
     }

@@ -3,9 +3,9 @@
 In the large-frame limit the collision size of a random slot is Poisson
 with mean equal to the offered load (user/slot ratio times mean repetition
 degree).  `resolve_prob` mixes the per-collision-size solvability
-polynomials over that law; the edge recursion then tracks the probability
-that a repetition of a random packet is resolved after each decoding
-iteration, and `fixed_point` follows it to convergence.
+polynomials over that law; the edge recursion in `evolve` then tracks the
+probability that a repetition of a random packet is resolved after each
+decoding iteration, and stops at its fixed point.
 
 `rate_upper_bound` is the capacity-style ceiling: no decoder can recover
 more packets per slot than the mean number of independent combinations a
@@ -13,6 +13,7 @@ slot delivers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,27 +21,30 @@ import numpy as np
 from .frames import DegreeDistribution
 from .pnc import PncModel
 
+# Poisson tail mass left out of every collision-size mixture.
+TAIL_TOL = 1e-12
+# `evolve` stops once successive edge values agree this closely.
+STALL_TOL = 1e-12
+
 
 class InvariantError(RuntimeError):
     """An internal consistency check failed: a bug, not bad input.  Raised
     explicitly so that the check also runs under ``python -O``."""
 
 
-def poisson_weights(lam: float, tail_tol: float = 1e-12, min_terms: int = 0) -> np.ndarray:
+def poisson_weights(lam: float, min_terms: int = 0) -> np.ndarray:
     """Poisson(lam) pmf values w_0..w_L, untruncated and unnormalized.
 
-    L is the smallest index with tail mass at most `tail_tol` (and at least
+    L is the smallest index with tail mass at most `TAIL_TOL` (and at least
     `min_terms`); the returned weights sum to 1 - tail, deliberately left
     as-is so truncation error stays visible to callers.
     """
-    if lam <= 0:
-        raise ValueError("offered load must be positive")
-    if tail_tol <= 0:
-        raise ValueError("tail tolerance must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"offered load must be a positive finite number, got {lam!r}")
     weights = [float(np.exp(-lam))]
     cum = weights[0]
     k = 0
-    while (1.0 - cum > tail_tol or k < min_terms) and cum < 1.0:
+    while (1.0 - cum > TAIL_TOL or k < min_terms) and cum < 1.0:
         k += 1
         weights.append(weights[-1] * lam / k)
         cum += weights[-1]
@@ -50,10 +54,10 @@ def poisson_weights(lam: float, tail_tol: float = 1e-12, min_terms: int = 0) -> 
 class PoissonMixture:
     """Precomputed sum_k w_k Gamma_k(x) for one (load, model) pair."""
 
-    def __init__(self, lam: float, model: PncModel, tail_tol: float = 1e-12):
+    def __init__(self, lam: float, model: PncModel):
         self.lam = lam
         self.model = model
-        self.weights = poisson_weights(lam, tail_tol, min_terms=model.max_decodable - 1)
+        self.weights = poisson_weights(lam, min_terms=model.max_decodable - 1)
         kmax = min(len(self.weights) - 1, model.max_decodable - 1)
         self._polys = [(float(self.weights[k]), model.gamma_poly(k)) for k in range(kmax + 1)]
 
@@ -64,19 +68,26 @@ class PoissonMixture:
         return value
 
 
-def resolve_prob(x, lam: float, model: PncModel, tail_tol: float = 1e-12):
+def resolve_prob(x, lam: float, model: PncModel):
     """Probability that a slot resolves a given member packet, the rest of
     the population being known independently with probability x.
 
     Accepts a scalar or an ndarray of evaluation points.
     """
-    return PoissonMixture(lam, model, tail_tol)(x)
+    return PoissonMixture(lam, model)(x)
 
 
-def edge_update(x, lam: float, dist: DegreeDistribution, model: PncModel, mixture: PoissonMixture | None = None):
-    """One step of the edge recursion: new per-repetition resolve probability."""
-    mix = mixture if mixture is not None else PoissonMixture(lam, model)
-    return 1.0 - dist.node_deriv(1.0 - mix(x)) / dist.mean()
+def edge_fraction(dist: DegreeDistribution, resolved):
+    """Chance that a repetition's packet is known through one of its user's
+    other repetitions, each resolved with probability `resolved`:
+    1 - Λ'(1 - resolved)/Λ'(1).  One step of the edge recursion."""
+    return 1.0 - dist.node_deriv(1.0 - resolved) / dist.mean()
+
+
+def node_fraction(dist: DegreeDistribution, resolved):
+    """Chance that a packet is known through at least one of its
+    repetitions, each resolved with probability `resolved`: 1 - Λ(1 - resolved)."""
+    return 1.0 - dist.node_poly(1.0 - resolved)
 
 
 @dataclass(frozen=True)
@@ -93,14 +104,15 @@ def evolve(
     lam: float,
     iters: int,
     model: PncModel,
-    tol: float = 1e-12,
 ) -> EvolutionResult:
     """Run the edge recursion for `iters` decoder iterations.
 
     The trajectory holds the per-repetition probabilities z_1..z_(iters-1);
     the headline number is z_star, the fraction of packets recovered after
     the final iteration.  The recursion stops early once successive values
-    agree within `tol` (the trajectory is then constant from there on).
+    agree within `STALL_TOL`: the last trajectory value is then its fixed
+    point.  A stall near - but not at - the fixed point is not an error;
+    `converged` says whether the tolerance was met.
     """
     if iters < 1:
         raise ValueError("need at least one iteration")
@@ -109,67 +121,29 @@ def evolve(
     z = 0.0
     converged = False
     for _ in range(iters - 1):
-        z_next = float(edge_update(z, lam, dist, model, mix))
+        z_next = float(edge_fraction(dist, mix(z)))
         if not -1e-9 <= z_next <= 1.0 + 1e-9:
             raise InvariantError(f"edge value left [0,1]: {z_next!r}")
         trajectory.append(z_next)
-        if abs(z_next - z) < tol:
-            converged = True
-            z = z_next
-            break
+        converged = abs(z_next - z) < STALL_TOL
         z = z_next
-    z_star = 1.0 - dist.node_poly(1.0 - float(mix(z)))
+        if converged:
+            break
     return EvolutionResult(
         lam=lam,
         trajectory=tuple(trajectory),
-        z_star=float(z_star),
+        z_star=float(node_fraction(dist, float(mix(z)))),
         iterations=len(trajectory),
         converged=converged,
     )
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
-    x: float
-    decoded_fraction: float
-    iterations: int
-    converged: bool
-
-
-def fixed_point(
-    dist: DegreeDistribution,
-    lam: float,
-    model: PncModel,
-    tol: float = 1e-10,
-    max_iter: int = 10**5,
-) -> FixedPointResult:
-    """Iterate the edge recursion from zero until it stalls.
-
-    A stall near - but not at - the fixed point is not an error: the result
-    reports the x actually reached and whether the tolerance was met.
-    """
-    mix = PoissonMixture(lam, model)
-    x = 0.0
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        x_next = float(edge_update(x, lam, dist, model, mix))
-        if abs(x_next - x) < tol:
-            x = x_next
-            converged = True
-            break
-        x = x_next
-    fraction = 1.0 - dist.node_poly(1.0 - float(mix(x)))
-    return FixedPointResult(x=x, decoded_fraction=float(fraction), iterations=iterations, converged=converged)
-
-
-def rate_upper_bound(lam: float, model: PncModel, tail_tol: float = 1e-12) -> float:
+def rate_upper_bound(lam: float, model: PncModel) -> float:
     """Mean decoded combinations per slot: the ceiling on packets per slot.
 
     Averages each collision size's mean rank under the Poisson(lam)
     collision law; for the stock model the mean ranks are exact counts.
     """
-    weights = poisson_weights(lam, tail_tol, min_terms=model.max_decodable)
+    weights = poisson_weights(lam, min_terms=model.max_decodable)
     dmax = min(len(weights) - 1, model.max_decodable)
     return sum(float(weights[d]) * model.expected_rank(d) for d in range(1, dmax + 1))

@@ -14,9 +14,8 @@ same frame; a single user or slot cannot be redrawn on its own.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -53,7 +52,7 @@ class DegreeDistribution:
             raise ValueError("negative probability")
         if abs(float(self.p.sum()) - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {float(self.p.sum())!r}, not 1")
-        self._cum = list(accumulate(float(v) for v in self.p))
+        self._cum = np.cumsum(self.p)
         self._cum[-1] = 1.0
 
     @property
@@ -118,9 +117,10 @@ class DegreeDistribution:
     def to_pairs(self) -> str:
         return ",".join(f"{i + 1}:{float(p)!r}" for i, p in enumerate(self.p) if p)
 
-    def degree_from_uniform(self, u: float) -> int:
-        """Inverse-CDF lookup; callers feed one uniform draw per user."""
-        return min(bisect_left(self._cum, u), len(self.p) - 1) + 1
+    def degree_from_uniform(self, u):
+        """Inverse-CDF lookup of the degree for each uniform draw in `u`
+        (a scalar or an array; one draw per user)."""
+        return np.minimum(np.searchsorted(self._cum, u), len(self.p) - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -206,11 +206,9 @@ def sample_frame(config: SystemConfig) -> Frame:
     n = config.slots
     users = config.users
     payload_len = config.payload_len
-    dist = config.dist
     rng = np.random.default_rng(config.seed)
 
-    # degrees: the inverse-CDF lookup of `degree_from_uniform`, for every user at once
-    degrees = np.minimum(np.searchsorted(dist._cum, rng.random(users)), dist.max_degree - 1) + 1
+    degrees = config.dist.degree_from_uniform(rng.random(users))
     ends = np.cumsum(degrees)
     flat = np.empty(int(ends[-1]), dtype=np.int64)  # every user's slots, user by user
     for d in np.unique(degrees).tolist():

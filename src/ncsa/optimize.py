@@ -22,15 +22,23 @@ objective) is checked so the result does not rest on trusting the solver.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .evolution import InvariantError, PoissonMixture, rate_upper_bound
+from .evolution import InvariantError, PoissonMixture, edge_fraction, node_fraction, rate_upper_bound
 from .frames import DegreeDistribution
 from .pnc import PncModel
+
+# The a-posteriori check runs on a grid this many times finer than the LP's.
+VERIFY_FACTOR = 10
+# A fine-grid point counts as violated only below its requirement by more than this.
+VERIFY_SLACK = 1e-9
+# At most this many LP solves; each adds the fine-grid points the last one violated.
+REFINE_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,6 @@ def optimize(
     eta: float = 0.99,
     max_degree: int = 30,
     grid_points: int = 100,
-    tail_tol: float = 1e-12,
-    verify_factor: int = 10,
-    verify_slack: float = 1e-9,
-    refine_rounds: int = 8,
-    certify: bool = True,
 ) -> OptimizationResult:
     """Maximize the design rate at offered load `lam`.
 
@@ -69,13 +72,13 @@ def optimize(
     for loads the receiver model simply cannot carry at the target coverage.
 
     The grid LP guarantees nothing between its constraint points, so the
-    solution is re-verified on a `verify_factor` times finer grid; any point
+    solution is re-verified on a `VERIFY_FACTOR` times finer grid; any point
     it flags is added as a constraint and the LP re-solved, up to
-    `refine_rounds` times.  Violations still present after the last round
+    `REFINE_ROUNDS` times.  Violations still present after the last round
     are reported in the result instead of being hidden.
     """
-    if lam <= 0:
-        raise ValueError("offered load must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"offered load must be a positive finite number, got {lam!r}")
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if eps <= 0:
@@ -83,17 +86,17 @@ def optimize(
     if max_degree < 1 or grid_points < 1:
         raise ValueError("max_degree and grid_points must be positive")
 
-    mix = PoissonMixture(lam, model, tail_tol)
+    mix = PoissonMixture(lam, model)
     degrees = np.arange(1, max_degree + 1)
     xs = eta * np.arange(1, grid_points + 1) / grid_points
-    fine = eta * np.arange(1, verify_factor * grid_points + 1) / (verify_factor * grid_points)
+    fine = eta * np.arange(1, VERIFY_FACTOR * grid_points + 1) / (VERIFY_FACTOR * grid_points)
     fine_resolve = np.asarray(mix(fine))
     need = fine * (1.0 + eps)
 
     base = dict(
         lam=lam, eps=eps, eta=eta, max_degree=max_degree, grid_points=grid_points,
     )
-    for _ in range(max(1, refine_rounds)):
+    for _ in range(REFINE_ROUNDS):
         shrink = 1.0 - np.asarray(mix(xs))  # 1 - P(x_j)
         rows = shrink[:, None] ** (degrees - 1)[None, :]
         bound = 1.0 - xs * (1.0 + eps)
@@ -112,8 +115,8 @@ def optimize(
         omega = np.clip(res.x, 0.0, None)
         omega = omega / omega.sum()
         dist = DegreeDistribution.from_edge_weights(omega)
-        curve = 1.0 - dist.node_deriv(1.0 - fine_resolve) / dist.mean()
-        bad = curve < need - verify_slack
+        curve = edge_fraction(dist, fine_resolve)
+        bad = curve < need - VERIFY_SLACK
         if not np.any(bad):
             break
         cuts = fine[bad]
@@ -123,14 +126,10 @@ def optimize(
         xs = grown
 
     rate = float(lam * np.sum(omega / degrees))
-    rate_star = rate * (1.0 - dist.node_poly(1.0 - float(mix(eta))))
+    rate_star = rate * node_fraction(dist, float(mix(eta)))
     violations = tuple(
         (float(x), float(f), float(r)) for x, f, r in zip(fine[bad], curve[bad], need[bad])
     )
-
-    certificate_ok = None
-    if certify:
-        certificate_ok = _certificate_holds(omega, rows, bound, degrees)
 
     return OptimizationResult(
         feasible=True,
@@ -139,7 +138,7 @@ def optimize(
         dist=dist,
         rate_star=float(rate_star),
         violations=violations,
-        certificate_ok=certificate_ok,
+        certificate_ok=_certificate_holds(omega, rows, bound, degrees),
         **base,
     )
 
@@ -173,15 +172,6 @@ def _certificate_holds(
     return True
 
 
-def achievable_rate(result: OptimizationResult, model: PncModel) -> float:
-    """Packets per slot actually recovered at the optimum: the design rate
-    discounted by the packets still missing at coverage eta."""
-    if not result.feasible or result.dist is None or result.rate is None:
-        raise ValueError("no feasible optimum to evaluate")
-    mix = PoissonMixture(result.lam, model)
-    return result.rate * (1.0 - result.dist.node_poly(1.0 - float(mix(result.eta))))
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     lam: float
@@ -193,20 +183,17 @@ class SweepPoint:
     result: OptimizationResult | None = None
 
 
-def sweep(
-    lams: Sequence[float],
-    model: PncModel,
-    eps: float = 1e-3,
-    eta: float = 0.99,
-    max_degree: int = 30,
-    grid_points: int = 100,
-) -> list[SweepPoint]:
-    """Optimize across a load grid; per-point failures are recorded, not raised."""
+def sweep(lams: Sequence[float], model: PncModel, **design) -> list[SweepPoint]:
+    """Optimize across a load grid; per-point failures are recorded, not raised.
+
+    `design` holds `optimize`'s keywords (eps, eta, max_degree, grid_points)
+    and is passed on unchanged, so the defaults are `optimize`'s.
+    """
     points = []
     for lam in lams:
         try:
             upper = rate_upper_bound(lam, model)
-            res = optimize(lam, model, eps=eps, eta=eta, max_degree=max_degree, grid_points=grid_points)
+            res = optimize(lam, model, **design)
         except (ValueError, InvariantError) as exc:  # a bad point must not kill the sweep
             points.append(SweepPoint(lam=lam, feasible=False, rate=None, rate_star=None,
                                      upper_bound=float("nan"), error=str(exc)))

@@ -466,10 +466,13 @@ class PncModel:
     def from_dict(cls, data: Mapping) -> "PncModel":
         """Build from the JSON shape {"max_decodable": N, "families": {"d": [{"matrix": rows, "prob": p}, ...]}}.
 
-        A missing key or a ragged matrix raises ValueError.
+        A missing key, a value of the wrong JSON type or a ragged matrix
+        raises ValueError.
         """
         try:
             cap = data["max_decodable"]
+            if not isinstance(cap, int) or isinstance(cap, bool):
+                raise ValueError(f"max_decodable must be an integer, got {cap!r}")
             families = {}
             for key, entries in data["families"].items():
                 d = int(key)
@@ -482,6 +485,8 @@ class PncModel:
                 families[d] = WeightedMatrixFamily(d, fam)
         except KeyError as exc:
             raise ValueError(f"model is missing the key {exc}") from exc
+        except (TypeError, AttributeError) as exc:  # e.g. a list where an object belongs
+            raise ValueError(f"model has a value of the wrong JSON type: {exc}") from exc
         return cls(cap, families)
 
     @classmethod

@@ -188,6 +188,23 @@ def test_simulate_rejects_a_model_missing_a_key(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"max_decodable": 1, "families": {"1": [[1]]}},
+        {"max_decodable": 1, "families": []},
+        {"max_decodable": "2", "families": {"1": [{"matrix": [[1]], "prob": 1.0}]}},
+    ],
+)
+def test_simulate_rejects_a_model_of_the_wrong_json_type(tmp_path, capsys, model):
+    mpath = tmp_path / "bad.json"
+    mpath.write_text(json.dumps(model))
+    code, _ = run(tmp_path, "simulate", "--users", "10", "--slots", "10", "--dist", "2:1", "--model", str(mpath))
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad model file:")
+
+
 def test_simulate_rejects_the_removed_eager_option(tmp_path):
     base = ["simulate", "--users", "10", "--slots", "10", "--dist", "2:1", "--cap", "3"]
     with pytest.raises(SystemExit) as exc:
@@ -274,6 +291,33 @@ def test_simulate_rejects_nonpositive_rate(tmp_path, capsys, rate):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--rate must be a positive finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--lam", "nan"],
+        ["optimize", "--lam=-inf"],
+        ["evolve", "--dist", "3:1", "--rate", "inf"],
+        ["evolve", "--dist", "3:1", "--lam", "nan"],
+    ],
+)
+def test_non_finite_load_exits_2_with_one_line(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv, "--cap", "4")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "positive finite" in err[0]
+
+
+def test_sweep_records_a_non_finite_load_in_one_cell(tmp_path):
+    code, out = run(tmp_path, "sweep", "--lam-grid", "nan,1", "--cap", "6")
+    assert code == 0
+    _, _, rows = read_csv(str(out))
+    bad, good = rows
+    assert bad["feasible"] == "false" and bad["upper_bound"] == "nan"
+    assert bad["error"] == "offered load must be a positive finite number, got nan"
+    assert good["feasible"] == "true" and good["error"] == ""
 
 
 def test_read_csv_round_trips_own_output(tmp_path):

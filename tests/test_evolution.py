@@ -11,7 +11,6 @@ import scipy.stats
 import ncsa
 from ncsa.evolution import (
     evolve,
-    fixed_point,
     poisson_weights,
     rate_upper_bound,
     resolve_prob,
@@ -38,8 +37,9 @@ def test_poisson_weights_min_terms_and_validation():
     assert len(poisson_weights(0.1, min_terms=40)) >= 40
     with pytest.raises(ValueError):
         poisson_weights(0.0)
-    with pytest.raises(ValueError):
-        poisson_weights(-1.0)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            poisson_weights(bad)
 
 
 # --- resolve probability -----------------------------------------------------
@@ -122,23 +122,29 @@ def test_deep_run_converges_near_one():
 
 
 def test_evolve_agrees_with_fixed_point():
+    # where the recursion stops, one more edge step moves it by less than
+    # the stall tolerance, and z_star is the node fraction at that point
     model = PncModel.example(10)
     for dist, lam in [
         (DegreeDistribution({3: 1.0}), 1.5),
         (DegreeDistribution({2: 0.6, 5: 0.4}), 2.0),
     ]:
         deep = evolve(dist, lam, 3000, model=model)
-        fp = fixed_point(dist, lam, model=model, tol=1e-12)
-        assert deep.z_star == pytest.approx(fp.decoded_fraction, abs=2e-12)
+        assert deep.converged
+        x = deep.trajectory[-1]
+        resolved = float(resolve_prob(x, lam, model))
+        step = 1.0 - dist.node_deriv(1.0 - resolved) / dist.mean()
+        assert step == pytest.approx(x, abs=2e-12)
+        assert deep.z_star == pytest.approx(1.0 - dist.node_poly(1.0 - resolved), abs=2e-12)
 
 
 def test_fixed_point_stable_under_more_iterations():
     model = PncModel.example(6)
     dist = DegreeDistribution({2: 0.5, 3: 0.5})
-    a = fixed_point(dist, 1.2, model=model, max_iter=10**4)
-    b = fixed_point(dist, 1.2, model=model, max_iter=10**5)
-    assert a.x == pytest.approx(b.x, abs=1e-9)
-    assert a.decoded_fraction == pytest.approx(b.decoded_fraction, abs=1e-9)
+    a = evolve(dist, 1.2, 10**4, model=model)
+    b = evolve(dist, 1.2, 10**5, model=model)
+    assert a.trajectory[-1] == pytest.approx(b.trajectory[-1], abs=1e-9)
+    assert a.z_star == pytest.approx(b.z_star, abs=1e-9)
 
 
 def test_evolve_validation():
@@ -146,6 +152,8 @@ def test_evolve_validation():
     dist = DegreeDistribution({2: 1.0})
     with pytest.raises(ValueError):
         evolve(dist, 0.0, 5, model=model)
+    with pytest.raises(ValueError):
+        evolve(dist, math.inf, 5, model=model)
     with pytest.raises(ValueError):
         evolve(dist, 1.0, 0, model=model)
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ncsa.evolution import fixed_point, rate_upper_bound, resolve_prob
+from ncsa.evolution import evolve, rate_upper_bound, resolve_prob
 from ncsa.frames import DegreeDistribution
 from ncsa.gf2 import BitMatrix
-from ncsa.optimize import achievable_rate, optimize, sweep
+from ncsa.optimize import optimize, sweep
 from ncsa.pnc import PncModel, WeightedMatrixFamily
 
 
@@ -36,17 +36,18 @@ def test_reference_point_load_one():
     assert res.dist.prob(2) > 0.9
 
 
-def test_achievable_rate_matches_result():
+def test_rate_star_discounts_the_packets_missing_at_eta():
+    # packets per slot actually recovered: the design rate times the node
+    # fraction at coverage eta
     res = optimize(1.0, MODEL)
-    assert achievable_rate(res, MODEL) == pytest.approx(res.rate_star, abs=1e-12)
+    missing = res.dist.node_poly(1.0 - float(resolve_prob(res.eta, 1.0, MODEL)))
+    assert res.rate * (1.0 - missing) == pytest.approx(res.rate_star, abs=1e-12)
 
 
 def test_full_coverage_is_infeasible():
     res = optimize(1.0, MODEL, eta=1.0)
     assert not res.feasible
-    assert res.rate is None and res.dist is None
-    with pytest.raises(ValueError):
-        achievable_rate(res, MODEL)
+    assert res.rate is None and res.dist is None and res.rate_star is None
 
 
 def test_tighter_margin_never_raises_the_rate():
@@ -69,8 +70,8 @@ def test_optimum_actually_decodes_past_eta():
     for lam in (0.5, 1.0, 3.0):
         res = optimize(lam, MODEL)
         assert res.feasible
-        fp = fixed_point(res.dist, lam, model=MODEL, tol=1e-12)
-        assert fp.x >= res.eta - 1e-6
+        x = evolve(res.dist, lam, 10**5 + 1, model=MODEL).trajectory[-1]
+        assert x >= res.eta - 1e-6
 
 
 def test_degenerate_single_equation_model():
@@ -121,8 +122,9 @@ def test_sweep_heavy_load_reports_the_lp_status():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        optimize(0.0, MODEL)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive finite"):
+            optimize(lam, MODEL)
     with pytest.raises(ValueError):
         optimize(1.0, MODEL, eta=0.0)
     with pytest.raises(ValueError):

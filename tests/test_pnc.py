@@ -521,7 +521,9 @@ def test_model_from_dict_property(data, seed):
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     model_dicts(),
-    st.sampled_from(["missing size", "missing key", "ragged", "row count", "probabilities", "rank"]),
+    st.sampled_from(
+        ["missing size", "missing key", "wrong JSON type", "ragged", "row count", "probabilities", "rank"]
+    ),
     st.data(),
 )
 def test_model_from_dict_rejects_malformed_property(data, fault, pick):
@@ -532,6 +534,16 @@ def test_model_from_dict_rejects_malformed_property(data, fault, pick):
     elif fault == "missing key":
         key = pick.draw(st.sampled_from(["max_decodable", "families", "matrix", "prob"]))
         del (entries[0] if key in ("matrix", "prob") else data)[key]
+    elif fault == "wrong JSON type":
+        where = pick.draw(st.sampled_from(["cap", "families", "member", "matrix"]))
+        if where == "cap":
+            data["max_decodable"] = str(data["max_decodable"])
+        elif where == "families":
+            data["families"] = list(data["families"].values())
+        elif where == "member":
+            entries[0] = entries[0]["matrix"]  # a list where an object belongs
+        else:
+            entries[0]["matrix"] = 1
     elif fault == "ragged":
         # an empty first row must not hide the non-empty rows after it
         entries[0]["matrix"] = [[]] + [[1]] * max(d - 1, 1)
