@@ -28,7 +28,6 @@ frame = Frame(
     n_slots=1,
     payload_len=4,
     payloads=payloads,
-    slot_choices=((0,),) * 4,
     batches=(Batch(slot=0, users=(0, 1, 2, 3), transfer=transfer, outputs=outputs),),
 )
 

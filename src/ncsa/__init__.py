@@ -2,13 +2,13 @@
 
 Layers, bottom up:
 
-- ``gf2``: bit-packed GF(2) matrices, reduced column echelon form, payload
-  replay of column operations.
+- ``gf2``: bit-packed GF(2) matrices and reduced column echelon form, which
+  reduces one payload per column in step with the matrix.
 - ``pnc``: per-collision-size matrix families (the stock family counted per
   member shape), the solvability (gamma) machinery, and the cached
   per-model polynomial tables.
 - ``frames``: degree distributions, reproducible frame sampling, and the
-  per-slot batch structure.
+  per-slot batches, which are a frame's one record of who sent where.
 - ``decoders``: batched and ordinary peeling plus the global-elimination
   oracle.
 - ``evolution``: the asymptotic edge recursion, run to its fixed point by
@@ -43,7 +43,7 @@ from .frames import (
     sample_frame,
     slot_degree_histogram,
 )
-from .gf2 import BitMatrix, ColumnOpTrace, combine, in_colspan, rank, rcef, select_rows
+from .gf2 import BitMatrix, combine, in_colspan, rank, rcef, select_rows
 from .optimize import OptimizationResult, SweepPoint, optimize, sweep
 from .pnc import (
     GammaPoly,
@@ -62,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Batch",
     "BitMatrix",
-    "ColumnOpTrace",
     "DecodeReport",
     "DegreeDistribution",
     "EvolutionResult",

@@ -44,12 +44,14 @@ class ConfigError(ValueError):
 # option merging and shared loaders
 
 
-def _merged(args: argparse.Namespace, keys: Sequence[str]) -> dict:
+def _merged(args: argparse.Namespace) -> dict:
+    """The subcommand's options: config-file values, overridden by the flags
+    given.  The file may hold only option names of the subcommand."""
+    flags = {key: val for key, val in vars(args).items() if key not in ("cmd", "func", "config")}
     cfg: dict = {}
-    path = getattr(args, "config", None)
-    if path:
+    if args.config:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -57,14 +59,11 @@ def _merged(args: argparse.Namespace, keys: Sequence[str]) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = sorted(set(loaded) - set(keys))
+        unknown = sorted(set(loaded) - set(flags))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg.update(loaded)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
     return cfg
 
 
@@ -180,11 +179,7 @@ def _poly_str(coeffs: Sequence[float]) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    keys = (
-        "users", "slots", "rate", "dist", "cap", "model", "payload_bytes",
-        "trials", "seed", "decoder", "max_iters", "omit_times", "out",
-    )
-    cfg = _merged(args, keys)
+    cfg = _merged(args)
     model = _load_model(cfg)
     dist = _load_dist(cfg)
     if "users" not in cfg:
@@ -264,8 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    keys = ("dist", "lam", "rate", "cap", "model", "iters", "out")
-    cfg = _merged(args, keys)
+    cfg = _merged(args)
     model = _load_model(cfg)
     dist = _load_dist(cfg)
     if ("lam" in cfg) == ("rate" in cfg):
@@ -288,8 +282,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    keys = ("lam", "eps", "eta", "max_degree", "grid", "cap", "model", "out")
-    cfg = _merged(args, keys)
+    cfg = _merged(args)
     model = _load_model(cfg)
     if "lam" not in cfg:
         raise ConfigError("--lam is required")
@@ -338,8 +331,7 @@ def _parse_lam_grid(spec: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    keys = ("lam_grid", "eps", "eta", "max_degree", "grid", "cap", "model", "out")
-    cfg = _merged(args, keys)
+    cfg = _merged(args)
     model = _load_model(cfg)
     lams = _parse_lam_grid(str(cfg.get("lam_grid", "0.25:10:0.25")))
     design = _design(cfg)
@@ -360,8 +352,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    keys = ("cap", "model", "enum_limit", "grid_step", "out")
-    cfg = _merged(args, keys)
+    cfg = _merged(args)
     model = _load_model(cfg)
     enum_limit = int(cfg.get("enum_limit", 6))
     step = float(cfg.get("grid_step", 0.05))
@@ -404,8 +395,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    keys = ("input", "x", "y", "out", "title")
-    cfg = _merged(args, keys)
+    cfg = _merged(args)
     if "input" not in cfg:
         raise ConfigError("an input CSV is required")
     path = str(cfg["input"])
@@ -481,6 +471,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, help="stock model: largest decodable degree (default 10)")
         p.add_argument("--model", help="JSON file describing a custom per-degree matrix model")
 
+    def design_opts(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--eps", type=float)
+        p.add_argument("--eta", type=float)
+        p.add_argument("--max-degree", dest="max_degree", type=int)
+        p.add_argument("--grid", type=int, help="constraint grid resolution")
+
     p = sub.add_parser("simulate", help="Monte Carlo frame decoding")
     p.add_argument("--users", type=int)
     p.add_argument("--slots", type=int)
@@ -508,10 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="LP degree-distribution design")
     p.add_argument("--lam", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--max-degree", dest="max_degree", type=int)
-    p.add_argument("--grid", type=int, help="constraint grid resolution")
+    design_opts(p)
     model_opts(p)
     common(p)
     p.set_defaults(func=cmd_optimize)
@@ -519,10 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="optimize across a grid of loads")
     p.add_argument("--lam-grid", dest="lam_grid",
                    help="start:stop:step or comma list (default 0.25:10:0.25)")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--max-degree", dest="max_degree", type=int)
-    p.add_argument("--grid", type=int)
+    design_opts(p)
     model_opts(p)
     common(p)
     p.set_defaults(func=cmd_sweep)

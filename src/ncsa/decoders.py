@@ -142,8 +142,8 @@ def _release_slot(
     unit: tuple[tuple[int, ...], Batch], known_pos: list[int], unknown_pos: list[int], known: dict[int, bytes],
 ) -> tuple[list[tuple[int, bytes]], int]:
     """Batched rule: substitute the known packets out of the outputs,
-    column-reduce the unknown rows, replay the reduction on the outputs and
-    release the user of every unit column."""
+    column-reduce the unknown rows together with the outputs and release
+    the user of every unit column."""
     users, batch = unit
     transfer = batch.transfer
     outputs = list(batch.outputs)
@@ -155,10 +155,8 @@ def _release_slot(
             if mask & bit:
                 outputs[j] = xor_bytes(outputs[j], payload)
                 ops += 1
-    reduced, trace = rcef(select_rows(transfer, unknown_pos))
-    if trace.ops:  # most visits find the unknown rows already reduced
-        outputs = trace.apply_to_payloads(outputs)
-        ops += len(trace.ops) + sum(1 for op in trace.ops if op[0] == "add")
+    reduced, outputs, spent = rcef(select_rows(transfer, unknown_pos), outputs)
+    ops += spent
     released = []
     for j, mask in enumerate(reduced.column_masks()):
         if mask.bit_count() == 1:
@@ -178,6 +176,23 @@ def _release_single(
     return ((members[unknown_pos[0]], value),), len(known_pos)
 
 
+def _equations(frame: Frame) -> list[tuple[tuple[int, ...], bytes]]:
+    """Every output column of every batch as (member users, output payload),
+    batch by batch and column by column.
+
+    Plain tuples of ints and bytes, which the garbage collector stops
+    tracking, so tens of thousands of equations do not slow collections.
+    """
+    equations = []
+    for batch in frame.batches:
+        users = batch.users
+        everyone = (1 << len(users)) - 1
+        for mask, value in zip(batch.transfer.column_masks(), batch.outputs):
+            members = users if mask == everyone else tuple([u for pos, u in enumerate(users) if mask >> pos & 1])
+            equations.append((members, value))
+    return equations
+
+
 def batched_bp(
     frame: Frame,
     preknown: Mapping[int, bytes] | None = None,
@@ -187,7 +202,7 @@ def batched_bp(
 
     Each processing of a batch substitutes every currently known member
     packet out of the outputs, reduces the unknown rows of the transfer
-    matrix to column echelon form, replays the same column operations on
+    matrix to column echelon form, applying the same column operations to
     the outputs, and reads off packets from unit columns.  Batches are
     revisited only when another recovery enlarged their known set.
 
@@ -210,16 +225,7 @@ def ordinary_bp(
     Cross-column structure inside a batch is deliberately ignored, which is
     what makes this the weaker baseline.
     """
-    # Plain tuples of ints and bytes, which the garbage collector stops
-    # tracking, so tens of thousands of equations do not slow collections.
-    equations = []
-    for batch in frame.batches:
-        users = batch.users
-        everyone = (1 << len(users)) - 1
-        for mask, value in zip(batch.transfer.column_masks(), batch.outputs):
-            members = users if mask == everyone else tuple([u for pos, u in enumerate(users) if mask >> pos & 1])
-            equations.append((members, value))
-    return _peel(frame, equations, _release_single, preknown, max_iters)
+    return _peel(frame, _equations(frame), _release_single, preknown, max_iters)
 
 
 def ge_oracle(
@@ -258,14 +264,12 @@ def ge_oracle(
         return frozenset(known)
     row_of = {u: i for i, u in enumerate(core)}
     masks = []
-    for batch in frame.batches:
-        rows = [row_of.get(u) for u in batch.users]
-        for col in batch.transfer.column_masks():
-            mask = 0
-            for pos, r in enumerate(rows):
-                if r is not None and (col >> pos) & 1:
-                    mask |= 1 << r
-            if mask:
-                masks.append(mask)
+    for members, _ in _equations(frame):
+        mask = 0
+        for u in members:
+            if u in row_of:
+                mask |= 1 << row_of[u]
+        if mask:
+            masks.append(mask)
     solved = units_in_span(span_basis(masks), len(core))
     return frozenset(known).union(core[i] for i in solved)

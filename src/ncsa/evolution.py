@@ -14,6 +14,7 @@ slot delivers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,9 @@ from .pnc import PncModel
 TAIL_TOL = 1e-12
 # `evolve` stops once successive edge values agree this closely.
 STALL_TOL = 1e-12
+# The largest load whose e^-load is a normal float.  Above it the first
+# Poisson weight is subnormal or 0, and the weights built from it are wrong.
+MAX_LOAD = -math.log(sys.float_info.min)
 
 
 class InvariantError(RuntimeError):
@@ -37,11 +41,14 @@ def poisson_weights(lam: float, min_terms: int = 0) -> np.ndarray:
 
     L is the smallest index with tail mass at most `TAIL_TOL` (and at least
     `min_terms`); the returned weights sum to 1 - tail, deliberately left
-    as-is so truncation error stays visible to callers.
+    as-is so truncation error stays visible to callers.  A load above
+    `MAX_LOAD` raises ValueError.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"offered load must be a positive finite number, got {lam!r}")
     weights = [float(np.exp(-lam))]
+    if weights[0] < sys.float_info.min:
+        raise ValueError(f"offered load must be at most {MAX_LOAD!r}, got {lam!r}")
     cum = weights[0]
     k = 0
     while (1.0 - cum > TAIL_TOL or k < min_terms) and cum < 1.0:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -169,12 +168,16 @@ class Batch:
 
 @dataclass(frozen=True)
 class Frame:
-    """A fully drawn frame with ground-truth payloads."""
+    """A fully drawn frame with ground-truth payloads.
+
+    The batches are the frame's only record of who transmitted where: one
+    per occupied slot, in ascending slot order, and a user's slots are the
+    batches that list it.
+    """
 
     n_slots: int
     payload_len: int
     payloads: tuple[bytes, ...]
-    slot_choices: tuple[tuple[int, ...], ...]
     batches: tuple[Batch, ...]
 
     @property
@@ -214,27 +217,21 @@ def sample_frame(config: SystemConfig) -> Frame:
     for d in np.unique(degrees).tolist():
         who = np.flatnonzero(degrees == d)
         flat[(ends[who] - d)[:, None] + np.arange(d)] = _distinct_rows(rng, len(who), d, n)
-    # Python ints made once and shared by `slot_choices` and the batches:
-    # the frame holds one int object per user and per transmission.  Each
-    # temporary is dropped once used, which keeps the peak memory of a
+    # Each temporary is dropped once used, which keeps the peak memory of a
     # frame draw below that of drawing it user by user.
-    slot_ids = flat.astype(object)
-    slot_list = slot_ids.tolist()
-    choices = tuple(tuple(slot_list[e - d:e]) for d, e in zip(degrees.tolist(), ends.tolist()))
-    del slot_list
-
     blob = rng.bytes(users * payload_len)
     payloads = tuple(blob[i * payload_len:(i + 1) * payload_len] for i in range(users))
     del blob
 
-    # occupancy: a stable sort by slot keeps each slot's users ascending
+    # occupancy: a stable sort by slot keeps each slot's users ascending.
+    # One Python int per user, shared by all of that user's transmissions.
     order = np.argsort(flat, kind="stable")
     by_slot = flat[order]
     first = np.flatnonzero(np.diff(by_slot, prepend=-1))
     sizes = np.diff(first, append=len(by_slot))
-    slot_of = slot_ids[order[first]].tolist()
+    slot_of = by_slot[first].tolist()
     occupant_list = np.repeat(np.arange(users, dtype=object), degrees)[order].tolist()
-    del flat, slot_ids, order, by_slot
+    del flat, order, by_slot
 
     transfers: list[BitMatrix | None] = [None] * len(first)
     for c in np.unique(sizes).tolist():
@@ -254,15 +251,19 @@ def sample_frame(config: SystemConfig) -> Frame:
         n_slots=n,
         payload_len=payload_len,
         payloads=payloads,
-        slot_choices=choices,
         batches=tuple(batches),
     )
 
 
 def slot_degree_histogram(frame: Frame) -> np.ndarray:
-    """Counts of slots by collision size; index d = number of slots with d transmitters."""
-    flat = np.fromiter(chain.from_iterable(frame.slot_choices), dtype=np.int64)
-    return np.bincount(np.bincount(flat, minlength=frame.n_slots))
+    """Counts of slots by collision size; index d = number of slots with d transmitters.
+
+    Every occupied slot has a batch, so the slots without one are idle.
+    """
+    sizes = np.fromiter((len(batch.users) for batch in frame.batches), dtype=np.int64, count=len(frame.batches))
+    hist = np.bincount(sizes, minlength=1)
+    hist[0] = frame.n_slots - len(frame.batches)
+    return hist
 
 
 def global_matrix(frame: Frame) -> BitMatrix:

@@ -1,4 +1,4 @@
-"""Dense GF(2) matrices with column-operation traces.
+"""Dense GF(2) matrices and their column reduction.
 
 Matrices are immutable and stored column-major as Python integer bitmasks
 (bit r of column j is the entry in row r).  That keeps the elimination
@@ -6,13 +6,12 @@ kernels branch-light for the small per-slot matrices the decoders chew
 through, while `to_rows` / `from_rows` give an entrywise view that the rest
 of the package and the tests work against.
 
-Payloads ride along as `bytes`; every column operation performed on a
-matrix can be replayed verbatim on a list of payloads so that reducing a
-linear system and reducing its right-hand side stay in lockstep.
+Payloads ride along as `bytes`: `rcef` applies every column operation to
+one payload per column as it goes, so reducing a linear system and reducing
+its right-hand side stay in lockstep.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -104,47 +103,6 @@ class BitMatrix:
         return f"BitMatrix([{body}])"
 
 
-@dataclass(frozen=True)
-class ColumnOpTrace:
-    """Ordered elementary column operations recorded during an elimination.
-
-    Ops are ``("swap", c1, c2)`` and ``("add", src, dst)`` where *add* means
-    column ``dst`` ^= column ``src``.  A trace recorded while reducing a
-    matrix with `ncols` columns can be replayed on any list of `ncols`
-    payloads (or on another matrix with that many columns), and replaying it
-    on the right-hand side of a linear system keeps the system equivalent.
-    """
-
-    ncols: int
-    ops: tuple[tuple, ...] = field(default_factory=tuple)
-
-    def apply_to_payloads(self, payloads: Sequence[bytes]) -> list[bytes]:
-        if len(payloads) != self.ncols:
-            raise ValueError(f"trace was recorded against {self.ncols} columns, got {len(payloads)} payloads")
-        out = list(payloads)
-        for op in self.ops:
-            if op[0] == "swap":
-                _, a, b = op
-                out[a], out[b] = out[b], out[a]
-            else:
-                _, src, dst = op
-                out[dst] = xor_bytes(out[dst], out[src])
-        return out
-
-    def apply_to_matrix(self, matrix: BitMatrix) -> BitMatrix:
-        if matrix.cols != self.ncols:
-            raise ValueError("column count mismatch")
-        masks = list(matrix.column_masks())
-        for op in self.ops:
-            if op[0] == "swap":
-                _, a, b = op
-                masks[a], masks[b] = masks[b], masks[a]
-            else:
-                _, src, dst = op
-                masks[dst] ^= masks[src]
-        return BitMatrix(matrix.rows, matrix.cols, masks)
-
-
 def _reduce_against(basis: dict[int, int], mask: int) -> int:
     """Reduce a column against a lowest-set-bit keyed basis; 0 means in-span."""
     while mask:
@@ -204,8 +162,8 @@ def rank(matrix: BitMatrix) -> int:
     return len(span_basis(matrix.column_masks()))
 
 
-def rcef(matrix: BitMatrix) -> tuple[BitMatrix, ColumnOpTrace]:
-    """Reduced column echelon form, with the trace that produced it.
+def rcef(matrix: BitMatrix, payloads: Sequence[bytes]) -> tuple[BitMatrix, list[bytes], int]:
+    """Reduced column echelon form, with the right-hand side reduced in step.
 
     Pivots are chosen deterministically: scanning pivot rows top-down, the
     leftmost not-yet-pivot column with a 1 in that row becomes the pivot and
@@ -214,12 +172,19 @@ def rcef(matrix: BitMatrix) -> tuple[BitMatrix, ColumnOpTrace]:
     rows strictly increase left to right, no pivot row has a second nonzero
     entry, and zero columns sit at the right end.
 
+    `payloads` holds one payload per column.  Every swap and every column
+    add is applied to it as well, so with ``payloads == combine(v, matrix)``
+    the reduced payloads are ``combine(v, reduced)``.
+
     Returns:
-        (reduced matrix, trace).  Replaying the trace on the original
-        matrix reproduces the reduced matrix exactly.
+        (reduced matrix, reduced payloads, field operations), counting one
+        per swap and two per column add (the column and its payload).
     """
+    if len(payloads) != matrix.cols:
+        raise ValueError(f"need one payload per column: {matrix.cols} columns, got {len(payloads)} payloads")
     masks = list(matrix.column_masks())
-    ops: list[tuple] = []
+    out = list(payloads)
+    ops = 0
     p = 0
     for r in range(matrix.rows):
         if p == matrix.cols:
@@ -230,38 +195,23 @@ def rcef(matrix: BitMatrix) -> tuple[BitMatrix, ColumnOpTrace]:
             continue
         if pivot != p:
             masks[p], masks[pivot] = masks[pivot], masks[p]
-            ops.append(("swap", pivot, p))
+            out[p], out[pivot] = out[pivot], out[p]
+            ops += 1
         for j in range(matrix.cols):
             if j != p and masks[j] & bit:
                 masks[j] ^= masks[p]
-                ops.append(("add", p, j))
+                out[j] = xor_bytes(out[j], out[p])
+                ops += 2
         p += 1
-    reduced = BitMatrix(matrix.rows, matrix.cols, masks)
-    return reduced, ColumnOpTrace(matrix.cols, tuple(ops))
+    return BitMatrix(matrix.rows, matrix.cols, masks), out, ops
 
 
-def in_colspan(matrix: BitMatrix, vector: Sequence[int] | int) -> bool:
-    """Whether a column vector lies in the span of the matrix columns.
-
-    Args:
-        matrix: the candidate spanning set.
-        vector: sequence of 0/1 entries of length ``matrix.rows`` (or an
-            already-packed bitmask).
-    """
-    if isinstance(vector, int):
-        mask = vector
-        if not 0 <= mask < (1 << matrix.rows):
-            raise ValueError("vector mask outside row range")
-    else:
-        if len(vector) != matrix.rows:
-            raise ValueError("vector length does not match row count")
-        mask = 0
-        for r, v in enumerate(vector):
-            if v not in (0, 1):
-                raise ValueError("entries must be 0 or 1")
-            if v:
-                mask |= 1 << r
-    return _reduce_against(span_basis(matrix.column_masks()), mask) == 0
+def in_colspan(matrix: BitMatrix, vector: int) -> bool:
+    """Whether a column vector, packed as a bitmask over the matrix rows,
+    lies in the span of the matrix columns."""
+    if not 0 <= vector < (1 << matrix.rows):
+        raise ValueError("vector mask outside row range")
+    return _reduce_against(span_basis(matrix.column_masks()), vector) == 0
 
 
 def select_rows(matrix: BitMatrix, rows: Iterable[int]) -> BitMatrix:

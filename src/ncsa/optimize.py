@@ -39,6 +39,10 @@ VERIFY_FACTOR = 10
 VERIFY_SLACK = 1e-9
 # At most this many LP solves; each adds the fine-grid points the last one violated.
 REFINE_ROUNDS = 8
+# The certificate moves this much edge weight between two degrees ...
+CERT_DELTA = 1e-6
+# ... and counts a moved solution feasible within this slack of each bound.
+CERT_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,31 +147,24 @@ def optimize(
     )
 
 
-def _certificate_holds(
-    omega: np.ndarray,
-    rows: np.ndarray,
-    bound: np.ndarray,
-    degrees: np.ndarray,
-    delta: float = 1e-6,
-    slack: float = 1e-12,
-) -> bool:
+def _certificate_holds(omega: np.ndarray, rows: np.ndarray, bound: np.ndarray, degrees: np.ndarray) -> bool:
     """Local optimality check independent of the solver.
 
-    Moving `delta` of edge weight from degree j to degree i < j raises the
-    objective by delta*(1/i - 1/j); the solution is certified when every
-    such transfer that would improve the objective breaks feasibility.
+    Moving `CERT_DELTA` of edge weight from degree j to degree i < j raises
+    the objective by CERT_DELTA*(1/i - 1/j); the solution is certified when
+    every such transfer that would improve the objective breaks feasibility.
     """
     values = rows @ omega
     inv = 1.0 / degrees
     n = len(omega)
     for j in range(n):
-        if omega[j] < delta:
+        if omega[j] < CERT_DELTA:
             continue
         for i in range(n):
             if inv[i] <= inv[j]:
                 continue  # not an improvement
-            shifted = values + delta * (rows[:, i] - rows[:, j])
-            if np.all(shifted <= bound + slack):
+            shifted = values + CERT_DELTA * (rows[:, i] - rows[:, j])
+            if np.all(shifted <= bound + CERT_SLACK):
                 return False
     return True
 

@@ -50,7 +50,6 @@ def reference_frame():
         n_slots=1,
         payload_len=4,
         payloads=payloads,
-        slot_choices=((0,),) * 4,
         batches=(batch,),
     )
 

@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import ncsa
 from ncsa.cli import main, read_csv
 from ncsa.frames import DegreeDistribution
 from ncsa.pnc import family_size
@@ -30,6 +36,37 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert len(rows) == 3
     assert all(row["seconds"] == "0.0" for row in rows)
     assert "predicted_fraction" in meta
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (   # the `small-frames` benchmark call, 50 trials
+            ["--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
+             "--payload-bytes", "2", "--trials", "50"],
+            "a4e8b6c24655d62d5f649c09beb8f1fe6d1330a962f53780381691c07d107527",
+        ),
+        (   # peeling recovers every user
+            ["--users", "2000", "--rate", "0.5", "--dist", "3:1", "--cap", "10", "--trials", "2"],
+            "94f44ae9f1619ac0cce1366df2026b761bdf30e497daf211656357d32b6073c2",
+        ),
+        (   # past the peeling threshold: the oracle eliminates a non-empty core
+            ["--users", "1000", "--rate", "1.75", "--dist", "3:1", "--cap", "10", "--trials", "2"],
+            "06fe04b7c3327ef7aae2b0d250beae95a5f221d3ccf896f9189e87e035d8fa85",
+        ),
+    ],
+    ids=["small-frames", "peeled", "core"],
+)
+def test_simulate_output_is_pinned(tmp_path, argv, digest):
+    """SHA-256 of `simulate --decoder all --omit-times`, which covers frame
+    sampling, both peelers with their field_ops and the oracle.
+
+    A change that alters this output on purpose updates these digests and
+    says so, with the old and new output, in CHANGES.md.
+    """
+    code, out = run(tmp_path, "simulate", *argv, "--decoder", "all", "--omit-times")
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_all_decoders_dominance(tmp_path):
@@ -272,6 +309,15 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert code == 2
 
 
+def test_config_rejects_another_subcommands_key(tmp_path, capsys):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"lam_grid": "1,2"}))
+    code, out = run(tmp_path, "optimize", "--config", str(cfgfile), "--lam", "1.0", "--cap", "4")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: unknown config keys: lam_grid\n"
+
+
 def test_exit_codes_for_bad_input(tmp_path):
     # probabilities must sum to one
     code, _ = run(tmp_path, "evolve", "--dist", "2:1.5", "--lam", "1", "--cap", "3")
@@ -318,6 +364,32 @@ def test_sweep_records_a_non_finite_load_in_one_cell(tmp_path):
     assert bad["feasible"] == "false" and bad["upper_bound"] == "nan"
     assert bad["error"] == "offered load must be a positive finite number, got nan"
     assert good["feasible"] == "true" and good["error"] == ""
+
+
+def run_cli_process(*argv):
+    """`python -m ncsa argv` in a fresh interpreter, stopped after 60 s, so
+    that a command that never returns fails its test instead of hanging."""
+    src = str(Path(ncsa.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ncsa", *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv", [["evolve", "--dist", "3:1", "--lam", "800"], ["optimize", "--lam", "800"]])
+def test_too_large_load_exits_2_with_one_line(argv):
+    done = run_cli_process(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: offered load must be at most 708.3964185322641, got 800.0\n"
+
+
+def test_sweep_records_a_too_large_load_in_one_cell():
+    done = run_cli_process("sweep", "--lam-grid", "800,1", "--cap", "4")
+    assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.splitlines() if not line.startswith("#")]
+    assert rows[0] == "lam,feasible,rate,rate_star,upper_bound,error"
+    assert rows[1] == '800.0,false,,,nan,"offered load must be at most 708.3964185322641, got 800.0"'
+    assert rows[2].startswith("1.0,true,") and rows[2].endswith(",")
+    assert len(rows) == 3
 
 
 def test_read_csv_round_trips_own_output(tmp_path):

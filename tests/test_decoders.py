@@ -21,20 +21,16 @@ def frame_from_batches(payloads, batch_specs, n_slots=None):
     """Hand-build a frame: batch_specs = [(slot, users, transfer_rows)]."""
     payloads = tuple(payloads)
     batches = []
-    choices = [[] for _ in payloads]
     top_slot = 0
     for slot, users, rows in batch_specs:
         top_slot = max(top_slot, slot)
         transfer = BitMatrix.from_rows(rows) if rows and rows[0] else BitMatrix(len(users), 0)
         outputs = tuple(combine([payloads[u] for u in users], transfer))
         batches.append(Batch(slot=slot, users=tuple(users), transfer=transfer, outputs=outputs))
-        for u in users:
-            choices[u].append(slot)
     return Frame(
         n_slots=n_slots or top_slot + 1,
         payload_len=len(payloads[0]) if payloads else 0,
         payloads=payloads,
-        slot_choices=tuple(tuple(sorted(c)) for c in choices),
         batches=tuple(batches),
     )
 
@@ -114,10 +110,8 @@ def reference_batched_bp(frame, preknown=None, max_iters=200):
                     if transfer.get(pos, j):
                         outputs[j] = xor_bytes(outputs[j], payload)
                         ops += 1
-            reduced, trace = rcef(select_rows(transfer, unknown_pos))
-            ops += len(trace.ops)
-            values = trace.apply_to_payloads(outputs)
-            ops += sum(1 for op in trace.ops if op[0] == "add")
+            reduced, values, spent = rcef(select_rows(transfer, unknown_pos), outputs)
+            ops += spent
             for j, mask in enumerate(reduced.column_masks()):
                 if mask.bit_count() != 1:
                     continue
@@ -234,7 +228,6 @@ def corrupted_two_slot_frame():
         n_slots=frame.n_slots,
         payload_len=frame.payload_len,
         payloads=frame.payloads,
-        slot_choices=frame.slot_choices,
         batches=(frame.batches[0], bad),
     )
 
@@ -409,8 +402,7 @@ def test_batch_order_does_not_matter():
             n_slots=frame.n_slots,
             payload_len=frame.payload_len,
             payloads=frame.payloads,
-            slot_choices=frame.slot_choices,
-            batches=tuple(shuffled),
+                batches=tuple(shuffled),
         )
         a = batched_bp(frame)
         b = batched_bp(permuted)

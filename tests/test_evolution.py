@@ -42,6 +42,16 @@ def test_poisson_weights_min_terms_and_validation():
             poisson_weights(bad)
 
 
+def test_poisson_weights_reject_loads_whose_first_weight_underflows():
+    # e^-lam is subnormal from about 708.4 and 0 from about 745; the weights
+    # built from it were wrong, and the loop never ended once it was 0
+    assert len(poisson_weights(700.0)) == 895
+    assert len(poisson_weights(708.3964185322641)) > 895
+    for lam in (708.3964185322642, 709.0, 740.0, 800.0, 1e6):
+        with pytest.raises(ValueError, match="at most 708.3964185322641"):
+            poisson_weights(lam)
+
+
 # --- resolve probability -----------------------------------------------------
 
 

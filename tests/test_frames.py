@@ -51,14 +51,12 @@ def reference_sample_frame(config):
     distribution, different seed-to-frame mapping."""
     n = config.slots
     payloads = []
-    choices = []
     occupants = {}
     for i in range(config.users):
         rng = _user_rng(config.seed, i)
         degree = config.dist.degree_from_uniform(float(rng.random()))
         slots = _choose_slots(rng, degree, n)
         payloads.append(rng.bytes(config.payload_len) if config.payload_len else b"")
-        choices.append(slots)
         for t in slots:
             occupants.setdefault(t, []).append(i)
     batches = []
@@ -72,14 +70,22 @@ def reference_sample_frame(config):
         n_slots=n,
         payload_len=config.payload_len,
         payloads=tuple(payloads),
-        slot_choices=tuple(choices),
         batches=tuple(batches),
     )
 
 
+def user_slots(frame):
+    """Each user's slots, read back from the batches that list it, in batch order."""
+    slots = [[] for _ in range(frame.users)]
+    for batch in frame.batches:
+        for u in batch.users:
+            slots[u].append(batch.slot)
+    return tuple(map(tuple, slots))
+
+
 def reference_slot_degree_histogram(frame):
     per_slot = np.zeros(frame.n_slots, dtype=np.int64)
-    for slots in frame.slot_choices:
+    for slots in user_slots(frame):
         for t in slots:
             per_slot[t] += 1
     return np.bincount(per_slot)
@@ -165,7 +171,7 @@ def test_single_user_single_slot():
     dist = DegreeDistribution({1: 1.0})
     cfg = SystemConfig(users=1, slots=1, dist=dist, model=small_model(), seed=3)
     frame = sample_frame(cfg)
-    assert frame.slot_choices == ((0,),)
+    assert user_slots(frame) == ((0,),)
     assert len(frame.batches) == 1
     batch = frame.batches[0]
     assert batch.users == (0,)
@@ -197,7 +203,7 @@ def test_slot_choices_distinct_and_degree_from_dist():
     dist = DegreeDistribution({2: 0.5, 4: 0.5})
     cfg = SystemConfig(users=300, slots=40, dist=dist, model=small_model(), seed=1)
     frame = sample_frame(cfg)
-    for slots in frame.slot_choices:
+    for slots in user_slots(frame):
         assert len(slots) in (2, 4)
         assert len(set(slots)) == len(slots)
         assert all(0 <= t < 40 for t in slots)
@@ -220,7 +226,7 @@ def test_outputs_match_ground_truth_recomputation():
         assert list(batch.outputs) == expected
     # batches exist exactly for occupied slots, each holding the users that chose it
     occupants = {}
-    for u, slots in enumerate(frame.slot_choices):
+    for u, slots in enumerate(user_slots(frame)):
         for t in slots:
             occupants.setdefault(t, []).append(u)
     assert occupied == set(occupants)
@@ -269,7 +275,7 @@ def test_histogram_counts_sum_to_slots():
 
 
 def test_histogram_empty_frame():
-    frame = Frame(n_slots=5, payload_len=0, payloads=(), slot_choices=(), batches=())
+    frame = Frame(n_slots=5, payload_len=0, payloads=(), batches=())
     hist = slot_degree_histogram(frame)
     assert hist.tolist() == [5]
 
@@ -280,7 +286,7 @@ def test_degree_frequencies_chi_square_smoke():
     cfg = SystemConfig(users=100_000, slots=200, dist=dist, model=small_model(), seed=77, payload_len=0)
     frame = sample_frame(cfg)
     counts = {1: 0, 2: 0, 4: 0}
-    for slots in frame.slot_choices:
+    for slots in user_slots(frame):
         counts[len(slots)] += 1
     observed = [counts[1], counts[2], counts[4]]
     expected = [100_000 * p for p in (0.2, 0.5, 0.3)]
@@ -306,7 +312,7 @@ def test_slot_subsets_are_uniform(degree):
     n, users = 6, 24_000
     cfg = SystemConfig(users=users, slots=n, dist=DegreeDistribution({degree: 1.0}), model=small_model(),
                        seed=5, payload_len=0)
-    seen = Counter(sample_frame(cfg).slot_choices)
+    seen = Counter(user_slots(sample_frame(cfg)))
     subsets = list(combinations(range(n), degree))
     assert set(seen) == set(subsets)  # 20 subsets of size 3, 6 of size 5
     assert stats.chisquare([seen[s] for s in subsets]).pvalue > 0.01
@@ -315,7 +321,7 @@ def test_slot_subsets_are_uniform(degree):
 def test_every_slot_taken_when_degree_equals_slots():
     cfg = SystemConfig(users=200, slots=12, dist=DegreeDistribution({12: 1.0}), model=small_model(), seed=3)
     frame = sample_frame(cfg)
-    assert frame.slot_choices == (tuple(range(12)),) * 200
+    assert user_slots(frame) == (tuple(range(12)),) * 200
     assert [b.users for b in frame.batches] == [tuple(range(200))] * 12
 
 
@@ -337,9 +343,10 @@ def test_collision_sizes_match_the_reference_sampler():
 
 def test_histogram_matches_loop():
     hand_built = [
-        Frame(n_slots=5, payload_len=0, payloads=(), slot_choices=(), batches=()),
-        Frame(n_slots=3, payload_len=0, payloads=(b"", b""), slot_choices=((), ()), batches=()),
-        Frame(n_slots=1, payload_len=1, payloads=(b"a",) * 4, slot_choices=((0,),) * 4, batches=()),
+        Frame(n_slots=5, payload_len=0, payloads=(), batches=()),
+        Frame(n_slots=3, payload_len=0, payloads=(b"", b""), batches=()),
+        Frame(n_slots=1, payload_len=1, payloads=(b"a",) * 4,
+              batches=(Batch(slot=0, users=(0, 1, 2, 3), transfer=BitMatrix(4, 0), outputs=()),)),
     ]
     rng = np.random.default_rng(0)
     drawn = [
@@ -365,14 +372,13 @@ def test_global_matrix_single_batch():
         n_slots=1,
         payload_len=1,
         payloads=payloads,
-        slot_choices=((0,), (0,), (0,), (0,)),
         batches=(Batch(slot=0, users=(0, 1, 2, 3), transfer=h, outputs=outputs),),
     )
     assert global_matrix(frame).to_rows() == h.to_rows()
 
 
 def test_global_matrix_empty_and_column_count():
-    empty = Frame(n_slots=3, payload_len=0, payloads=(b"", b""), slot_choices=((), ()), batches=())
+    empty = Frame(n_slots=3, payload_len=0, payloads=(b"", b""), batches=())
     g = global_matrix(empty)
     assert (g.rows, g.cols) == (2, 0)
 

@@ -36,12 +36,8 @@ def brute_rank(rows: list[list[int]]) -> int:
     return r
 
 
-def brute_in_span(matrix: BitMatrix, vector: list[int]) -> bool:
+def brute_in_span(matrix: BitMatrix, target: int) -> bool:
     cols = [matrix.column_mask(c) for c in range(matrix.cols)]
-    target = 0
-    for i, bit in enumerate(vector):
-        if bit:
-            target |= 1 << i
     for picks in itertools.product((0, 1), repeat=len(cols)):
         acc = 0
         for take, col in zip(picks, cols):
@@ -56,6 +52,12 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
     return BitMatrix.from_rows(
         [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)], cols=cols
     )
+
+
+def reduce_matrix(m: BitMatrix) -> tuple[BitMatrix, int]:
+    """`rcef` on the matrix alone (empty payloads): (reduced, field ops)."""
+    reduced, _, ops = rcef(m, [b""] * m.cols)
+    return reduced, ops
 
 
 def test_xor_bytes():
@@ -148,24 +150,24 @@ def test_rank_invariant_under_permutations_and_rcef():
         rng.shuffle(perm)
         permuted = BitMatrix.from_rows([m.to_rows()[i] for i in perm], cols=m.cols)
         assert rank(permuted) == base
-        reduced, _ = rcef(m)
+        reduced, _ = reduce_matrix(m)
         assert rank(reduced) == base
 
 
 def test_rcef_worked_example():
+    # one swap, then one column add: 1 + 2 field operations
     m = BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]])
-    reduced, trace = rcef(m)
+    reduced, payloads, ops = rcef(m, [b"a", b"b"])
     assert reduced.to_rows() == [[1, 0], [0, 1], [0, 1]]
-    assert trace.ops == (("swap", 1, 0), ("add", 1, 0))
-    assert trace.apply_to_matrix(m) == reduced
+    assert payloads == [xor_bytes(b"a", b"b"), b"a"]
+    assert ops == 3
 
 
 def test_rcef_identity_and_zero():
     eye = BitMatrix.identity(4)
-    reduced, trace = rcef(eye)
-    assert reduced == eye and trace.ops == ()
+    assert rcef(eye, [b"a", b"b", b"c", b"d"]) == (eye, [b"a", b"b", b"c", b"d"], 0)
     z = BitMatrix.zeros(3, 2)
-    assert rcef(z)[0] == z
+    assert rcef(z, [b"x", b"y"]) == (z, [b"x", b"y"], 0)
 
 
 def test_rcef_shape():
@@ -173,7 +175,7 @@ def test_rcef_shape():
     rng = random.Random(99)
     for _ in range(200):
         m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        reduced, _ = rcef(m)
+        reduced, _ = reduce_matrix(m)
         pivots = []
         seen_zero = False
         for c in range(reduced.cols):
@@ -193,70 +195,62 @@ def test_rcef_idempotent():
     rng = random.Random(3)
     for _ in range(150):
         m = random_matrix(rng, rng.randint(1, 16), rng.randint(1, 16))
-        reduced, _ = rcef(m)
-        again, trace = rcef(reduced)
-        assert again == reduced
-        assert trace.ops == ()
+        reduced, _ = reduce_matrix(m)
+        assert reduce_matrix(reduced) == (reduced, 0)
 
 
-def test_trace_replay_matches_reduced_combination():
-    # with outputs u = combine(v, M), replaying the trace must give combine(v, Mtilde)
+def test_rcef_payloads_match_reduced_combination():
+    # with payloads u = combine(v, M), rcef(M, u) must return combine(v, Mtilde)
     rng = random.Random(41)
-    for _ in range(100):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 6)
+    for _ in range(300):
+        nrows = rng.randint(1, 8)
+        ncols = rng.randint(0, 8)
         m = random_matrix(rng, nrows, ncols)
         v = [rng.randbytes(5) for _ in range(nrows)]
-        u = combine(v, m)
-        reduced, trace = rcef(m)
-        assert trace.apply_to_payloads(u) == combine(v, reduced)
+        reduced, payloads, _ = rcef(m, combine(v, m))
+        assert payloads == combine(v, reduced)
 
 
-def test_apply_trace_examples():
+def test_rcef_single_add():
+    # no swap, one column add: payload[1] ^= payload[0], two field operations
     m = BitMatrix.from_rows([[1, 1], [0, 1]])
-    _, empty = rcef(BitMatrix.identity(2))
-    assert empty.apply_to_payloads([b"a", b"b"]) == [b"a", b"b"]
-    # single add: payload[dst] ^= payload[src]
-    _, trace = rcef(m)
-    assert ("add", 0, 1) in trace.ops or ("add", 1, 0) in trace.ops
+    assert rcef(m, [b"a", b"b"]) == (BitMatrix.identity(2), [b"a", xor_bytes(b"a", b"b")], 2)
 
 
-def test_apply_trace_recovers_substituted_packet():
+def test_rcef_recovers_substituted_packet():
     # one slot, four users, first packet already known: after substitution and
-    # echelon replay the unit column holds v2 = u2 xor u1 xor v1
+    # reduction the unit column holds v2 = u2 xor u1 xor v1
     v = [bytes([i * 17]) * 4 for i in range(1, 5)]
     h = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 1]])
     u1, u2 = combine(v, h)
     sub_u1 = xor_bytes(u1, v[0])  # remove the known packet from column 1
-    reduced, trace = rcef(select_rows(h, [1, 2, 3]))
-    replayed = trace.apply_to_payloads([sub_u1, u2])
+    reduced, payloads, _ = rcef(select_rows(h, [1, 2, 3]), [sub_u1, u2])
     assert reduced.to_rows() == [[1, 0], [0, 1], [0, 1]]
-    assert replayed[0] == v[1]
-    assert replayed[0] == xor_bytes(xor_bytes(u2, u1), v[0])
+    assert payloads[0] == v[1]
+    assert payloads[0] == xor_bytes(xor_bytes(u2, u1), v[0])
 
 
-def test_apply_trace_length_mismatch():
-    _, trace = rcef(BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]]))
+def test_rcef_payload_count_mismatch():
     with pytest.raises(ValueError):
-        trace.apply_to_payloads([b"x"])
+        rcef(BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]]), [b"x"])
 
 
 def test_in_colspan_examples():
     m = BitMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
-    assert in_colspan(m, [0, 0, 1])
+    assert in_colspan(m, 0b100)
     ones = BitMatrix.from_rows([[1], [1], [1]])
-    assert not in_colspan(ones, [0, 0, 1])
+    assert not in_colspan(ones, 0b100)
     eye = BitMatrix.identity(4)
     for i in range(4):
-        e = [0] * 4
-        e[i] = 1
-        assert in_colspan(eye, e)
+        assert in_colspan(eye, 1 << i)
 
 
 def test_in_colspan_dimension_mismatch():
     m = BitMatrix.identity(3)
     with pytest.raises(ValueError):
-        in_colspan(m, [1, 0])
+        in_colspan(m, 0b1000)
+    with pytest.raises(ValueError):
+        in_colspan(m, -1)
 
 
 def test_in_colspan_matches_brute_force():
@@ -265,7 +259,7 @@ def test_in_colspan_matches_brute_force():
         nrows = rng.randint(1, 6)
         ncols = rng.randint(0, 12)
         m = random_matrix(rng, nrows, ncols)
-        vec = [rng.randint(0, 1) for _ in range(nrows)]
+        vec = sum(rng.randint(0, 1) << r for r in range(nrows))
         assert in_colspan(m, vec) == brute_in_span(m, vec)
 
 
