@@ -5,8 +5,9 @@ Layers, bottom up:
 - ``gf2``: bit-packed GF(2) matrices and reduced column echelon form, which
   reduces one payload per column in step with the matrix.
 - ``pnc``: per-collision-size matrix families (the stock family counted per
-  member shape), the solvability (gamma) machinery, and the cached
-  per-model polynomial tables.
+  member shape), each owning its mean rank and gamma-set size counts; the
+  model that picks the family for each size and caches the solvability
+  (gamma) polynomials built from them.
 - ``frames``: degree distributions, reproducible frame sampling, and the
   per-slot batches, which are a frame's one record of who sent where.
 - ``decoders``: batched and ordinary peeling plus the global-elimination

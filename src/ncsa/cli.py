@@ -206,6 +206,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     max_iters = int(cfg.get("max_iters", 200))
     omit_times = bool(cfg.get("omit_times", False))
     payload = int(cfg.get("payload_bytes", 32))
+    lam = (users / slots) * dist.mean()
+    # predicted before any frame is drawn, so a load the recursion rejects fails fast
+    predicted = evolve(dist, lam, max_iters, model).z_star if "batched" in decoders else None
 
     rows = []
     fractions: dict[str, list[float]] = {name: [] for name in decoders}
@@ -238,7 +241,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             rows.append(row)
             fractions[name].append(frac)
 
-    lam = (users / slots) * dist.mean()
     meta = {
         "schema": "ncsa-simulate-v3",
         "command": "simulate", "users": users, "slots": slots,
@@ -251,8 +253,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         arr = np.asarray(fractions[name])
         meta[f"mean_fraction_{name}"] = float(arr.mean())
         meta[f"std_fraction_{name}"] = float(arr.std())
-    if "batched" in decoders:
-        meta["predicted_fraction"] = evolve(dist, lam, max_iters, model).z_star
+    if predicted is not None:
+        meta["predicted_fraction"] = predicted
     header = ["trial", "seed", "decoder", "recovered", "fraction", "iterations", "field_ops", "seconds"]
     _write_csv(cfg.get("out"), meta, header, rows)
     return 0

@@ -3,8 +3,10 @@
 A model assigns to every collision size d a weighted family of transfer
 matrices.  A transfer matrix has one row per colliding user and one column
 per decoded combination; the receiver of a degree-d slot observes the
-products (payload row-vector) x (matrix).  Above the model's cap nothing is
-decoded and the family degenerates to the empty matrix.
+products (payload row-vector) x (matrix).  Size 1 always yields the packet
+itself; above the model's cap nothing is decoded and the family degenerates
+to the empty matrix.  `PncModel.family` is the one place that picks the
+family for a size.
 
 The stock model captures a receiver that resolves one or two XOR
 combinations out of a collision: either the XOR of everything (single
@@ -13,14 +15,16 @@ all-ones column), or two combinations whose rows split the users into
 all equally likely, so sampling a member also picks the (uniform) assignment
 of users to rows.  The family grows about 3^d, so `StockFamily` holds it as
 its O(d^2) member shapes (row-type counts) with their arrangement counts:
-ranks, the mean rank, the solvability polynomials and sampling all follow
-from one representative per shape.  `example_family` lists every member and
-is kept as the enumerated reference the counted routes are tested against.
+ranks, the mean rank, the solvability counts and sampling all follow from
+one representative per shape.  `example_family` lists every member and is
+kept as the enumerated reference the counted routes are tested against.
 
 `gamma_set` is the solvability footprint a decoder cares about: which
 subsets of the first d-1 users, once known, let the last user's packet be
-solved out of the slot.  Degree-(k) polynomials built from those sets drive
-the asymptotic recursion; they are computed here once per model and cached.
+solved out of the slot.  Each family owns its two analysis tables: the mean
+rank (`expected_rank`) and the gamma-set size counts (`gamma_counts`), from
+which the model builds and caches the degree-(k) polynomials that drive the
+asymptotic recursion.
 """
 from __future__ import annotations
 
@@ -163,17 +167,22 @@ class WeightedMatrixFamily:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         self.degree = degree
         self.entries = entries
+        self.size = len(entries)
+        # mean decoded-combination count: every member's rank is its column count
+        self.expected_rank = sum(prob * matrix.cols for matrix, prob in entries)
         self._cum = np.fromiter(accumulate(p for _, p in entries), dtype=float, count=len(entries))
         self._cum[-1] = 1.0
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def expected_rank(self) -> float:
-        """Mean decoded-combination count (matrix rank)."""
-        return sum(prob * rank(matrix) for matrix, prob in self.entries)
+    def gamma_counts(self) -> list[float]:
+        """counts[j] = mean number of size-j subsets in a member's gamma set."""
+        counts = [0.0] * self.degree
+        for matrix, prob in self.entries:
+            sizes = [0] * self.degree
+            for subset in gamma_set(matrix):
+                sizes[len(subset)] += 1
+            for j, c in enumerate(sizes):
+                counts[j] += prob * c
+        return counts
 
     def sample(self, rng, count: int) -> list[BitMatrix]:
         """`count` independent members, each drawn at its probability."""
@@ -232,32 +241,49 @@ class StockFamily:
         masks = (np.left_shift(ones, pos)[:, :, None] * self._rep_bits[shape]).sum(axis=1)
         return [BitMatrix(d, c, m[:c]) for c, m in zip(self._shape_cols[shape].tolist(), masks.tolist())]
 
+    def gamma_counts(self) -> list[Fraction]:
+        """counts[j] = mean number of size-j subsets in a member's gamma set,
+        counted per (shape, target type) from the route sizes.
+
+        A target whose only route runs through the r other rows of set A is
+        solved by the C(k-r, j-r) size-j subsets of the k = d-1 others that
+        contain A.  With two routes A and B whose union is all k others, the
+        subsets containing A or B number C(k-|A|, j-|A|) + C(k-|B|, j-|B|) - [j = k].
+        """
+        d = self.degree
+        k = d - 1
+        weighted = [0] * d
+        for _, _, arrangements, routes in _target_routes(d):
+            for j in range(d):
+                solved = sum(comb(k - r, j - r) for r in routes if r <= j) - (len(routes) - 1) * (j == k)
+                weighted[j] += arrangements * solved
+        g = Fraction(1, self.size)
+        return [g * w for w in weighted]
+
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
-        return iter(example_family(self.degree, self.degree))
+        return iter(example_family(self.degree))
+
+
+# collision size 1: the packet itself
+_SINGLE = WeightedMatrixFamily(1, [(BitMatrix.from_rows([[1]]), 1.0)])
 
 
 def _empty_family(degree: int) -> WeightedMatrixFamily:
     return WeightedMatrixFamily(degree, [(BitMatrix(degree, 0), 1.0)])
 
 
-def example_family(d: int, cap: int) -> WeightedMatrixFamily:
-    """The stock family at collision size d for a receiver capped at `cap`,
-    with every member listed.
+def example_family(d: int) -> WeightedMatrixFamily:
+    """The stock family at collision size d with every member listed.
 
-    All members are equally likely.  Size 1 gives the packet itself; sizes
-    above the cap give the empty matrix (nothing decoded).  Within the cap
-    the members number about 3^d: the model counts them per shape
+    All members are equally likely; size 1 gives the packet itself.  The
+    members number about 3^d: the model counts them per shape
     (`StockFamily`), and this listing is the reference the counted routes
     are tested against.
     """
     if d < 1:
         raise ValueError("collision size must be positive")
-    if cap < 2:
-        raise ValueError("cap must be at least 2")
     if d == 1:
-        return WeightedMatrixFamily(1, [(BitMatrix.from_rows([[1]]), 1.0)])
-    if d > cap:
-        return _empty_family(d)
+        return _SINGLE
     members = [
         BitMatrix.from_rows(arrangement)
         for shape, _ in _stock_shapes(d)
@@ -279,6 +305,8 @@ def gamma_set(matrix: BitMatrix) -> set[frozenset[int]]:
     if d < 1:
         raise ValueError("matrix needs at least one row")
     out: set[frozenset[int]] = set()
+    if not matrix.cols:  # nothing decoded: no subset unlocks anything
+        return out
     for vmask in range(1 << (d - 1)):
         kept = [r for r in range(d - 1) if not (vmask >> r) & 1] + [d - 1]
         sub = select_rows(matrix, kept)
@@ -385,14 +413,6 @@ class GammaPoly:
         return acc
 
 
-def _subset_size_counts(matrix: BitMatrix) -> list[int]:
-    """counts[j] = number of qualifying side-knowledge subsets of size j."""
-    counts = [0] * matrix.rows
-    for subset in gamma_set(matrix):
-        counts[len(subset)] += 1
-    return counts
-
-
 def _counts_to_coeffs(k: int, counts: Sequence) -> tuple[float, ...]:
     """Expand sum_j counts[j] * x^j * (1-x)^(k-j) into monomial coefficients."""
     coeffs = [Fraction(0)] * (k + 1)
@@ -407,59 +427,36 @@ def _counts_to_coeffs(k: int, counts: Sequence) -> tuple[float, ...]:
     return tuple(float(c) for c in coeffs)
 
 
-def _stock_gamma_counts(d: int) -> list[Fraction]:
-    """Qualifying-subset size counts for the stock family at size d, averaged
-    over members, counted per (shape, target type) from the route sizes.
-
-    A target whose only route runs through the r other rows of set A is
-    solved by the C(k-r, j-r) size-j subsets of the k = d-1 others that
-    contain A.  With two routes A and B whose union is all k others, the
-    subsets containing A or B number C(k-|A|, j-|A|) + C(k-|B|, j-|B|) - [j = k].
-    """
-    k = d - 1
-    weighted = [0] * d
-    for _, _, arrangements, routes in _target_routes(d):
-        for j in range(d):
-            solved = sum(comb(k - r, j - r) for r in routes if r <= j) - (len(routes) - 1) * (j == k)
-            weighted[j] += arrangements * solved
-    g = Fraction(1, family_size(d))
-    return [g * w for w in weighted]
-
-
 class PncModel:
     """A cap plus per-collision-size matrix families, with cached analysis tables."""
 
     def __init__(self, max_decodable: int, families: Mapping[int, WeightedMatrixFamily] | None):
         if max_decodable < 1:
             raise ValueError("max_decodable must be at least 1")
-        if families is None and max_decodable < 2:
+        self.is_example = families is None
+        if self.is_example and max_decodable < 2:
             raise ValueError("the stock model needs a cap of at least 2")
         self.max_decodable = max_decodable
-        self._custom: dict[int, WeightedMatrixFamily] | None = None
-        self._families: dict[int, WeightedMatrixFamily] = {}
+        # the families built so far; a custom model's given ones from the start
+        self._families: dict[int, WeightedMatrixFamily | StockFamily] = {}
         if families is not None:
-            custom = dict(families)
+            self._families.update(families)
             for d in range(1, max_decodable + 1):
-                if d not in custom:
+                if d not in families:
                     raise ValueError(f"family for collision size {d} missing")
-            for d, fam in custom.items():
+            for d, fam in families.items():
                 if fam.degree != d:
                     raise ValueError(f"family keyed {d} has degree {fam.degree}")
                 if d > max_decodable and any(m.cols for m, _ in fam):
                     raise ValueError(f"collision size {d} is above the cap but decodes something")
-            one = custom[1]
-            if one.size != 1 or one.entries[0][0] != BitMatrix.from_rows([[1]]):
+            one = families[1]
+            if one.size != 1 or one.entries[0][0] != _SINGLE.entries[0][0]:
                 raise ValueError("size-1 family must be the single [1] matrix")
-            self._custom = custom
-            self._families.update(custom)
         self._gamma: dict[int, GammaPoly] = {}
-        self._expected_rank: dict[int, float] = {}
 
     @classmethod
     def example(cls, max_decodable: int) -> "PncModel":
         """The stock model: uniformly weighted one-or-two-combination families."""
-        if max_decodable < 2:
-            raise ValueError("the stock model needs a cap of at least 2")
         return cls(max_decodable, None)
 
     @classmethod
@@ -494,21 +491,17 @@ class PncModel:
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    @property
-    def is_example(self) -> bool:
-        return self._custom is None
-
     def family(self, d: int) -> WeightedMatrixFamily | StockFamily:
+        """The family that serves collision size d, built once: the single
+        [1] matrix at size 1, the stock family within a stock model's cap, a
+        custom model's given family, and the empty matrix otherwise."""
         if d < 1:
             raise ValueError("collision size must be positive")
+        if d == 1:
+            return _SINGLE
         fam = self._families.get(d)
         if fam is None:
-            if self._custom is not None or d > self.max_decodable:
-                fam = _empty_family(d)
-            elif d == 1:
-                fam = example_family(1, self.max_decodable)
-            else:
-                fam = StockFamily(d)
+            fam = StockFamily(d) if self.is_example and d <= self.max_decodable else _empty_family(d)
             self._families[d] = fam
         return fam
 
@@ -517,29 +510,11 @@ class PncModel:
         if k < 0:
             raise ValueError("k must be nonnegative")
         poly = self._gamma.get(k)
-        if poly is not None:
-            return poly
-        d = k + 1
-        if d > self.max_decodable:
-            poly = GammaPoly(k, (0.0,))
-        elif d == 1:
-            poly = GammaPoly(0, (1.0,))
-        elif self.is_example:
-            poly = GammaPoly(k, _counts_to_coeffs(k, _stock_gamma_counts(d)))
-        else:
-            counts = [0.0] * d
-            for matrix, prob in self.family(d):
-                for j, c in enumerate(_subset_size_counts(matrix)):
-                    counts[j] += prob * c
-            poly = GammaPoly(k, _counts_to_coeffs(k, counts))
-        self._gamma[k] = poly
+        if poly is None:
+            poly = self._gamma[k] = GammaPoly(k, _counts_to_coeffs(k, self.family(k + 1).gamma_counts()))
         return poly
 
     def expected_rank(self, d: int) -> float:
         """Mean decoded-combination count (matrix rank) at collision size d;
         exact for the stock model."""
-        val = self._expected_rank.get(d)
-        if val is None:
-            val = float(self.family(d).expected_rank)
-            self._expected_rank[d] = val
-        return val
+        return float(self.family(d).expected_rank)

@@ -10,7 +10,7 @@ import pytest
 
 import ncsa
 from ncsa.cli import main, read_csv
-from ncsa.frames import DegreeDistribution
+from ncsa.frames import DegreeDistribution, sample_frame
 from ncsa.pnc import family_size
 
 
@@ -67,6 +67,67 @@ def test_simulate_output_is_pinned(tmp_path, argv, digest):
     code, out = run(tmp_path, "simulate", *argv, "--decoder", "all", "--omit-times")
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+GAMMA_TEST_MODEL = {
+    "max_decodable": 2,
+    "families": {
+        "1": [{"matrix": [[1]], "prob": 1.0}],
+        "2": [
+            {"matrix": [[1, 0], [0, 1]], "prob": 0.5},
+            {"matrix": [[1], [1]], "prob": 0.5},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["evolve", "--dist", "3:1", "--lam", "1.5", "--iters", "100", "--cap", "10"],
+            "52394ee149b0bb58fd8ada579861ae57351535624051576af5444714d1c03242",
+        ),
+        (["gamma", "--cap", "8"], "0584e0bb1fb896d23dac0a4cb9adb63a616908dc7189863f89d715f3705d7f1e"),
+        (["gamma", "--model", "model.json"], "baf8ef80c2e1dec6d556941944bbfd8adcb31fbe477b5bbb94501023c037cf6c"),
+        (
+            ["evolve", "--dist", "3:1", "--lam", "1.2", "--model", "model.json"],
+            "f942934d57734d837a2814e5a7bcc6f1946c1ba43ace0db4212f559b2c3068de",
+        ),
+    ],
+    ids=["evolve-stock", "gamma-stock", "gamma-custom", "evolve-custom"],
+)
+def test_analysis_output_is_pinned(tmp_path, monkeypatch, argv, digest):
+    """SHA-256 of the analysis outputs: the recursion, the gamma tables and
+    the mean ranks, for the stock model and for the two-member custom model
+    of `test_gamma_custom_model`, passed by a relative path so that its
+    `# model=` line does not depend on the directory.
+
+    A change that alters this output on purpose updates these digests and
+    says so, with the old and new output, in CHANGES.md.
+    """
+    monkeypatch.chdir(tmp_path)
+    Path("model.json").write_text(json.dumps(GAMMA_TEST_MODEL))
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_rejects_a_load_before_drawing_a_frame(tmp_path, monkeypatch, capsys):
+    # 800 users in one slot is a load the recursion rejects
+    drawn = []
+
+    def counting_sample_frame(config):
+        drawn.append(config.seed)
+        return sample_frame(config)
+
+    monkeypatch.setattr("ncsa.cli.sample_frame", counting_sample_frame)
+    code, out = run(tmp_path, "simulate", "--users", "800", "--slots", "1", "--dist", "1:1", "--cap", "4")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert drawn == []
+    assert not out.exists()
 
 
 def test_simulate_all_decoders_dominance(tmp_path):

@@ -185,7 +185,7 @@ def test_forced_two_user_collision_uses_pair_family():
     frame = sample_frame(cfg)
     (batch,) = frame.batches
     assert batch.users == (0, 1)
-    members = {m for m, _ in example_family(2, 5)}
+    members = {m for m, _ in example_family(2)}
     assert batch.transfer in members
 
 

@@ -17,7 +17,6 @@ from ncsa.pnc import (
     StockFamily,
     WeightedMatrixFamily,
     _counts_to_coeffs,
-    _stock_gamma_counts,
     example_family,
     family_size,
     gamma_closed_form,
@@ -130,7 +129,7 @@ def test_family_counts_exact():
 
 
 def test_example_family_membership():
-    fam = example_family(2, 10)
+    fam = example_family(2)
     members = {m for m, _ in fam}
     assert members == {
         BitMatrix.from_rows([[1], [1]]),
@@ -142,7 +141,7 @@ def test_example_family_membership():
 
 def test_example_family_properties():
     for d in range(2, 6):
-        fam = example_family(d, 10)
+        fam = example_family(d)
         assert fam.size == family_size(d)
         seen = set()
         total = 0.0
@@ -159,7 +158,7 @@ def test_example_family_properties():
 def test_example_family_permutation_closure():
     rng = random.Random(5)
     for d in (3, 4, 5):
-        fam = example_family(d, 10)
+        fam = example_family(d)
         weight = {m: p for m, p in fam}
         for matrix, prob in fam:
             rows = matrix.to_rows()
@@ -171,8 +170,8 @@ def test_example_family_permutation_closure():
 
 
 def test_family_degree_one_and_above_cap():
-    assert example_family(1, 10).entries[0][0] == BitMatrix.from_rows([[1]])
-    fam = example_family(11, 10)
+    assert example_family(1).entries[0][0] == BitMatrix.from_rows([[1]])
+    fam = PncModel.example(10).family(11)
     assert fam.size == 1
     matrix, prob = fam.entries[0]
     assert matrix.cols == 0 and prob == 1.0
@@ -182,7 +181,7 @@ def test_counted_family_matches_enumeration():
     for d in range(2, 9):
         counted = PncModel.example(d).family(d)
         assert isinstance(counted, StockFamily)
-        listed = example_family(d, d)
+        listed = example_family(d)
         assert counted.size == family_size(d) == listed.size
         assert list(counted) == list(listed)
         # the shapes partition the members: group the listed members by
@@ -198,7 +197,7 @@ def test_counted_sample_is_uniform():
         fam = StockFamily(d)
         rng = np.random.default_rng(seed)
         seen = Counter(fam.sample(rng, draws))
-        members = [m for m, _ in example_family(d, d)]
+        members = [m for m, _ in example_family(d)]
         assert set(seen) == set(members)
         assert scipy.stats.chisquare([seen[m] for m in members]).pvalue > 0.01
 
@@ -237,7 +236,7 @@ def test_weighted_sample_follows_probabilities():
 
 def test_example_family_rejects_degree_zero():
     with pytest.raises(ValueError):
-        example_family(0, 10)
+        example_family(0)
 
 
 def test_weighted_family_validation():
@@ -268,13 +267,13 @@ def test_gamma_set_anchor_trivial_cases():
 
 def test_gamma_set_matches_oracle():
     for d in range(2, 5):
-        for matrix, _ in example_family(d, 10):
+        for matrix, _ in example_family(d):
             assert gamma_set(matrix) == oracle_gamma_set(matrix.to_rows())
 
 
 def test_gamma_set_upward_closed():
     for d in range(2, 6):
-        for matrix, _ in example_family(d, 10):
+        for matrix, _ in example_family(d):
             got = gamma_set(matrix)
             rest = set(range(1, d))
             for subset in got:
@@ -333,7 +332,7 @@ def test_stock_gamma_counts_match_representative_enumeration():
     model = PncModel.example(12)
     for d in range(2, 13):
         reference = representative_gamma_counts(d)
-        assert _stock_gamma_counts(d) == reference
+        assert StockFamily(d).gamma_counts() == reference
         assert model.gamma_poly(d - 1).coeffs == _counts_to_coeffs(d - 1, reference)
 
 
@@ -419,6 +418,40 @@ def test_closed_form_rejects_bad_probabilities():
         gamma_closed_form(2, 0.5, {1: 0.5}, {}, 0.5)  # 0.5 + 2*0.5 != 1
     with pytest.raises(ValueError):
         gamma_closed_form(1, 1.0, {}, {}, 0.5)
+
+
+def two_member_model() -> PncModel:
+    return PncModel.from_dict({
+        "max_decodable": 2,
+        "families": {
+            "1": [{"matrix": [[1]], "prob": 1.0}],
+            "2": [{"matrix": [[1, 0], [0, 1]], "prob": 0.5}, {"matrix": [[1], [1]], "prob": 0.5}],
+        },
+    })
+
+
+@pytest.mark.parametrize("model", [PncModel.example(4), two_member_model()], ids=["stock", "custom"])
+def test_gamma_poly_above_the_cap_skips_the_subset_walk(model, monkeypatch):
+    # an empty transfer matrix unlocks nothing: its 2^(d-1) subsets are
+    # never tried, so size 40 costs no more than size 5
+    def no_walk(*args):
+        raise AssertionError("gamma_set walked the subsets of an empty matrix")
+
+    monkeypatch.setattr("ncsa.pnc.select_rows", no_walk)
+    assert model.gamma_poly(39).coeffs == (0.0,)
+    assert model.gamma_poly(model.max_decodable).coeffs == (0.0,)
+    assert gamma_set(BitMatrix(40, 0)) == set()
+
+
+@pytest.mark.parametrize("model", [PncModel.example(4), two_member_model()], ids=["stock", "custom"])
+def test_family_is_built_once_at_size_one_and_above_the_cap(model):
+    cap = model.max_decodable
+    assert model.family(1) is model.family(1)
+    assert model.family(cap + 1) is model.family(cap + 1)
+    assert [m for m, _ in model.family(1)] == [BitMatrix.from_rows([[1]])]
+    assert model.gamma_poly(0).coeffs == (1.0,)
+    assert model.expected_rank(1) == 1.0
+    assert model.expected_rank(cap + 1) == 0.0
 
 
 # --- model ----------------------------------------------------------------
@@ -513,6 +546,7 @@ def test_model_from_dict_property(data, seed):
         ]
         fam = model.family(d)
         assert list(fam) == listed
+        assert fam.expected_rank == sum(prob * rank(m) for m, prob in listed)
         assert set(fam.sample(rng, 64)) <= {m for m, _ in listed}
     above = model.family(model.max_decodable + 1)
     assert [m.cols for m, _ in above] == [0]
@@ -565,7 +599,7 @@ def test_expected_rank_routes_agree():
     model = PncModel.example(9)
     assert model.expected_rank(1) == 1.0
     for d in range(2, 10):
-        listed = example_family(d, d)
+        listed = example_family(d)
         enumerated = Fraction(sum(rank(m) for m, _ in listed), listed.size)
         assert model.family(d).expected_rank == enumerated
         assert model.expected_rank(d) == float(enumerated)
