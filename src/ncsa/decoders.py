@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .frames import Batch, Frame
+from .frames import Batch, Frame, equations
 from .gf2 import rcef, select_rows, span_basis, units_in_span, xor_bytes
 
 
@@ -176,23 +176,6 @@ def _release_single(
     return ((members[unknown_pos[0]], value),), len(known_pos)
 
 
-def _equations(frame: Frame) -> list[tuple[tuple[int, ...], bytes]]:
-    """Every output column of every batch as (member users, output payload),
-    batch by batch and column by column.
-
-    Plain tuples of ints and bytes, which the garbage collector stops
-    tracking, so tens of thousands of equations do not slow collections.
-    """
-    equations = []
-    for batch in frame.batches:
-        users = batch.users
-        everyone = (1 << len(users)) - 1
-        for mask, value in zip(batch.transfer.column_masks(), batch.outputs):
-            members = users if mask == everyone else tuple([u for pos, u in enumerate(users) if mask >> pos & 1])
-            equations.append((members, value))
-    return equations
-
-
 def batched_bp(
     frame: Frame,
     preknown: Mapping[int, bytes] | None = None,
@@ -225,7 +208,7 @@ def ordinary_bp(
     Cross-column structure inside a batch is deliberately ignored, which is
     what makes this the weaker baseline.
     """
-    return _peel(frame, _equations(frame), _release_single, preknown, max_iters)
+    return _peel(frame, equations(frame), _release_single, preknown, max_iters)
 
 
 def ge_oracle(
@@ -264,7 +247,7 @@ def ge_oracle(
         return frozenset(known)
     row_of = {u: i for i, u in enumerate(core)}
     masks = []
-    for members, _ in _equations(frame):
+    for members, _ in equations(frame):
         mask = 0
         for u in members:
             if u in row_of:

@@ -266,6 +266,23 @@ def slot_degree_histogram(frame: Frame) -> np.ndarray:
     return hist
 
 
+def equations(frame: Frame) -> list[tuple[tuple[int, ...], bytes]]:
+    """Every output column of every batch as (member users, output payload),
+    batch by batch and column by column.
+
+    Plain tuples of ints and bytes, which the garbage collector stops
+    tracking, so tens of thousands of equations do not slow collections.
+    """
+    lifted = []
+    for batch in frame.batches:
+        users = batch.users
+        everyone = (1 << len(users)) - 1
+        for mask, value in zip(batch.transfer.column_masks(), batch.outputs):
+            members = users if mask == everyone else tuple([u for pos, u in enumerate(users) if mask >> pos & 1])
+            lifted.append((members, value))
+    return lifted
+
+
 def global_matrix(frame: Frame) -> BitMatrix:
     """Stack every batch's transfer columns into one users x outputs matrix.
 
@@ -273,16 +290,5 @@ def global_matrix(frame: Frame) -> BitMatrix:
     slot t.  Rank queries against this matrix bound what any decoder could
     ever recover from the frame.
     """
-    masks = []
-    for batch in frame.batches:
-        for j in range(batch.transfer.cols):
-            col = batch.transfer.column_mask(j)
-            mask = 0
-            pos = 0
-            while col:
-                if col & 1:
-                    mask |= 1 << batch.users[pos]
-                col >>= 1
-                pos += 1
-            masks.append(mask)
+    masks = [sum(1 << u for u in members) for members, _ in equations(frame)]
     return BitMatrix(frame.users, len(masks), masks)

@@ -15,6 +15,10 @@ x_j = j*eta/grid.  The node distribution is recovered by normalizing
 w_i/i.  The open left endpoint contributes no row: P(0) >= e^(-lam) > 0,
 so the x -> 0 limit of the constraint holds strictly for every w.
 
+The program is small (max_degree weights, one equality, a row per grid
+point), so `ncsa.lp.linprog`, a dense two-phase simplex in numpy, solves it.
+Its point is an optimal vertex up to rounding, with no feasibility tolerance.
+
 Grid feasibility is necessary but not sufficient for the continuum, so a
 solution is re-verified a posteriori on a 10x finer grid, and a local
 optimality certificate (no feasible pairwise weight transfer improves the
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .evolution import InvariantError, PoissonMixture, edge_fraction, node_fraction, rate_upper_bound
 from .frames import DegreeDistribution
+from .lp import linprog
 from .pnc import PncModel
 
 # The a-posteriori check runs on a grid this many times finer than the LP's.
@@ -104,15 +108,7 @@ def optimize(
         shrink = 1.0 - np.asarray(mix(xs))  # 1 - P(x_j)
         rows = shrink[:, None] ** (degrees - 1)[None, :]
         bound = 1.0 - xs * (1.0 + eps)
-        res = linprog(
-            c=-1.0 / degrees,
-            A_ub=rows,
-            b_ub=bound,
-            A_eq=np.ones((1, max_degree)),
-            b_eq=np.ones(1),
-            bounds=(0, None),
-            method="highs",
-        )
+        res = linprog(1.0 / degrees, rows, bound)
         if not res.success:
             return OptimizationResult(feasible=False, status=res.message, **base)
 

@@ -184,6 +184,34 @@ def test_criterion_6():
     check(6, "20k-user decoding within 0.02 of the 100-round recursion", 300.0, body)
 
 
+def test_criterion_6_past_the_threshold():
+    # At rate 0.5 every frame decodes fully and the recursion says 1.0, so
+    # criterion 6 cannot tell a wrong recursion from a right one.  Past the
+    # batched threshold (rate 1.632 for dist 3:1 at cap 10) both sides are
+    # well below 1.  Tolerance: over seeds 0-11, the decoded fraction of one
+    # 20k-user frame has a standard deviation of 0.0068 at rate 1.75 and
+    # 0.0046 at rate 2.0, so the mean of three frames has 0.0039 and 0.0027;
+    # each rate allows four of those, rounded up.
+    def body():
+        model = PncModel.example(10)
+        dist = DegreeDistribution({3: 1.0})
+        users = 2 * 10**4
+        for rate, tolerance in ((1.75, 0.016), (2.0, 0.011)):
+            slots = math.ceil(users / rate)
+            predicted = evolve(dist, users * dist.mean() / slots, 100, model).z_star
+            assert predicted < 0.5
+            fractions = [
+                batched_bp(sample_frame(SystemConfig(
+                    users=users, slots=slots, dist=dist, model=model, seed=seed, payload_len=0,
+                ))).decoded_fraction
+                for seed in range(3)
+            ]
+            gap = abs(float(np.mean(fractions)) - predicted)
+            assert gap <= tolerance, f"rate {rate}: mean {np.mean(fractions):.4f} vs recursion {predicted:.4f}"
+
+    check("6b", "20k-user decoding past the threshold within the frame spread of the recursion", 120.0, body)
+
+
 def test_criterion_7():
     def body():
         model = PncModel.example(5)

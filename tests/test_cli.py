@@ -427,12 +427,25 @@ def test_sweep_records_a_non_finite_load_in_one_cell(tmp_path):
     assert good["feasible"] == "true" and good["error"] == ""
 
 
-def run_cli_process(*argv):
-    """`python -m ncsa argv` in a fresh interpreter, stopped after 60 s, so
-    that a command that never returns fails its test instead of hanging."""
+def run_python(*args):
+    """`python args` in a fresh interpreter that imports this `ncsa`, stopped
+    after 60 s, so that a command that never returns fails its test instead
+    of hanging."""
     src = str(Path(ncsa.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "ncsa", *argv], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def run_cli_process(*argv):
+    return run_python("-m", "ncsa", *argv)
+
+
+def test_cli_starts_without_scipy():
+    # scipy is a test-only dependency; importing it took most of every
+    # command's start-up time and memory
+    done = run_python("-c", "import sys, ncsa.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [["evolve", "--dist", "3:1", "--lam", "800"], ["optimize", "--lam", "800"]])

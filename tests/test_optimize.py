@@ -1,16 +1,50 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as highs_linprog
 
+from ncsa import lp
 from ncsa.evolution import evolve, rate_upper_bound, resolve_prob
 from ncsa.frames import DegreeDistribution
 from ncsa.gf2 import BitMatrix
-from ncsa.optimize import optimize, sweep
+from ncsa.lp import linprog
+from ncsa.optimize import _certificate_holds, optimize, sweep
 from ncsa.pnc import PncModel, WeightedMatrixFamily
 
+# the package re-exports the function `optimize` under the module's name
+optimize_module = importlib.import_module("ncsa.optimize")
 
 MODEL = PncModel.example(10)
+SWEEP_LOADS = [0.25 * i for i in range(1, 41)]
+
+
+def reference_linprog(c, a, b):
+    """The design LP through scipy's HiGHS, the solver `optimize` used
+    before `ncsa.lp`: maximize c.w, a w <= b, sum(w) = 1, w >= 0."""
+    return highs_linprog(-c, A_ub=a, b_ub=b, A_eq=np.ones((1, len(c))), b_eq=[1.0],
+                         bounds=(0, None), method="highs")
+
+
+def capture_lps(run):
+    """`run()`'s result and every LP `optimize` solved meanwhile, as (c, A, b)."""
+    lps = []
+    solve = optimize_module.linprog
+
+    def recording(c, a, b):
+        lps.append((np.array(c), np.array(a), np.array(b)))
+        return solve(c, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize_module, "linprog", recording)
+        return run(), lps
+
+
+@pytest.fixture(scope="module")
+def sweeps():
+    """The default load grid swept at caps 12 and 20, once for all tests."""
+    return {cap: capture_lps(lambda: sweep(SWEEP_LOADS, PncModel.example(cap))) for cap in (12, 20)}
 
 
 def test_edge_node_weight_round_trip():
@@ -45,9 +79,15 @@ def test_rate_star_discounts_the_packets_missing_at_eta():
 
 
 def test_full_coverage_is_infeasible():
-    res = optimize(1.0, MODEL, eta=1.0)
+    res, lps = capture_lps(lambda: optimize(1.0, MODEL, eta=1.0))
     assert not res.feasible
     assert res.rate is None and res.dist is None and res.rate_star is None
+    assert "infeasible" in res.status
+    # the last row asks for 1 - P(1)^(i-1) coverage of 1.001: b < 0, so
+    # phase 1 needs an artificial there, and both solvers give up
+    ((c, a, b),) = lps
+    assert b[-1] < 0
+    assert reference_linprog(c, a, b).status == 2  # HiGHS: infeasible
 
 
 def test_tighter_margin_never_raises_the_rate():
@@ -140,3 +180,89 @@ def test_verification_grid_is_finer_than_design_grid():
     assert res.feasible
     assert res.violations == ()
     assert res.certificate_ok is True
+
+
+def _normalised(x):
+    omega = np.clip(x, 0.0, None)
+    return omega / omega.sum()
+
+
+@pytest.mark.parametrize("cap", (12, 20))
+def test_simplex_matches_highs_on_the_sweep_lps(sweeps, cap):
+    # HiGHS stops within its 1e-7 primal feasibility tolerance, and its
+    # points break grid rows by up to 9e-8, which moves the objective by up
+    # to 1.6e-7 relative; the simplex returns the vertex itself.  So the
+    # objectives agree to 1e-6, and only the simplex meets the rows to 1e-9.
+    _, lps = sweeps[cap]
+    assert len(lps) >= 40
+    for c, a, b in lps:
+        degrees = np.arange(1, len(c) + 1)
+        ours, ref = linprog(c, a, b), reference_linprog(c, a, b)
+        assert ours.success == ref.success, ours.message
+        if not ours.success:
+            assert ref.status == 2 and "infeasible" in ours.message
+            continue
+        assert c @ ours.x == pytest.approx(c @ ref.x, rel=1e-6)
+        assert np.max(a @ ours.x - b) <= 1e-9
+        assert abs(ours.x.sum() - 1.0) <= 1e-12
+        assert ours.x.min() >= -1e-12
+        assert _certificate_holds(_normalised(ours.x), a, b, degrees) == \
+            _certificate_holds(_normalised(ref.x), a, b, degrees)
+
+
+@pytest.mark.parametrize("cap", (12, 20))
+def test_sweep_designs_pass_the_fine_grid(sweeps, cap):
+    # criterion 9's check at the larger caps
+    points, _ = sweeps[cap]
+    assert [p.lam for p in points if not p.feasible] == [10.0]
+    for p in points:
+        if p.feasible:
+            assert p.result.violations == (), f"lam={p.lam}"
+            assert p.result.certificate_ok is True
+            assert p.rate_star <= p.upper_bound + 1e-9
+
+
+def test_simplex_matches_highs_on_small_random_lps():
+    # rows with b < 0 and a sum(w) >= 1 row that duplicates the equality
+    # leave artificials basic at zero after phase 1, which must be pivoted out
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for _ in range(300):
+        m, n = rng.integers(1, 5), rng.integers(2, 5)
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m).astype(float)
+        if rng.random() < 0.5:
+            a[-1], b[-1] = -1.0, -1.0
+        c = rng.integers(-3, 4, size=n).astype(float)
+        ours, ref = linprog(c, a, b), reference_linprog(c, a, b)
+        assert ours.success == (ref.status == 0), (a, b, c, ours.message)
+        outcomes.add(ours.success)
+        if ours.success:
+            assert c @ ours.x == pytest.approx(-ref.fun, abs=1e-9)
+            assert np.max(a @ ours.x - b) <= 1e-9 and abs(ours.x.sum() - 1.0) <= 1e-12
+    assert outcomes == {True, False}
+
+
+# Beale's cycling example (Beale, Naval Res. Logist. Q. 1955) behind a
+# zero-cost first weight that takes up the slack of sum(w) = 1; x3 <= 1 is
+# halved so that the optimum (x1, x3) = (1/50, 1/2) fits into the sum.
+BEALE_C = np.array([0.0, 0.75, -150.0, 0.02, -6.0])
+BEALE_A = np.array([[0.0, 0.25, -60.0, -0.04, 9.0], [0.0, 0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 0.0, 1.0, 0.0]])
+BEALE_B = np.array([0.0, 0.0, 0.5])
+
+
+def test_degenerate_lp_reaches_its_optimum():
+    res = linprog(BEALE_C, BEALE_A, BEALE_B)
+    assert res.success, res.message
+    np.testing.assert_allclose(res.x, [0.48, 0.02, 0.0, 0.5, 0.0], atol=1e-12)
+    np.testing.assert_allclose(res.x, reference_linprog(BEALE_C, BEALE_A, BEALE_B).x, atol=1e-9)
+
+
+def test_pivot_cap_stops_a_cycling_lp(monkeypatch):
+    # with Bland's rule switched off, Dantzig's rule cycles on Beale's example
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 100)
+    res = linprog(BEALE_C, BEALE_A, BEALE_B)
+    assert not res.success
+    assert res.message == "pivot limit of 100 reached"
+    assert res.x is None and res.pivots == 100
