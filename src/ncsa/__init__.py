@@ -9,9 +9,10 @@ Layers, bottom up:
   model that picks the family for each size and caches the solvability
   (gamma) polynomials built from them.
 - ``frames``: degree distributions, reproducible frame sampling, and the
-  per-slot batches, which are a frame's one record of who sent where.
-- ``decoders``: batched and ordinary peeling plus the global-elimination
-  oracle.
+  frame as CSR arrays (per-slot users and transfer columns, per-output
+  members, payload and output rows); per-slot `Batch` objects on demand.
+- ``decoders``: batched and ordinary peeling over per-unit unknown masks
+  with a memoised release rule, plus the global-elimination oracle.
 - ``evolution``: the asymptotic edge recursion, run to its fixed point by
   ``evolve``, and the rate upper bound.
 - ``optimize``: LP design of degree distributions and load sweeps.

@@ -13,29 +13,39 @@ Three recovery strategies, strictly ordered by power:
   gives the same set as eliminating the frame's global matrix; like the
   peelers it raises FrameInconsistencyError on a corrupt frame.
 
-Both peelers run one strict-generation driver and differ only in the rule
-that releases packets at a unit: a slot for `batched_bp`, a single output
-equation for `ordinary_bp`.  An iteration sees only the knowledge available
-when it started, which is the schedule the asymptotic recursion counts, so
+Both peelers run one strict-generation driver over the frame's CSR arrays
+and differ only in their units and wake test: a slot for `batched_bp`, a
+single output equation for `ordinary_bp`.  Each unit keeps the bitmask of
+its still-unknown rows, and what a unit releases is a pure function of its
+transfer columns and that mask, memoised per decode, so only the first
+unit with a given (shape, mask) runs an elimination.  A batch is woken when
+a recovery clears one of its rows and it still has unknowns; an equation
+only when its unknown count drops to one (the counter peel of invertible
+Bloom lookup tables).  An iteration sees only the knowledge available when
+it started, which is the schedule the asymptotic recursion counts, so
 results do not depend on the order units are visited.  The driver compares
-the resolutions made within one pass; a unit that would contradict a packet
-recovered in an earlier pass is not re-checked.
+the resolutions made within one pass, and after the peel it checks the
+recovered packets against the frame (`_check_against_frame`).
 
-All payload XORs and elementary column operations are tallied in
-`DecodeReport.field_ops`; per-frame work stays linear in the number of
-transmissions because a batch is reprocessed only after its known set grows.
+All payload XORs and elementary column operations of the per-unit
+reductions are tallied in `DecodeReport.field_ops`; per-frame work stays
+linear in the number of transmissions because a unit is revisited only
+after its unknown mask shrinks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
-from .frames import Batch, Frame, equations
-from .gf2 import rcef, select_rows, span_basis, units_in_span, xor_bytes
+import numpy as np
+
+from .frames import Frame, offsets, segments
+from .gf2 import BitMatrix, rcef, select_rows, span_basis, units_in_span
 
 
 class FrameInconsistencyError(Exception):
-    """Two resolutions disagreed about a packet's value; the frame is corrupt."""
+    """Two resolutions disagreed about a packet's value, or the recovered
+    packets disagree with the frame; the frame is corrupt."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +58,10 @@ class DecodeReport:
     per_iteration: tuple[int, ...]
     field_ops: int
     users: int
+    # unit visits that reached the rule, and the rule evaluations that ran
+    # an elimination (memo misses)
+    visits: int = 0
+    eliminations: int = 0
 
     @property
     def newly_recovered(self) -> frozenset[int]:
@@ -68,112 +82,202 @@ def _checked_preknown(frame: Frame, preknown: Mapping[int, bytes] | None) -> dic
     return known
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _one_bits(shift: np.ndarray) -> list[int]:
+    """``1 << shift`` for each entry, as Python ints."""
+    if len(shift) and shift.max() > 62:
+        return [1 << s for s in shift.tolist()]
+    return np.left_shift(1, shift).tolist()
+
+
+def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, int]:
+    """What a unit with `rows` rows, transfer columns `masks` and still-unknown
+    rows `unknown` (a bitmask) releases, and the field operations it spends.
+
+    The known rows are substituted out of the outputs (one operation per
+    known row per column that holds it); the unknown rows are column-reduced
+    together with the outputs, and every unit column releases its row.  The
+    outputs are unit-vector byte strings, so each reduced output names the
+    original columns whose XOR isolates the row.  Returns ``(released,
+    spent)``; each released entry is ``(row, columns, known rows)``: the
+    row's packet is the XOR of those columns' outputs and those known rows'
+    packets.
+    """
+    known = ((1 << rows) - 1) & ~unknown
+    spent = sum((m & known).bit_count() for m in masks)
+    unknown_rows = _bits(unknown)
+    width = (len(masks) + 7) // 8
+    reduced, combos, ops = rcef(
+        select_rows(BitMatrix(rows, len(masks), masks), unknown_rows),
+        [(1 << j).to_bytes(width, "big") for j in range(len(masks))],
+    )
+    released = []
+    for mask, combo in zip(reduced.column_masks(), combos):
+        if mask.bit_count() == 1:
+            columns = _bits(int.from_bytes(combo, "big"))
+            isolating = 0
+            for j in columns:
+                isolating ^= masks[j]
+            released.append((unknown_rows[mask.bit_length() - 1], columns, _bits(isolating & known)))
+    return tuple(released), spent + ops
+
+
+def _check_against_frame(frame: Frame, recovered: Mapping[int, bytes]) -> None:
+    """Raise FrameInconsistencyError unless the recovered packets agree with
+    the frame: each equals the packet the frame records for its user, and
+    every output column whose members are all recovered re-encodes to the
+    received output.
+
+    Once the first part holds, re-encoding from the recovered packets is
+    re-encoding from the frame's own, which the frame did when it was built:
+    only its `mismatched_outputs` can fail.
+    """
+    if recovered:
+        users = np.fromiter(recovered, dtype=np.int64, count=len(recovered))
+        values = np.frombuffer(b"".join(recovered.values()), dtype=np.uint8)
+        if not np.array_equal(values.reshape(len(users), frame.payload_len), frame.payload_rows[users]):
+            raise FrameInconsistencyError("a recovered packet differs from the one its user sent")
+    ptr = frame.member_ptr
+    for e in frame.mismatched_outputs.tolist():
+        if all(u in recovered for u in frame.members[ptr[e]:ptr[e + 1]].tolist()):
+            raise FrameInconsistencyError(f"output {e} disagrees with the recovered packets of its members")
+
+
 def _peel(
     frame: Frame,
-    units: Sequence[tuple[tuple[int, ...], object]],
-    release: Callable[..., tuple[Sequence[tuple[int, bytes]], int]],
+    row_ptr: np.ndarray,
+    row_users: np.ndarray,
+    column_ptr: np.ndarray,
+    shapes: list[tuple[int, tuple[int, ...]]],
+    shape_of: list[int],
     preknown: Mapping[int, bytes] | None,
     max_iters: int,
+    counter: bool,
 ) -> DecodeReport:
-    """Peel `units` in strict generations with the check-node rule `release`.
+    """Peel units in strict generations with the memoised `_slot_rule`.
 
-    A unit is a pair (member users, rule data).  Each pass visits the dirty
-    units in index order and splits a unit's member positions into known
-    and unknown.  A unit with no unknown member is done for good; any other
-    goes to ``release(unit, known_pos, unknown_pos, known)``, which returns
-    the ``(user, payload)`` pairs it resolves and the field operations it
-    spent.  Recoveries are merged only after the pass, so every unit of a
-    pass sees the knowledge of its start and the visiting order cannot
-    matter.  A unit is revisited only when a later recovery touches one of
-    its members.
+    Unit i holds the rows ``row_users[row_ptr[i]:row_ptr[i + 1]]`` and the
+    transfer columns ``shapes[shape_of[i]]`` (row count and column masks),
+    whose outputs are frame outputs ``column_ptr[i]:column_ptr[i + 1]``;
+    units without columns take no part.  Each unit keeps the bitmask of its
+    unknown rows.  A pass visits the woken units in index order and evaluates the
+    rule on (shape, unknown mask), memoised per decode; a memo miss is one
+    elimination.  Recoveries are merged only after the pass, so every unit
+    of a pass sees the knowledge of its start and the visiting order cannot
+    matter; merging clears the recovered rows' bits, and a unit is woken
+    when its mask is then nonzero, or with `counter` exactly one bit (the
+    only masks on which a single-column unit releases anything).  A pass
+    with recoveries is always followed by one more.
 
     Raises FrameInconsistencyError when two resolutions of one pass
-    disagree about a packet (impossible for frames from `sample_frame`).
+    disagree about a packet, or when the result disagrees with the frame
+    (`_check_against_frame`).
     """
-    known = _checked_preknown(frame, preknown)
-    touching: dict[int, list[int]] = {}
-    for idx, (members, _) in enumerate(units):
-        for u in members:
-            touching.setdefault(u, []).append(idx)
+    recovered = _checked_preknown(frame, preknown)
+    size = frame.payload_len
+    blob = frame.outputs.tobytes()
+    live = (column_ptr[1:] > column_ptr[:-1]).nonzero()[0]
+    first_column = column_ptr.tolist()
+    # each row of a live unit is an edge; sorted by user, a recovery finds
+    # the (unit, row bit) pairs it clears
+    counts = (row_ptr[1:] - row_ptr[:-1])[live]
+    edge_unit, edge_row = segments(counts)
+    edge_unit = live[edge_unit]
+    edge_user = row_users[row_ptr[edge_unit] + edge_row]
+    order = np.argsort(edge_user)  # the order of one user's edges does not matter
+    by_user = offsets(np.bincount(edge_user, minlength=frame.users)).tolist()
+    edge_unit = edge_unit[order].tolist()
+    edge_bit = _one_bits(edge_row[order])
+    del edge_user, edge_row, order
+    users = row_users.tolist()
+    ptr = row_ptr.tolist()
+    unknown = [0] * (len(ptr) - 1)
+    for i, full in zip(live.tolist(), _one_bits(counts)):
+        unknown[i] = full - 1
 
-    ops = 0
+    value: list[int | None] = [None] * frame.users
+    for u, payload in recovered.items():
+        value[u] = int.from_bytes(payload, "big")
+        for e in range(by_user[u], by_user[u + 1]):
+            unknown[edge_unit[e]] ^= edge_bit[e]
+    if counter:
+        woken = [i for i in live.tolist() if unknown[i] and not unknown[i] & (unknown[i] - 1)]
+    else:
+        woken = [i for i in live.tolist() if unknown[i]]
+
+    memo: dict[int, tuple[tuple, int]] = {}  # keyed by unknown mask, then shape id, in one int
+    shift = len(shapes).bit_length()
+    ops = visits = eliminations = 0
     per_iteration: list[int] = []
-    dirty = set(range(len(units)))
-    done: set[int] = set()
     iterations = 0
-
-    while dirty and iterations < max_iters:
+    while len(live) and iterations < max_iters:
         iterations += 1
-        found: dict[int, bytes] = {}
-        for idx in sorted(dirty):
-            unit = units[idx]
-            known_pos = []
-            unknown_pos = []
-            for pos, u in enumerate(unit[0]):
-                (known_pos if u in known else unknown_pos).append(pos)
-            if not unknown_pos:
-                done.add(idx)
+        found: dict[int, int] = {}
+        for i in woken:
+            mask = unknown[i]
+            if not mask:
                 continue
-            released, spent = release(unit, known_pos, unknown_pos, known)
+            visits += 1
+            key = mask << shift | shape_of[i]
+            rule = memo.get(key)
+            if rule is None:
+                rule = memo[key] = _slot_rule(*shapes[shape_of[i]], mask)
+                eliminations += 1
+            released, spent = rule
             ops += spent
-            for user, value in released:
+            if not released:
+                continue
+            base = ptr[i]
+            column = first_column[i]
+            for row, columns, known_rows in released:
+                v = 0
+                for j in columns:
+                    at = (column + j) * size
+                    v ^= int.from_bytes(blob[at:at + size], "big")
+                for r in known_rows:
+                    v ^= value[users[base + r]]
+                user = users[base + row]
                 prior = found.get(user)
-                if prior is not None and prior != value:
+                if prior is None:
+                    found[user] = v
+                elif prior != v:
                     raise FrameInconsistencyError(f"user {user} resolved to two different payloads")
-                found[user] = value
 
-        known.update(found)
         per_iteration.append(len(found))
         if not found:
             break
-        dirty = {idx for u in found for idx in touching.get(u, ()) if idx not in done}
+        touched = set()
+        for user, v in found.items():
+            value[user] = v
+            recovered[user] = v.to_bytes(size, "big")
+            for e in range(by_user[user], by_user[user + 1]):
+                i = edge_unit[e]
+                mask = unknown[i] ^ edge_bit[e]
+                unknown[i] = mask
+                if mask and not (counter and mask & (mask - 1)):
+                    touched.add(i)
+        woken = sorted(touched)
 
+    _check_against_frame(frame, recovered)
     return DecodeReport(
-        recovered=known,
+        recovered=recovered,
         preknown=frozenset(preknown or ()),
         iterations=iterations,
         per_iteration=tuple(per_iteration),
         field_ops=ops,
         users=frame.users,
+        visits=visits,
+        eliminations=eliminations,
     )
-
-
-def _release_slot(
-    unit: tuple[tuple[int, ...], Batch], known_pos: list[int], unknown_pos: list[int], known: dict[int, bytes],
-) -> tuple[list[tuple[int, bytes]], int]:
-    """Batched rule: substitute the known packets out of the outputs,
-    column-reduce the unknown rows together with the outputs and release
-    the user of every unit column."""
-    users, batch = unit
-    transfer = batch.transfer
-    outputs = list(batch.outputs)
-    ops = 0
-    for pos in known_pos:
-        payload = known[users[pos]]
-        bit = 1 << pos
-        for j, mask in enumerate(transfer.column_masks()):
-            if mask & bit:
-                outputs[j] = xor_bytes(outputs[j], payload)
-                ops += 1
-    reduced, outputs, spent = rcef(select_rows(transfer, unknown_pos), outputs)
-    ops += spent
-    released = []
-    for j, mask in enumerate(reduced.column_masks()):
-        if mask.bit_count() == 1:
-            released.append((users[unknown_pos[mask.bit_length() - 1]], outputs[j]))
-    return released, ops
-
-
-def _release_single(
-    unit: tuple[tuple[int, ...], bytes], known_pos: list[int], unknown_pos: list[int], known: dict[int, bytes],
-) -> tuple[tuple[tuple[int, bytes], ...], int]:
-    """Ordinary rule: an equation with exactly one unknown member releases it."""
-    if len(unknown_pos) != 1:
-        return (), 0
-    members, value = unit
-    for pos in known_pos:
-        value = xor_bytes(value, known[members[pos]])
-    return ((members[unknown_pos[0]], value),), len(known_pos)
 
 
 def batched_bp(
@@ -190,10 +294,21 @@ def batched_bp(
     revisited only when another recovery enlarged their known set.
 
     Raises FrameInconsistencyError when two resolutions of the same packet
-    disagree (impossible for frames produced by `sample_frame`).
+    disagree or the recovered packets disagree with the frame (impossible
+    for frames produced by `sample_frame`).
     """
-    units = [(batch.users, batch) for batch in frame.batches if batch.transfer.cols]
-    return _peel(frame, units, _release_slot, preknown, max_iters)
+    rows = np.diff(frame.batch_ptr).tolist()
+    column_ptr = frame.column_ptr.tolist()
+    masks = frame.column_masks.tolist()
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    shape_of = [
+        ids.setdefault((rows[b], tuple(masks[column_ptr[b]:column_ptr[b + 1]])), len(ids))
+        for b in range(len(rows))
+    ]
+    return _peel(
+        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, list(ids), shape_of,
+        preknown, max_iters, counter=False,
+    )
 
 
 def ordinary_bp(
@@ -204,11 +319,19 @@ def ordinary_bp(
     """Classic peeling over individual output equations.
 
     Every output column of every batch is treated as a standalone XOR
-    equation; an equation with exactly one unknown member releases it.
-    Cross-column structure inside a batch is deliberately ignored, which is
-    what makes this the weaker baseline.
+    equation over its members; an equation with exactly one unknown member
+    releases it.  Cross-column structure inside a batch is deliberately
+    ignored, which is what makes this the weaker baseline.  An equation is
+    woken only when its unknown count drops to one: the counter peel of
+    invertible Bloom lookup tables.
     """
-    return _peel(frame, equations(frame), _release_single, preknown, max_iters)
+    sizes = frame.member_ptr[1:] - frame.member_ptr[:-1]
+    top = int(sizes.max()) if len(sizes) else 0
+    shapes = [(n, ((1 << n) - 1,)) for n in range(top + 1)]  # shape id = member count
+    return _peel(
+        frame, frame.member_ptr, frame.members, np.arange(len(sizes) + 1), shapes, sizes.tolist(),
+        preknown, max_iters, counter=True,
+    )
 
 
 def ge_oracle(
@@ -245,14 +368,13 @@ def ge_oracle(
     core = [u for u in range(frame.users) if u not in known]
     if not core:
         return frozenset(known)
-    row_of = {u: i for i, u in enumerate(core)}
-    masks = []
-    for members, _ in equations(frame):
-        mask = 0
-        for u in members:
-            if u in row_of:
-                mask |= 1 << row_of[u]
-        if mask:
-            masks.append(mask)
-    solved = units_in_span(span_basis(masks), len(core))
+    row_of = np.full(frame.users, -1, dtype=np.int64)
+    row_of[core] = np.arange(len(core))
+    column, _ = segments(np.diff(frame.member_ptr))
+    rows = row_of[frame.members]
+    in_core = rows >= 0
+    masks: dict[int, int] = {}
+    for e, r in zip(column[in_core].tolist(), rows[in_core].tolist()):
+        masks[e] = masks.get(e, 0) | 1 << r
+    solved = units_in_span(span_basis(masks.values()), len(core))
     return frozenset(known).union(core[i] for i in solved)

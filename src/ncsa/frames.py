@@ -5,6 +5,12 @@ picks that many distinct slots uniformly, and repeats its packet in them.
 Each slot with transmitters draws a transfer matrix from the model's family
 for its collision size and exposes the decoded combinations.
 
+A frame is a record of CSR arrays (`Frame`): per occupied slot (batch) its
+users and transfer column masks, per output column its member users, and
+the payloads and outputs as ``uint8`` row arrays.  The outputs are encoded
+with one XOR-reduce over member payload rows.  `Batch` objects and
+``bytes`` payloads are built only when asked for, for tests and demos.
+
 A frame comes from one generator seeded with the config seed, drawn in
 numpy blocks and always in the same order: every user's degree, every
 user's slots (one block per degree), every payload, then the transfer
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BitMatrix, combine
+# `combine` is the encoding reference, kept here where benchmarks/tracing.py wraps it
+from .gf2 import BitMatrix, combine  # noqa: F401
 from .pnc import PncModel
 
 # Below this chance that d uniform slots are distinct, a user's slots come
@@ -166,23 +173,184 @@ class Batch:
     outputs: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A fully drawn frame with ground-truth payloads.
+def segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of the given lengths laid end to end: each item's segment
+    and its position within the segment."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
 
-    The batches are the frame's only record of who transmitted where: one
-    per occupied slot, in ascending slot order, and a user's slots are the
-    batches that list it.
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets (length n + 1) for segments of the given lengths."""
+    ptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    return ptr
+
+
+def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """XOR of each CSR segment ``rows[ptr[i]:ptr[i + 1]]`` of a C-contiguous
+    2-D uint8 array, one row per segment; an empty segment gives a zero row.
+
+    Rows are XORed as the widest unsigned words that divide their length,
+    which makes the reduction several times faster than byte by byte.
+    """
+    width = rows.shape[1]
+    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
+    words = rows.view(f"u{word}")
+    out = np.zeros((len(ptr) - 1, words.shape[1]), dtype=words.dtype)
+    nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
+    if len(nonempty):
+        out[nonempty] = np.bitwise_xor.reduceat(words, ptr[nonempty], axis=0)
+    return out.view(np.uint8)
+
+
+class Frame:
+    """A fully drawn frame with ground-truth payloads, held as CSR arrays.
+
+    A batch is one occupied slot: its transmitters, its transfer matrix and
+    what the receiver decoded there.  The frame stores them column-wise:
+
+    * ``payload_rows``: ``(K, L)`` ``uint8``, row u is user u's packet;
+    * ``batch_slot``: each batch's slot; batch b's users are
+      ``batch_users[batch_ptr[b]:batch_ptr[b + 1]]`` (row r of its transfer
+      matrix belongs to its r-th user) and its transfer columns, as row
+      bitmasks, are ``column_masks[column_ptr[b]:column_ptr[b + 1]]``;
+    * per output column e over all batches, its member users
+      ``members[member_ptr[e]:member_ptr[e + 1]]`` (the users whose packets
+      enter it, in row order) and the received combination ``outputs[e]``, an
+      ``(E, L)`` ``uint8`` array.
+
+    Column masks are ``int64``, or Python ints (``object``) when a batch with
+    columns has more than 63 rows.  ``Frame(n_slots, payload_len, payloads,
+    batches)`` builds the arrays from `Batch` objects, which may come in any
+    order; `sample_frame` writes them directly.  `payloads` (one ``bytes`` per
+    user) and `batches` (one `Batch` per occupied slot, in stored order) are
+    built on first use.  The arrays are never written after construction.
     """
 
-    n_slots: int
-    payload_len: int
-    payloads: tuple[bytes, ...]
-    batches: tuple[Batch, ...]
+    __slots__ = (
+        "n_slots", "payload_len", "payload_rows", "batch_slot", "batch_ptr", "batch_users",
+        "column_ptr", "column_masks", "member_ptr", "members", "outputs", "mismatched_outputs", "_payloads",
+        "_batches",
+    )
+
+    def __init__(self, n_slots: int, payload_len: int, payloads, batches):
+        payloads = tuple(payloads)
+        batches = tuple(batches)
+        if any(len(p) != payload_len for p in payloads):
+            raise ValueError("every payload must be payload_len bytes")
+        for batch in batches:
+            if batch.transfer.rows != len(batch.users) or len(batch.outputs) != batch.transfer.cols:
+                raise ValueError(f"batch of slot {batch.slot}: transfer shape does not match users and outputs")
+            if any(len(o) != payload_len for o in batch.outputs):
+                raise ValueError("every output must be payload_len bytes")
+            if any(not 0 <= u < len(payloads) for u in batch.users):
+                raise ValueError(f"batch of slot {batch.slot} names a user out of range")
+        wide = any(len(b.users) > 63 for b in batches if b.transfer.cols)
+        masks = [m for b in batches for m in b.transfer.column_masks()]
+        self._set(
+            n_slots,
+            payload_len,
+            np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(len(payloads), payload_len),
+            np.array([b.slot for b in batches], dtype=np.int64),
+            offsets(np.array([len(b.users) for b in batches], dtype=np.int64)),
+            np.array([u for b in batches for u in b.users], dtype=np.int64),
+            offsets(np.array([b.transfer.cols for b in batches], dtype=np.int64)),
+            np.array(masks, dtype=object if wide else np.int64),
+            np.frombuffer(b"".join(o for b in batches for o in b.outputs), dtype=np.uint8).reshape(
+                len(masks), payload_len
+            ),
+        )
+        self._payloads = payloads
+        self._batches = batches
+
+    @classmethod
+    def _from_arrays(cls, n_slots, payload_len, payload_rows, batch_slot, batch_ptr, batch_users,
+                     column_ptr, column_masks) -> "Frame":
+        """A frame from its batch arrays, with the outputs encoded from the
+        payload rows."""
+        frame = cls.__new__(cls)
+        frame._set(n_slots, payload_len, payload_rows, batch_slot, batch_ptr, batch_users, column_ptr, column_masks)
+        return frame
+
+    def _set(self, n_slots, payload_len, payload_rows, batch_slot, batch_ptr, batch_users,
+             column_ptr, column_masks, outputs=None) -> None:
+        """Store the batch arrays and derive the member lists; `outputs` None
+        encodes them."""
+        self.n_slots = n_slots
+        self.payload_len = payload_len
+        self.payload_rows = payload_rows
+        self.batch_slot = batch_slot
+        self.batch_ptr = batch_ptr
+        self.batch_users = batch_users
+        self.column_ptr = column_ptr
+        self.column_masks = column_masks
+        # one (column, row) pair per transfer entry; the set ones are members
+        col_batch = np.repeat(np.arange(len(batch_slot)), column_ptr[1:] - column_ptr[:-1])
+        pair_col, pair_row = segments((batch_ptr[1:] - batch_ptr[:-1])[col_batch])
+        hit = ((column_masks[pair_col] >> pair_row) & 1).astype(bool)
+        self.members = batch_users[batch_ptr[col_batch[pair_col[hit]]] + pair_row[hit]]
+        self.member_ptr = offsets(np.bincount(pair_col[hit], minlength=len(column_masks)))
+        encoded = xor_segments(payload_rows[self.members], self.member_ptr)
+        self.outputs = encoded if outputs is None else outputs
+        # output columns that differ from the XOR of their members' payloads:
+        # none unless a hand-built frame is corrupt
+        self.mismatched_outputs = np.flatnonzero((encoded != self.outputs).any(axis=1))
+        for name in ("payload_rows", "batch_slot", "batch_ptr", "batch_users", "column_ptr", "column_masks",
+                     "members", "member_ptr", "outputs", "mismatched_outputs"):
+            getattr(self, name).flags.writeable = False
+        self._payloads = None
+        self._batches = None
 
     @property
     def users(self) -> int:
-        return len(self.payloads)
+        return len(self.payload_rows)
+
+    @property
+    def payloads(self) -> tuple[bytes, ...]:
+        """Each user's packet as ``bytes``."""
+        if self._payloads is None:
+            blob = self.payload_rows.tobytes()
+            size = self.payload_len
+            self._payloads = tuple(blob[u * size:(u + 1) * size] for u in range(self.users))
+        return self._payloads
+
+    @property
+    def batches(self) -> tuple[Batch, ...]:
+        """One `Batch` per occupied slot, in stored order."""
+        if self._batches is None:
+            users = self.batch_users.tolist()
+            uptr = self.batch_ptr.tolist()
+            masks = self.column_masks.tolist()
+            cptr = self.column_ptr.tolist()
+            blob = self.outputs.tobytes()
+            size = self.payload_len
+            self._batches = tuple(
+                Batch(
+                    slot=slot,
+                    users=tuple(users[uptr[b]:uptr[b + 1]]),
+                    transfer=BitMatrix(uptr[b + 1] - uptr[b], cptr[b + 1] - cptr[b], masks[cptr[b]:cptr[b + 1]]),
+                    outputs=tuple(blob[e * size:(e + 1) * size] for e in range(cptr[b], cptr[b + 1])),
+                )
+                for b, slot in enumerate(self.batch_slot.tolist())
+            )
+        return self._batches
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return (self.n_slots, self.payload_len) == (other.n_slots, other.payload_len) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("payload_rows", "batch_slot", "batch_ptr", "batch_users", "column_ptr",
+                         "column_masks", "outputs")
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"Frame(n_slots={self.n_slots}, users={self.users}, payload_len={self.payload_len}, "
+                f"batches={len(self.batch_slot)}, outputs={len(self.outputs)})")
 
 
 def _distinct_rows(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
@@ -217,41 +385,38 @@ def sample_frame(config: SystemConfig) -> Frame:
     for d in np.unique(degrees).tolist():
         who = np.flatnonzero(degrees == d)
         flat[(ends[who] - d)[:, None] + np.arange(d)] = _distinct_rows(rng, len(who), d, n)
-    # Each temporary is dropped once used, which keeps the peak memory of a
-    # frame draw below that of drawing it user by user.
-    blob = rng.bytes(users * payload_len)
-    payloads = tuple(blob[i * payload_len:(i + 1) * payload_len] for i in range(users))
-    del blob
+    payload_rows = np.frombuffer(rng.bytes(users * payload_len), dtype=np.uint8).reshape(users, payload_len)
 
-    # occupancy: a stable sort by slot keeps each slot's users ascending.
-    # One Python int per user, shared by all of that user's transmissions.
-    order = np.argsort(flat, kind="stable")
+    # occupancy: sorting by (slot, user) keeps each slot's users ascending;
+    # the keys are distinct, so any sort gives this order
+    owner = np.repeat(np.arange(users, dtype=np.int64), degrees)
+    order = np.argsort(flat * users + owner)
     by_slot = flat[order]
     first = np.flatnonzero(np.diff(by_slot, prepend=-1))
     sizes = np.diff(first, append=len(by_slot))
-    slot_of = by_slot[first].tolist()
-    occupant_list = np.repeat(np.arange(users, dtype=object), degrees)[order].tolist()
-    del flat, order, by_slot
+    batch_slot = by_slot[first]
+    batch_users = owner[order]
+    del flat, owner, order, by_slot  # dropped once used, which keeps the peak memory of a draw low
 
-    transfers: list[BitMatrix | None] = [None] * len(first)
+    # transfer matrices, one block per collision size, then scattered back
+    # to batch order as column counts and column masks
+    drawn_at = []
+    drawn = []
     for c in np.unique(sizes).tolist():
         at = np.flatnonzero(sizes == c)
-        for k, transfer in zip(at.tolist(), config.model.family(c).sample(rng, len(at))):
-            transfers[k] = transfer
+        drawn_at.append(at)
+        drawn += config.model.family(c).sample(rng, len(at))
+    drawn_at = np.concatenate(drawn_at)
+    n_cols = np.zeros(len(first), dtype=np.int64)
+    n_cols[drawn_at] = [t.cols for t in drawn]
+    column_ptr = offsets(n_cols)
+    wide = bool((sizes[n_cols > 0] > 63).any())
+    column_masks = np.zeros(int(column_ptr[-1]), dtype=object if wide else np.int64)
+    col_batch, col_pos = segments(n_cols[drawn_at])
+    column_masks[column_ptr[drawn_at][col_batch] + col_pos] = [m for t in drawn for m in t.column_masks()]
 
-    bounds = [*first.tolist(), len(occupant_list)]
-    batches = []
-    for k, t in enumerate(slot_of):
-        slot_users = tuple(occupant_list[bounds[k]:bounds[k + 1]])
-        transfer = transfers[k]
-        outputs = tuple(combine([payloads[u] for u in slot_users], transfer))
-        batches.append(Batch(slot=t, users=slot_users, transfer=transfer, outputs=outputs))
-
-    return Frame(
-        n_slots=n,
-        payload_len=payload_len,
-        payloads=payloads,
-        batches=tuple(batches),
+    return Frame._from_arrays(
+        n, payload_len, payload_rows, batch_slot, offsets(sizes), batch_users, column_ptr, column_masks,
     )
 
 
@@ -260,27 +425,9 @@ def slot_degree_histogram(frame: Frame) -> np.ndarray:
 
     Every occupied slot has a batch, so the slots without one are idle.
     """
-    sizes = np.fromiter((len(batch.users) for batch in frame.batches), dtype=np.int64, count=len(frame.batches))
-    hist = np.bincount(sizes, minlength=1)
-    hist[0] = frame.n_slots - len(frame.batches)
+    hist = np.bincount(np.diff(frame.batch_ptr), minlength=1)
+    hist[0] = frame.n_slots - len(frame.batch_slot)
     return hist
-
-
-def equations(frame: Frame) -> list[tuple[tuple[int, ...], bytes]]:
-    """Every output column of every batch as (member users, output payload),
-    batch by batch and column by column.
-
-    Plain tuples of ints and bytes, which the garbage collector stops
-    tracking, so tens of thousands of equations do not slow collections.
-    """
-    lifted = []
-    for batch in frame.batches:
-        users = batch.users
-        everyone = (1 << len(users)) - 1
-        for mask, value in zip(batch.transfer.column_masks(), batch.outputs):
-            members = users if mask == everyone else tuple([u for pos, u in enumerate(users) if mask >> pos & 1])
-            lifted.append((members, value))
-    return lifted
 
 
 def global_matrix(frame: Frame) -> BitMatrix:
@@ -290,5 +437,7 @@ def global_matrix(frame: Frame) -> BitMatrix:
     slot t.  Rank queries against this matrix bound what any decoder could
     ever recover from the frame.
     """
-    masks = [sum(1 << u for u in members) for members, _ in equations(frame)]
+    members = frame.members.tolist()
+    ptr = frame.member_ptr.tolist()
+    masks = [sum(1 << u for u in members[ptr[e]:ptr[e + 1]]) for e in range(len(ptr) - 1)]
     return BitMatrix(frame.users, len(masks), masks)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncsa.decoders
+from ncsa.cli import main
 from ncsa.decoders import (
     DecodeReport,
     FrameInconsistencyError,
@@ -232,6 +234,24 @@ def corrupted_two_slot_frame():
     )
 
 
+def cross_pass_corrupted_frame():
+    """User 0 alone in slot 0, whose output claims `x`; users 0 and 1 on one
+    all-ones column in slot 1.  The outputs alone are consistent (user 0 = x,
+    user 1 = r), but user 0 sent `z`."""
+    frame = frame_from_batches([b"z", b"p"], [(0, (0,), [[1]]), (1, (0, 1), [[1], [1]])])
+    bad = Batch(slot=0, users=(0,), transfer=frame.batches[0].transfer, outputs=(b"x",))
+    return Frame(n_slots=2, payload_len=1, payloads=frame.payloads, batches=(bad, frame.batches[1]))
+
+
+def unused_corrupt_output_frame():
+    """Users 0 and 2 each alone in a slot, plus a slot summing both whose
+    output is wrong.  Peeling never needs the sum, so only re-encoding it
+    from the recovered packets shows the corruption."""
+    frame = frame_from_batches([b"a", b"b", b"c"], [(0, (0,), [[1]]), (1, (2,), [[1]]), (2, (0, 2), [[1], [1]])])
+    bad = Batch(slot=2, users=(0, 2), transfer=frame.batches[2].transfer, outputs=(b"q",))
+    return Frame(n_slots=3, payload_len=1, payloads=frame.payloads, batches=(*frame.batches[:2], bad))
+
+
 def four_user_frame():
     payloads = [bytes([7 * (i + 1)]) * 3 for i in range(4)]
     rows = [[1, 0], [0, 1], [1, 1], [1, 1]]
@@ -428,6 +448,24 @@ def test_conflicting_batches_raise():
         ordinary_bp(corrupted)
 
 
+@pytest.mark.parametrize("corrupted", [cross_pass_corrupted_frame, unused_corrupt_output_frame])
+def test_corruption_found_after_the_peel_raises(corrupted):
+    frame = corrupted()
+    for decode in (batched_bp, ordinary_bp, ge_oracle):
+        with pytest.raises(FrameInconsistencyError):
+            decode(frame)
+
+
+def test_a_corrupt_output_with_unknown_members_does_not_raise():
+    # the corrupt sum is never fully recovered, so nothing contradicts it
+    frame = frame_from_batches([b"a", b"b", b"c"], [(0, (0,), [[1]]), (1, (1, 2), [[1], [1]])])
+    bad = Batch(slot=1, users=(1, 2), transfer=frame.batches[1].transfer, outputs=(b"q",))
+    corrupted = Frame(n_slots=2, payload_len=1, payloads=frame.payloads, batches=(frame.batches[0], bad))
+    assert corrupted.mismatched_outputs.tolist() == [1]
+    assert batched_bp(corrupted).recovered == {0: b"a"}
+    assert ordinary_bp(corrupted).recovered == {0: b"a"}
+
+
 # --- the shared peeling driver against the references -------------------------
 
 
@@ -452,6 +490,84 @@ def test_peelers_match_references_past_the_peeling_threshold():
     for seed in range(10):
         cfg = SystemConfig(users=400, slots=math.ceil(400 / 1.75), dist=dist, model=model, seed=seed, payload_len=2)
         assert_same_peels(sample_frame(cfg))
+
+
+def test_peelers_match_references_on_a_large_dense_frame():
+    # 20k users at rate 1.6: the differential case with the most distinct
+    # (shape, unknown mask) keys, about 24k
+    cfg = SystemConfig(
+        users=20_000, slots=math.ceil(20_000 / 1.6), dist=DegreeDistribution({3: 1.0}),
+        model=PncModel.example(10), seed=3, payload_len=4,
+    )
+    assert_same_peels(sample_frame(cfg))
+
+
+def test_peelers_match_references_on_a_batch_wider_than_int64():
+    # 70 users in one slot: column masks are Python ints, not int64
+    users = 70
+    payloads = [bytes([i, 255 - i]) for i in range(users)]
+    rows = [[0, 0] for _ in range(users)]
+    rows[0][1] = rows[69][0] = rows[69][1] = 1
+    rows[30][0] = 1
+    specs = [(0, tuple(range(users)), rows), (1, (30,), [[1]])]
+    frame = frame_from_batches(payloads, specs)
+    assert frame.column_masks.dtype == object
+    for pre in (None, {5: payloads[5]}):
+        assert_same_peels(frame, pre)
+    assert set(batched_bp(frame).recovered) == {0, 30, 69}
+
+
+def test_rebuilt_frame_decodes_identically():
+    # a sampled frame and the same frame rebuilt from its Batch objects
+    model = PncModel.example(5)
+    dist = DegreeDistribution({1: 0.15, 2: 0.35, 3: 0.3, 4: 0.2})
+    for seed in range(20):
+        frame = sample_frame(SystemConfig(users=50, slots=60, dist=dist, model=model, seed=seed, payload_len=2))
+        rebuilt = Frame(n_slots=frame.n_slots, payload_len=frame.payload_len, payloads=frame.payloads,
+                        batches=frame.batches)
+        assert rebuilt == frame
+        for decode in (batched_bp, ordinary_bp, ge_oracle):
+            assert decode(rebuilt) == decode(frame)
+
+
+def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
+    """Without a wall clock: one elimination per distinct (shape, unknown
+    mask) key, and the report counts them."""
+    frame = sample_frame(SystemConfig(
+        users=20_000, slots=40_000, dist=DegreeDistribution({3: 1.0}), model=PncModel.example(10), seed=1,
+    ))
+    keys = []
+    calls = 0
+
+    def recording_select_rows(matrix, rows):
+        rows = tuple(rows)
+        keys.append((matrix.rows, matrix.column_masks(), rows))
+        return select_rows(matrix, rows)
+
+    def counting_rcef(matrix, payloads):
+        nonlocal calls
+        calls += 1
+        return rcef(matrix, payloads)
+
+    monkeypatch.setattr(ncsa.decoders, "select_rows", recording_select_rows)
+    monkeypatch.setattr(ncsa.decoders, "rcef", counting_rcef)
+    report = batched_bp(frame)
+    assert report.decoded_fraction == 1.0
+    assert 0 < calls <= len(set(keys))
+    assert report.eliminations == calls
+    assert report.visits >= len(set(keys))
+
+
+def test_simulate_never_builds_batch_objects(tmp_path, monkeypatch):
+    def refuse(frame):
+        raise AssertionError("simulate built Frame.batches")
+
+    monkeypatch.setattr(Frame, "batches", property(refuse))
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--users", "300", "--rate", "0.5", "--dist", "3:1", "--cap", "5", "--decoder", "all",
+            "--trials", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().count(",oracle,") == 2
 
 
 def test_oracle_identity_frame():

@@ -361,6 +361,38 @@ def test_histogram_matches_loop():
     assert slot_degree_histogram(hand_built[0]).tolist() == [5]
 
 
+# --- CSR arrays --------------------------------------------------------------------
+
+
+def test_csr_arrays_agree_with_the_batches():
+    dist = DegreeDistribution({1: 0.3, 2: 0.4, 3: 0.3})
+    frame = sample_frame(SystemConfig(users=120, slots=60, dist=dist, model=small_model(), seed=9, payload_len=3))
+    columns = [(b.users, m, o) for b in frame.batches for m, o in zip(b.transfer.column_masks(), b.outputs)]
+    assert len(columns) == len(frame.outputs) == len(frame.member_ptr) - 1
+    for e, (users, mask, output) in enumerate(columns):
+        members = frame.members[frame.member_ptr[e]:frame.member_ptr[e + 1]].tolist()
+        assert members == [u for pos, u in enumerate(users) if mask >> pos & 1]
+        assert frame.outputs[e].tobytes() == output
+    assert frame.mismatched_outputs.tolist() == []
+    rebuilt = Frame(n_slots=frame.n_slots, payload_len=frame.payload_len, payloads=frame.payloads,
+                    batches=frame.batches)
+    assert rebuilt == frame
+    assert rebuilt.payloads == frame.payloads and rebuilt.batches == frame.batches
+
+
+def test_hand_built_frame_flags_outputs_that_disagree_with_its_payloads():
+    payloads = (b"a", b"b")
+    good = Batch(slot=0, users=(0, 1), transfer=BitMatrix.from_rows([[1], [1]]), outputs=(bytes([ord("a") ^ ord("b")]),))
+    bad = Batch(slot=3, users=(1,), transfer=BitMatrix.from_rows([[1]]), outputs=(b"z",))
+    frame = Frame(n_slots=4, payload_len=1, payloads=payloads, batches=(bad, good))
+    assert frame.mismatched_outputs.tolist() == [0]
+    assert frame.batch_slot.tolist() == [3, 0]
+    with pytest.raises(ValueError):
+        Frame(n_slots=4, payload_len=2, payloads=payloads, batches=())
+    with pytest.raises(ValueError):
+        Frame(n_slots=4, payload_len=1, payloads=payloads, batches=(Batch(0, (0, 2), BitMatrix(2, 0), ()),))
+
+
 # --- global matrix ----------------------------------------------------------------
 
 
