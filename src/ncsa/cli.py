@@ -32,7 +32,7 @@ from .decoders import FrameInconsistencyError, batched_bp, ge_oracle, ordinary_b
 from .evolution import InvariantError, evolve, rate_upper_bound
 from .frames import DegreeDistribution, SystemConfig, sample_frame
 from .optimize import optimize, sweep
-from .pnc import PncModel, family_size, gamma_closed_form, gamma_k_enum
+from .pnc import PncModel, gamma_closed_form, gamma_k_enum
 from .svg import render_line_chart
 
 
@@ -185,10 +185,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if "users" not in cfg:
         raise ConfigError("--users is required")
     users = int(cfg["users"])
+    if users < 1:
+        raise ConfigError(f"--users must be positive, got {users}")
     if ("slots" in cfg) == ("rate" in cfg):
         raise ConfigError("give exactly one of --slots or --rate")
     if "slots" in cfg:
         slots = int(cfg["slots"])
+        if slots < 1:
+            raise ConfigError(f"--slots must be positive, got {slots}")
     else:
         rate = float(cfg["rate"])
         if not (math.isfinite(rate) and rate > 0):
@@ -368,16 +372,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         table_vals = poly(xs)
         closed_dev: float | None = None
         if model.is_example and d >= 2:
-            per_member = 1.0 / family_size(d)
-            g2 = {a: per_member for a in range(1, d // 2 + 1)}
-            g3 = {
-                (a1, a2): per_member
-                for a1 in range(1, d - 1)
-                for a2 in range(a1, d - a1)
-            }
-            closed_vals = np.array(
-                [gamma_closed_form(d, per_member, g2, g3, float(x)) for x in xs]
-            )
+            closed_vals = np.array([gamma_closed_form(d, float(x)) for x in xs])
             closed_dev = float(np.max(np.abs(closed_vals - table_vals)))
         enum_dev: float | None = None
         if d <= enum_limit:

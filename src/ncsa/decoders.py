@@ -40,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .frames import Frame, offsets, segments
-from .gf2 import BitMatrix, rcef, select_rows, span_basis, units_in_span
+from .gf2 import BitMatrix, mask_dtype, rcef, select_rows, span_basis, units_in_span
 
 
 class FrameInconsistencyError(Exception):
@@ -94,7 +94,7 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 def _one_bits(shift: np.ndarray) -> list[int]:
     """``1 << shift`` for each entry, as Python ints."""
-    if len(shift) and shift.max() > 62:
+    if mask_dtype(int(shift.max(initial=-1)) + 1) is object:
         return [1 << s for s in shift.tolist()]
     return np.left_shift(1, shift).tolist()
 

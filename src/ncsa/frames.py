@@ -14,8 +14,9 @@ with one XOR-reduce over member payload rows.  `Batch` objects and
 A frame comes from one generator seeded with the config seed, drawn in
 numpy blocks and always in the same order: every user's degree, every
 user's slots (one block per degree), every payload, then the transfer
-matrices (one block per collision size).  The same seed and config give the
-same frame; a single user or slot cannot be redrawn on its own.
+matrices (one block per collision size, as column counts and padded column
+masks).  The same seed and config give the same frame; a single user or
+slot cannot be redrawn on its own.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # `combine` is the encoding reference, kept here where benchmarks/tracing.py wraps it
-from .gf2 import BitMatrix, combine  # noqa: F401
+from .gf2 import BitMatrix, combine, mask_dtype  # noqa: F401
 from .pnc import PncModel
 
 # Below this chance that d uniform slots are distinct, a user's slots come
@@ -221,12 +222,13 @@ class Frame:
       enter it, in row order) and the received combination ``outputs[e]``, an
       ``(E, L)`` ``uint8`` array.
 
-    Column masks are ``int64``, or Python ints (``object``) when a batch with
-    columns has more than 63 rows.  ``Frame(n_slots, payload_len, payloads,
-    batches)`` builds the arrays from `Batch` objects, which may come in any
-    order; `sample_frame` writes them directly.  `payloads` (one ``bytes`` per
-    user) and `batches` (one `Batch` per occupied slot, in stored order) are
-    built on first use.  The arrays are never written after construction.
+    Column masks have the dtype `gf2.mask_dtype` picks for the most rows of a
+    batch with columns: ``int64``, or Python ints (``object``) past its
+    width.  ``Frame(n_slots, payload_len, payloads, batches)`` builds the
+    arrays from `Batch` objects, which may come in any order; `sample_frame`
+    writes them directly.  `payloads` (one ``bytes`` per user) and `batches`
+    (one `Batch` per occupied slot, in stored order) are built on first use.
+    The arrays are never written after construction.
     """
 
     __slots__ = (
@@ -247,8 +249,8 @@ class Frame:
                 raise ValueError("every output must be payload_len bytes")
             if any(not 0 <= u < len(payloads) for u in batch.users):
                 raise ValueError(f"batch of slot {batch.slot} names a user out of range")
-        wide = any(len(b.users) > 63 for b in batches if b.transfer.cols)
         masks = [m for b in batches for m in b.transfer.column_masks()]
+        rows = max((len(b.users) for b in batches if b.transfer.cols), default=0)
         self._set(
             n_slots,
             payload_len,
@@ -257,7 +259,7 @@ class Frame:
             offsets(np.array([len(b.users) for b in batches], dtype=np.int64)),
             np.array([u for b in batches for u in b.users], dtype=np.int64),
             offsets(np.array([b.transfer.cols for b in batches], dtype=np.int64)),
-            np.array(masks, dtype=object if wide else np.int64),
+            np.array(masks, dtype=mask_dtype(rows)),
             np.frombuffer(b"".join(o for b in batches for o in b.outputs), dtype=np.uint8).reshape(
                 len(masks), payload_len
             ),
@@ -400,20 +402,18 @@ def sample_frame(config: SystemConfig) -> Frame:
 
     # transfer matrices, one block per collision size, then scattered back
     # to batch order as column counts and column masks
-    drawn_at = []
+    n_cols = np.zeros(len(first), dtype=np.int64)
     drawn = []
     for c in np.unique(sizes).tolist():
         at = np.flatnonzero(sizes == c)
-        drawn_at.append(at)
-        drawn += config.model.family(c).sample(rng, len(at))
-    drawn_at = np.concatenate(drawn_at)
-    n_cols = np.zeros(len(first), dtype=np.int64)
-    n_cols[drawn_at] = [t.cols for t in drawn]
+        n_cols[at], masks = config.model.family(c).sample(rng, len(at))
+        drawn.append((at, masks))
     column_ptr = offsets(n_cols)
-    wide = bool((sizes[n_cols > 0] > 63).any())
-    column_masks = np.zeros(int(column_ptr[-1]), dtype=object if wide else np.int64)
-    col_batch, col_pos = segments(n_cols[drawn_at])
-    column_masks[column_ptr[drawn_at][col_batch] + col_pos] = [m for t in drawn for m in t.column_masks()]
+    column_masks = np.zeros(int(column_ptr[-1]), dtype=mask_dtype(int(sizes[n_cols > 0].max(initial=0))))
+    for at, masks in drawn:
+        pos = np.arange(masks.shape[1])
+        held = pos < n_cols[at][:, None]  # the zero padding is not stored
+        column_masks[(column_ptr[at][:, None] + pos)[held]] = masks[held]
 
     return Frame._from_arrays(
         n, payload_len, payload_rows, batch_slot, offsets(sizes), batch_users, column_ptr, column_masks,

@@ -14,6 +14,14 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
+
+def mask_dtype(rows: int):
+    """The numpy dtype that holds column masks over `rows` rows: ``int64``
+    up to 63 rows, Python ints (``object``) beyond."""
+    return np.int64 if rows <= 63 else object
+
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""

@@ -19,6 +19,9 @@ ranks, the mean rank, the solvability counts and sampling all follow from
 one representative per shape.  `example_family` lists every member and is
 kept as the enumerated reference the counted routes are tested against.
 
+Both family types sample a block of draws as arrays, not matrices: the
+column counts and the column masks padded with zeros (`gf2.mask_dtype`).
+
 `gamma_set` is the solvability footprint a decoder cares about: which
 subsets of the first d-1 users, once known, let the last user's packet be
 solved out of the slot.  Each family owns its two analysis tables: the mean
@@ -38,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, in_colspan, rank, select_rows
+from .gf2 import BitMatrix, in_colspan, mask_dtype, rank, select_rows
 
 _T10 = (1, 0)
 _T01 = (0, 1)
@@ -172,6 +175,11 @@ class WeightedMatrixFamily:
         self.expected_rank = sum(prob * matrix.cols for matrix, prob in entries)
         self._cum = np.fromiter(accumulate(p for _, p in entries), dtype=float, count=len(entries))
         self._cum[-1] = 1.0
+        # per member: how many columns, and its column masks padded to the widest member
+        self._cols = np.array([matrix.cols for matrix, _ in entries], dtype=np.int64)
+        self._masks = np.zeros((len(entries), int(self._cols.max())), dtype=mask_dtype(degree))
+        for i, (matrix, _) in enumerate(entries):
+            self._masks[i, :matrix.cols] = matrix.column_masks()
 
     def gamma_counts(self) -> list[float]:
         """counts[j] = mean number of size-j subsets in a member's gamma set."""
@@ -184,10 +192,12 @@ class WeightedMatrixFamily:
                 counts[j] += prob * c
         return counts
 
-    def sample(self, rng, count: int) -> list[BitMatrix]:
-        """`count` independent members, each drawn at its probability."""
+    def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` independent members, each drawn at its probability, as
+        their column counts and their column masks padded with zeros to the
+        widest member (a ``(count, width)`` array)."""
         picks = np.minimum(np.searchsorted(self._cum, rng.random(count)), len(self.entries) - 1)
-        return [self.entries[i][0] for i in picks.tolist()]
+        return self._cols[picks], self._masks[picks]
 
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
         return iter(self.entries)
@@ -222,24 +232,23 @@ class StockFamily:
         self._cum = np.array([float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes)])
         # per shape: how many columns, and the representative's entries
         # padded to two columns
-        self._shape_cols = np.array([rep.cols for rep, _ in shapes])
+        self._shape_cols = np.array([rep.cols for rep, _ in shapes], dtype=np.int64)
         self._rep_bits = np.array([
             [[(rep.column_mask(j) >> r) & 1 if j < rep.cols else 0 for j in range(2)] for r in range(degree)]
             for rep, _ in shapes
         ])
 
-    def sample(self, rng, count: int) -> list[BitMatrix]:
-        """`count` independent uniform members.  Each is a shape drawn by its
-        member count, then a uniform arrangement of its rows (representative
-        row r lands in row pos[r] for a uniform permutation pos), so every
-        member has probability 1/size."""
-        d = self.degree
+    def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` independent uniform members, as their column counts and
+        their column masks padded with zeros to two columns.  Each is a shape
+        drawn by its member count, then a uniform arrangement of its rows
+        (representative row r lands in row pos[r] for a uniform permutation
+        pos), so every member has probability 1/size."""
         shape = np.searchsorted(self._cum, rng.random(count))
-        pos = np.argsort(rng.random((count, d)), axis=1)
-        # int64 holds the masks up to d = 63; Python ints beyond
-        ones = np.ones(pos.shape, dtype=np.int64 if d <= 63 else object)
+        pos = np.argsort(rng.random((count, self.degree)), axis=1)
+        ones = np.ones(pos.shape, dtype=mask_dtype(self.degree))
         masks = (np.left_shift(ones, pos)[:, :, None] * self._rep_bits[shape]).sum(axis=1)
-        return [BitMatrix(d, c, m[:c]) for c, m in zip(self._shape_cols[shape].tolist(), masks.tolist())]
+        return self._shape_cols[shape], masks
 
     def gamma_counts(self) -> list[Fraction]:
         """counts[j] = mean number of size-j subsets in a member's gamma set,
@@ -343,19 +352,9 @@ def gamma_k_enum(model: "PncModel", k: int, x: float | Iterable[float]) -> float
     return values[0] if scalar else values
 
 
-def gamma_closed_form(
-    d: int,
-    g1: float,
-    g2: Mapping[int, float],
-    g3: Mapping[tuple[int, int], float],
-    x: float,
-) -> float:
-    """Closed-form degree-(d-1) solvability polynomial of the stock family shape.
-
-    Takes the per-shape probabilities: `g1` for the all-ones column, `g2[a]`
-    for the two-column split with a rows of [0,1], `g3[(a1, a2)]` for the
-    mixed split with a1 rows of [0,1] and a2 rows of [1,0].  Validates that
-    the probabilities, multiplied by their arrangement counts, sum to 1.
+def gamma_closed_form(d: int, x: float) -> float:
+    """Closed-form degree-(d-1) solvability polynomial of the stock family,
+    every member weighted 1/`family_size`.
 
     A target row is solved once every other row of one of its routes is
     known (see `_target_routes`): the all-ones column and a pure split give
@@ -369,19 +368,10 @@ def gamma_closed_form(
     if d < 2:
         raise ValueError("d must be at least 2")
     k = d - 1
-    total = value = 0.0
-    for shape, targets in groupby(_target_routes(d), key=itemgetter(0)):
-        if shape is None:
-            prob = g1
-        elif shape[2] == 0:
-            prob = g2[shape[0]]
-        else:
-            prob = g3[shape[:2]]
-        targets = list(targets)
-        total += sum(arrangements for _, _, arrangements, _ in targets) * prob
+    prob = 1.0 / family_size(d)
+    value = 0.0
+    for _, targets in groupby(_target_routes(d), key=itemgetter(0)):
         value += prob * sum(_route_term(arrangements, routes, k, x) for _, _, arrangements, routes in targets)
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"shape probabilities sum to {total!r}, not 1")
     return value
 
 

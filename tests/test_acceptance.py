@@ -91,16 +91,7 @@ def test_criterion_3():
         worst = 0.0
         worst_d = None
         for d in range(2, 7):
-            per_member = 1.0 / family_size(d)
-            g2 = {a: per_member for a in range(1, d // 2 + 1)}
-            g3 = {
-                (a1, a2): per_member
-                for a1 in range(1, d - 1)
-                for a2 in range(a1, d - a1)
-            }
-            closed = np.array(
-                [gamma_closed_form(d, per_member, g2, g3, float(x)) for x in xs]
-            )
+            closed = np.array([gamma_closed_form(d, float(x)) for x in xs])
             # exhaustive reference: enumerate each member's resolving subsets
             # once, then sum the subset probabilities over the grid
             enum = np.zeros_like(closed)
@@ -118,10 +109,8 @@ def test_criterion_3():
                 worst, worst_d = dev, d
         # the compact form reproduces its quoted degree-2 and degree-3 shapes
         for x in np.arange(0.0, 1.0 + 0.005, 0.01):
-            assert abs(gamma_closed_form(2, 1 / 3, {1: 1 / 3}, {}, x) - (x + 2) / 3) <= 1e-12
-            d3 = gamma_closed_form(
-                3, 0.1, {1: 0.1}, {(1, 1): 0.1}, x
-            )
+            assert abs(gamma_closed_form(2, x) - (x + 2) / 3) <= 1e-12
+            d3 = gamma_closed_form(3, x)
             assert abs(d3 - (1 + 14 * x - 5 * x * x) / 10) <= 1e-12
         assert worst <= 1e-12, (
             f"compact closed form deviates from exhaustive enumeration by up to "

@@ -38,6 +38,28 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert "predicted_fraction" in meta
 
 
+# Within its cap, the size-2 family mixes one- and two-column members, and
+# the size-3 family has a member that only batched BP can use (the sum of its
+# columns isolates the last row) and one that decodes nothing.
+SIMULATE_TEST_MODEL = {
+    "max_decodable": 3,
+    "families": {
+        "1": [{"matrix": [[1]], "prob": 1.0}],
+        "2": [
+            {"matrix": [[1], [1]], "prob": 0.4},
+            {"matrix": [[1, 0], [0, 1]], "prob": 0.35},
+            {"matrix": [[1, 0], [1, 1]], "prob": 0.25},
+        ],
+        "3": [
+            {"matrix": [[1], [1], [1]], "prob": 0.3},
+            {"matrix": [[1, 1], [1, 1], [0, 1]], "prob": 0.4},
+            {"matrix": [[1, 0], [1, 0], [0, 1]], "prob": 0.2},
+            {"matrix": [[], [], []], "prob": 0.1},
+        ],
+    },
+}
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -54,16 +76,25 @@ def test_simulate_reproducible_bytes(tmp_path):
             ["--users", "1000", "--rate", "1.75", "--dist", "3:1", "--cap", "10", "--trials", "2"],
             "06fe04b7c3327ef7aae2b0d250beae95a5f221d3ccf896f9189e87e035d8fa85",
         ),
+        (   # the custom model of SIMULATE_TEST_MODEL
+            ["--users", "300", "--rate", "1.0", "--dist", "2:0.3,3:0.7", "--model", "model.json",
+             "--payload-bytes", "4", "--trials", "3"],
+            "330cca43d4cda967fa2b1bcecb5e72302272967a4fb75041ba095bc360f0e69d",
+        ),
     ],
-    ids=["small-frames", "peeled", "core"],
+    ids=["small-frames", "peeled", "core", "custom"],
 )
-def test_simulate_output_is_pinned(tmp_path, argv, digest):
+def test_simulate_output_is_pinned(tmp_path, monkeypatch, argv, digest):
     """SHA-256 of `simulate --decoder all --omit-times`, which covers frame
-    sampling, both peelers with their field_ops and the oracle.
+    sampling, both peelers with their field_ops and the oracle.  The custom
+    model is passed by a relative path, so that its `# model=` line does not
+    depend on the directory.
 
     A change that alters this output on purpose updates these digests and
     says so, with the old and new output, in CHANGES.md.
     """
+    monkeypatch.chdir(tmp_path)
+    Path("model.json").write_text(json.dumps(SIMULATE_TEST_MODEL))
     code, out = run(tmp_path, "simulate", *argv, "--decoder", "all", "--omit-times")
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -398,6 +429,21 @@ def test_simulate_rejects_nonpositive_rate(tmp_path, capsys, rate):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--rate must be a positive finite number" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--users", "10", "--slots", "0"],
+        ["--users", "0", "--rate", "0.5"],
+    ],
+)
+def test_simulate_rejects_an_empty_frame(tmp_path, capsys, argv):
+    code, out = run(tmp_path, "simulate", *argv, "--dist", "1:1")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "must be positive" in err[0]
 
 
 @pytest.mark.parametrize(

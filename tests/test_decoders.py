@@ -517,6 +517,23 @@ def test_peelers_match_references_on_a_batch_wider_than_int64():
     assert set(batched_bp(frame).recovered) == {0, 30, 69}
 
 
+def test_peelers_match_references_on_a_sampled_frame_wider_than_int64():
+    # 70 users in one slot under a cap of 70: the sampled masks are Python
+    # ints.  Knowing all users but two, the slot releases both at this seed.
+    dist = DegreeDistribution({1: 1.0})
+    config = SystemConfig(users=70, slots=1, dist=dist, model=PncModel.example(70), seed=1, payload_len=2)
+    frame = sample_frame(config)
+    assert frame.column_masks.dtype == object
+    assert frame.column_masks.max() >= 2**63
+    payloads = frame.payloads
+    pre = {u: payloads[u] for u in range(68)}
+    for known in (None, pre):
+        assert_same_peels(frame, known)
+    report = batched_bp(frame, pre)
+    assert report.newly_recovered == {68, 69}
+    assert set(report.recovered) <= ge_oracle(frame, pre) == reference_ge_oracle(frame, pre)
+
+
 def test_rebuilt_frame_decodes_identically():
     # a sampled frame and the same frame rebuilt from its Batch objects
     model = PncModel.example(5)

@@ -63,7 +63,8 @@ def reference_sample_frame(config):
     for t in sorted(occupants):
         users = sorted(occupants[t])
         fam = config.model.family(len(users))
-        transfer = fam.sample(_slot_rng(config.seed, t), 1)[0]
+        cols, masks = fam.sample(_slot_rng(config.seed, t), 1)
+        transfer = BitMatrix(len(users), int(cols[0]), masks[0, :cols[0]].tolist())
         outputs = tuple(combine([payloads[u] for u in users], transfer))
         batches.append(Batch(slot=t, users=tuple(users), transfer=transfer, outputs=outputs))
     return Frame(
@@ -378,6 +379,27 @@ def test_csr_arrays_agree_with_the_batches():
                     batches=frame.batches)
     assert rebuilt == frame
     assert rebuilt.payloads == frame.payloads and rebuilt.batches == frame.batches
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["stock", "custom"])
+def test_sample_frame_builds_no_bitmatrix(monkeypatch, custom):
+    # within the cap a custom size-2 family mixes one- and two-column members
+    model = PncModel.from_dict({
+        "max_decodable": 2,
+        "families": {
+            "1": [{"matrix": [[1]], "prob": 1.0}],
+            "2": [{"matrix": [[1], [1]], "prob": 0.5}, {"matrix": [[1, 0], [0, 1]], "prob": 0.5}],
+        },
+    }) if custom else small_model()
+    dist = DegreeDistribution({1: 0.3, 2: 0.4, 3: 0.3})
+    config = SystemConfig(users=300, slots=150, dist=dist, model=model, seed=5, payload_len=2)
+    first = sample_frame(config)  # builds every family the frame draws from
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("sample_frame built a BitMatrix")
+
+    monkeypatch.setattr(BitMatrix, "__init__", refuse)
+    assert sample_frame(config) == first
 
 
 def test_hand_built_frame_flags_outputs_that_disagree_with_its_payloads():

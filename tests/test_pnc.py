@@ -191,12 +191,18 @@ def test_counted_family_matches_enumeration():
         assert shapes == dict(by_shape)
 
 
+def as_matrices(fam, drawn):
+    """A family's `sample` arrays as one BitMatrix per draw."""
+    cols, masks = drawn
+    return [BitMatrix(fam.degree, c, m[:c]) for c, m in zip(cols.tolist(), masks.tolist())]
+
+
 def test_counted_sample_is_uniform():
     # fixed seeds; p is about 0.034 at d=3 and 0.93 at d=4
     for d, draws, seed in ((3, 20000, 0), (4, 35000, 1)):
         fam = StockFamily(d)
         rng = np.random.default_rng(seed)
-        seen = Counter(fam.sample(rng, draws))
+        seen = Counter(as_matrices(fam, fam.sample(rng, draws)))
         members = [m for m, _ in example_family(d)]
         assert set(seen) == set(members)
         assert scipy.stats.chisquare([seen[m] for m in members]).pvalue > 0.01
@@ -205,7 +211,7 @@ def test_counted_sample_is_uniform():
 def test_counted_sample_beyond_int64_sizes():
     fam = PncModel.example(50).family(45)
     assert fam.size > 2**63
-    (matrix,) = fam.sample(np.random.default_rng(3), 1)
+    (matrix,) = as_matrices(fam, fam.sample(np.random.default_rng(3), 1))
     assert matrix.rows == 45
     assert rank(matrix) == matrix.cols
 
@@ -213,7 +219,9 @@ def test_counted_sample_beyond_int64_sizes():
 def test_counted_sample_beyond_int64_masks():
     # 70 rows: the column masks no longer fit in int64
     fam = StockFamily(70)
-    for matrix in fam.sample(np.random.default_rng(4), 50):
+    drawn = fam.sample(np.random.default_rng(4), 50)
+    assert drawn[1].dtype == object
+    for matrix in as_matrices(fam, drawn):
         assert matrix.rows == 70
         assert rank(matrix) == matrix.cols
         if matrix.cols == 1:
@@ -228,7 +236,7 @@ def test_weighted_sample_follows_probabilities():
     probs = [0.5, 0.3, 0.2]
     fam = WeightedMatrixFamily(2, zip(members, probs))
     draws = 20000
-    seen = Counter(fam.sample(np.random.default_rng(0), draws))
+    seen = Counter(as_matrices(fam, fam.sample(np.random.default_rng(0), draws)))
     assert set(seen) == set(members)
     # fixed seed; p is about 0.64
     assert scipy.stats.chisquare([seen[m] for m in members], [draws * p for p in probs]).pvalue > 0.01
@@ -366,9 +374,8 @@ def test_gamma_poly_ndarray_evaluation():
 
 
 def test_closed_form_degree_two_matches_enumeration():
-    per = 1.0 / 3
     for x in GRID:
-        closed = gamma_closed_form(2, per, {1: per}, {}, x)
+        closed = gamma_closed_form(2, x)
         assert abs(closed - (2 + x) / 3) < 1e-12
         assert abs(closed - gamma_k_enum(PncModel.example(3), 1, x)) < 1e-12
 
@@ -376,9 +383,8 @@ def test_closed_form_degree_two_matches_enumeration():
 def test_closed_form_degree_three_values():
     # the compact form reproduces (1 + 14x - 5x^2)/10 at uniform weights,
     # the same polynomial test_gamma_poly_degree_two_anchor pins by enumeration
-    per = 0.1
     for x in GRID:
-        val = gamma_closed_form(3, per, {1: per}, {(1, 1): per}, x)
+        val = gamma_closed_form(3, x)
         assert abs(val - (1 + 14 * x - 5 * x * x) / 10) < 1e-12
 
 
@@ -389,12 +395,11 @@ def test_closed_form_undercounts_mixed_split_targets():
     # (1 + 10x - x^2)/10; the column-sum route adds (4x - 4x^2)/10 on the
     # open interval, and the closed form must match enumeration everywhere.
     model = PncModel.example(3)
-    per = 0.1
     for x in (0.0, 1.0):
-        closed = gamma_closed_form(3, per, {1: per}, {(1, 1): per}, x)
+        closed = gamma_closed_form(3, x)
         assert abs(closed - gamma_k_enum(model, 2, x)) < 1e-12
     for x in (0.25, 0.5, 0.75):
-        closed = gamma_closed_form(3, per, {1: per}, {(1, 1): per}, x)
+        closed = gamma_closed_form(3, x)
         enum = gamma_k_enum(model, 2, x)
         single_column = (1 + 10 * x - x * x) / 10
         expected_gap = (4 * x - 4 * x * x) / 10
@@ -405,19 +410,12 @@ def test_closed_form_undercounts_mixed_split_targets():
 
 def test_closed_form_reaches_one_at_full_knowledge():
     for d in range(2, 7):
-        per = 1.0 / family_size(d)
-        g2 = {a: per for a in range(1, d // 2 + 1)}
-        g3 = {
-            (a1, a2): per for a1 in range(1, d - 1) for a2 in range(a1, d - a1)
-        }
-        assert abs(gamma_closed_form(d, per, g2, g3, 1.0) - 1.0) < 1e-12
+        assert abs(gamma_closed_form(d, 1.0) - 1.0) < 1e-12
 
 
 def test_closed_form_rejects_bad_probabilities():
     with pytest.raises(ValueError):
-        gamma_closed_form(2, 0.5, {1: 0.5}, {}, 0.5)  # 0.5 + 2*0.5 != 1
-    with pytest.raises(ValueError):
-        gamma_closed_form(1, 1.0, {}, {}, 0.5)
+        gamma_closed_form(1, 0.5)
 
 
 def two_member_model() -> PncModel:
@@ -547,7 +545,7 @@ def test_model_from_dict_property(data, seed):
         fam = model.family(d)
         assert list(fam) == listed
         assert fam.expected_rank == sum(prob * rank(m) for m, prob in listed)
-        assert set(fam.sample(rng, 64)) <= {m for m, _ in listed}
+        assert set(as_matrices(fam, fam.sample(rng, 64))) <= {m for m, _ in listed}
     above = model.family(model.max_decodable + 1)
     assert [m.cols for m, _ in above] == [0]
 
