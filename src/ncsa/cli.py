@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -197,8 +198,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rate = float(cfg["rate"])
         if not (math.isfinite(rate) and rate > 0):
             raise ConfigError(f"--rate must be a positive finite number, got {rate!r}")
-        # a design rate R maps to ceil(K / R) slots
-        slots = math.ceil(users / rate)
+        # a design rate R maps to ceil(K / R) slots; an overflowing quotient
+        # is clamped to a count that SystemConfig rejects
+        slots = math.ceil(min(users / rate, sys.float_info.max))
     trials = int(cfg.get("trials", 1))
     if trials < 1:
         raise ConfigError("--trials must be positive")
@@ -210,18 +212,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     max_iters = int(cfg.get("max_iters", 200))
     omit_times = bool(cfg.get("omit_times", False))
     payload = int(cfg.get("payload_bytes", 32))
-    lam = (users / slots) * dist.mean()
+    config = SystemConfig(users=users, slots=slots, dist=dist, model=model, payload_len=payload, seed=seed)
+    lam = config.offered_load
     # predicted before any frame is drawn, so a load the recursion rejects fails fast
     predicted = evolve(dist, lam, max_iters, model).z_star if "batched" in decoders else None
 
     rows = []
     fractions: dict[str, list[float]] = {name: [] for name in decoders}
     for trial in range(trials):
-        conf = SystemConfig(
-            users=users, slots=slots, dist=dist, model=model,
-            payload_len=payload, seed=seed + trial,
-        )
-        frame = sample_frame(conf)
+        frame = sample_frame(dataclasses.replace(config, seed=seed + trial))
         peel = None  # the batched row's report, which the oracle reuses
         for name in decoders:
             t0 = time.perf_counter()

@@ -104,10 +104,10 @@ def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, 
     rows `unknown` (a bitmask) releases, and the field operations it spends.
 
     The known rows are substituted out of the outputs (one operation per
-    known row per column that holds it); the unknown rows are column-reduced
-    together with the outputs, and every unit column releases its row.  The
-    outputs are unit-vector byte strings, so each reduced output names the
-    original columns whose XOR isolates the row.  Returns ``(released,
+    known row per column that holds it); the unknown rows are column-reduced,
+    and every unit column releases its row.  `rcef` names the original
+    columns that make up each reduced column, so a unit column's combination
+    is the set of outputs whose XOR isolates the row.  Returns ``(released,
     spent)``; each released entry is ``(row, columns, known rows)``: the
     row's packet is the XOR of those columns' outputs and those known rows'
     packets.
@@ -115,15 +115,11 @@ def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, 
     known = ((1 << rows) - 1) & ~unknown
     spent = sum((m & known).bit_count() for m in masks)
     unknown_rows = _bits(unknown)
-    width = (len(masks) + 7) // 8
-    reduced, combos, ops = rcef(
-        select_rows(BitMatrix(rows, len(masks), masks), unknown_rows),
-        [(1 << j).to_bytes(width, "big") for j in range(len(masks))],
-    )
+    reduced, combos, ops = rcef(select_rows(BitMatrix(rows, len(masks), masks), unknown_rows))
     released = []
     for mask, combo in zip(reduced.column_masks(), combos):
         if mask.bit_count() == 1:
-            columns = _bits(int.from_bytes(combo, "big"))
+            columns = _bits(combo)
             isolating = 0
             for j in columns:
                 isolating ^= masks[j]

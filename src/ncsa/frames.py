@@ -33,6 +33,10 @@ from .pnc import PncModel
 # from one `choice` without replacement instead of resampling repeats.
 _MIN_DISTINCT_PROB = 0.1
 
+# `sample_frame` sorts transmissions by the int64 key slot * users + user,
+# which stays below users * slots
+_MAX_CELLS = int(np.iinfo(np.int64).max) + 1
+
 
 class DegreeDistribution:
     """Probabilities over user repetition degrees 1..max_degree."""
@@ -148,6 +152,13 @@ class SystemConfig:
             raise ValueError("slots must be >= the maximum repetition degree")
         if self.payload_len < 0:
             raise ValueError("negative payload length")
+        if self.users * self.slots > _MAX_CELLS:
+            raise ValueError(
+                f"users * slots must be at most 2**63, the int64 range of the (slot, user) sort key; "
+                f"{self.users} users allow at most {_MAX_CELLS // self.users} slots"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def rate(self) -> float:

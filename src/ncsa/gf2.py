@@ -6,9 +6,9 @@ kernels branch-light for the small per-slot matrices the decoders chew
 through, while `to_rows` / `from_rows` give an entrywise view that the rest
 of the package and the tests work against.
 
-Payloads ride along as `bytes`: `rcef` applies every column operation to
-one payload per column as it goes, so reducing a linear system and reducing
-its right-hand side stay in lockstep.
+`rcef` returns, next to the reduced matrix, which original columns make up
+each reduced column; any right-hand side follows by `combine` over those
+combinations, so the reduction itself never touches payloads.
 """
 from __future__ import annotations
 
@@ -21,13 +21,6 @@ def mask_dtype(rows: int):
     """The numpy dtype that holds column masks over `rows` rows: ``int64``
     up to 63 rows, Python ints (``object``) beyond."""
     return np.int64 if rows <= 63 else object
-
-
-def xor_bytes(a: bytes, b: bytes) -> bytes:
-    """XOR two equal-length byte strings."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 class BitMatrix:
@@ -170,8 +163,8 @@ def rank(matrix: BitMatrix) -> int:
     return len(span_basis(matrix.column_masks()))
 
 
-def rcef(matrix: BitMatrix, payloads: Sequence[bytes]) -> tuple[BitMatrix, list[bytes], int]:
-    """Reduced column echelon form, with the right-hand side reduced in step.
+def rcef(matrix: BitMatrix) -> tuple[BitMatrix, list[int], int]:
+    """Reduced column echelon form, and the column combinations that give it.
 
     Pivots are chosen deterministically: scanning pivot rows top-down, the
     leftmost not-yet-pivot column with a 1 in that row becomes the pivot and
@@ -180,18 +173,17 @@ def rcef(matrix: BitMatrix, payloads: Sequence[bytes]) -> tuple[BitMatrix, list[
     rows strictly increase left to right, no pivot row has a second nonzero
     entry, and zero columns sit at the right end.
 
-    `payloads` holds one payload per column.  Every swap and every column
-    add is applied to it as well, so with ``payloads == combine(v, matrix)``
-    the reduced payloads are ``combine(v, reduced)``.
+    Bit i of ``combos[j]`` is set when original column i enters reduced
+    column j, so a right-hand side ``u`` (one payload per column) reduces
+    to ``combine(u, BitMatrix(cols, cols, combos))``; with
+    ``u == combine(v, matrix)`` that is ``combine(v, reduced)``.
 
     Returns:
-        (reduced matrix, reduced payloads, field operations), counting one
-        per swap and two per column add (the column and its payload).
+        (reduced matrix, combos, field operations), counting one per swap
+        and two per column add (the column and its combination).
     """
-    if len(payloads) != matrix.cols:
-        raise ValueError(f"need one payload per column: {matrix.cols} columns, got {len(payloads)} payloads")
     masks = list(matrix.column_masks())
-    out = list(payloads)
+    combos = [1 << j for j in range(matrix.cols)]
     ops = 0
     p = 0
     for r in range(matrix.rows):
@@ -203,15 +195,15 @@ def rcef(matrix: BitMatrix, payloads: Sequence[bytes]) -> tuple[BitMatrix, list[
             continue
         if pivot != p:
             masks[p], masks[pivot] = masks[pivot], masks[p]
-            out[p], out[pivot] = out[pivot], out[p]
+            combos[p], combos[pivot] = combos[pivot], combos[p]
             ops += 1
         for j in range(matrix.cols):
             if j != p and masks[j] & bit:
                 masks[j] ^= masks[p]
-                out[j] = xor_bytes(out[j], out[p])
+                combos[j] ^= combos[p]
                 ops += 2
         p += 1
-    return BitMatrix(matrix.rows, matrix.cols, masks), out, ops
+    return BitMatrix(matrix.rows, matrix.cols, masks), combos, ops
 
 
 def in_colspan(matrix: BitMatrix, vector: int) -> bool:
@@ -241,8 +233,9 @@ def select_rows(matrix: BitMatrix, rows: Iterable[int]) -> BitMatrix:
 def combine(payloads: Sequence[bytes], matrix: BitMatrix) -> list[bytes]:
     """Multiply a payload row-vector by a matrix: out[j] = XOR of payloads in column j.
 
-    This is how slot outputs are formed from user packets. Requires one
-    payload per matrix row; all payloads must share a length.  Each payload
+    This is how slot outputs are formed from user packets, and how a
+    right-hand side follows the column combinations `rcef` returns.
+    Requires one payload per matrix row; all payloads must share a length.  Each payload
     is read as one integer and each output written once, whatever the
     number of XORs.
     """

@@ -447,6 +447,26 @@ def test_simulate_rejects_an_empty_frame(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["--rate", "1e-300"], "users * slots must be at most 2**63"),
+        (["--rate", "5e-324"], "users * slots must be at most 2**63"),
+        (["--slots", "1000000000000000000"], "users * slots must be at most 2**63"),
+        (["--slots", "20", "--seed", "-1"], "seed must be non-negative, got -1"),
+    ],
+    ids=["rate-1e-300", "rate-5e-324", "slots-1e18", "seed-minus-1"],
+)
+def test_simulate_rejects_a_frame_the_sampler_cannot_key(tmp_path, capsys, argv, named):
+    # the (slot, user) sort key of `sample_frame` must fit in int64, and
+    # numpy seeds are non-negative
+    code, out = run(tmp_path, "simulate", "--users", "10", *argv, "--dist", "1:1", "--cap", "4")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["optimize", "--lam", "nan"],

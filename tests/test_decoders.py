@@ -15,8 +15,15 @@ from ncsa.decoders import (
     ordinary_bp,
 )
 from ncsa.frames import Batch, DegreeDistribution, Frame, SystemConfig, global_matrix, sample_frame
-from ncsa.gf2 import BitMatrix, combine, rcef, select_rows, xor_bytes
-from ncsa.pnc import PncModel
+from ncsa.gf2 import BitMatrix, combine, rcef, select_rows
+from ncsa.pnc import PncModel, example_family, gamma_set
+from test_cli import SIMULATE_TEST_MODEL
+
+
+def xor(a, b):
+    """XOR of two equal-length byte strings."""
+    assert len(a) == len(b)
+    return bytes(x ^ y for x, y in zip(a, b))
 
 
 def frame_from_batches(payloads, batch_specs, n_slots=None):
@@ -110,9 +117,10 @@ def reference_batched_bp(frame, preknown=None, max_iters=200):
                 payload = view[users[pos]]
                 for j in range(transfer.cols):
                     if transfer.get(pos, j):
-                        outputs[j] = xor_bytes(outputs[j], payload)
+                        outputs[j] = xor(outputs[j], payload)
                         ops += 1
-            reduced, values, spent = rcef(select_rows(transfer, unknown_pos), outputs)
+            reduced, combos, spent = rcef(select_rows(transfer, unknown_pos))
+            values = combine(outputs, BitMatrix(transfer.cols, transfer.cols, combos))
             ops += spent
             for j, mask in enumerate(reduced.column_masks()):
                 if mask.bit_count() != 1:
@@ -181,7 +189,7 @@ def reference_ordinary_bp(frame, preknown=None, max_iters=200):
                 continue
             for u in members:
                 if u in view:
-                    value = xor_bytes(value, view[u])
+                    value = xor(value, view[u])
                     ops += 1
             user = unknown[0]
             prior = found.get(user)
@@ -561,10 +569,10 @@ def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
         keys.append((matrix.rows, matrix.column_masks(), rows))
         return select_rows(matrix, rows)
 
-    def counting_rcef(matrix, payloads):
+    def counting_rcef(matrix):
         nonlocal calls
         calls += 1
-        return rcef(matrix, payloads)
+        return rcef(matrix)
 
     monkeypatch.setattr(ncsa.decoders, "select_rows", recording_select_rows)
     monkeypatch.setattr(ncsa.decoders, "rcef", counting_rcef)
@@ -573,6 +581,25 @@ def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
     assert 0 < calls <= len(set(keys))
     assert report.eliminations == calls
     assert report.visits >= len(set(keys))
+
+
+@pytest.mark.parametrize(
+    "family",
+    [example_family(d) for d in range(2, 7)] + [PncModel.from_dict(SIMULATE_TEST_MODEL).family(3)],
+    ids=[f"stock-{d}" for d in range(2, 7)] + ["custom-3"],
+)
+def test_slot_rule_releases_the_last_row_exactly_on_its_gamma_sets(family):
+    """The decoder's release rule against the analysis: with the rows in V
+    known, `_slot_rule` releases the last row exactly when V (1-based) is in
+    the member's gamma set, the last row being `gamma_set`'s target."""
+    d = family.degree
+    full = (1 << d) - 1
+    for member, _ in family.entries:
+        gammas = gamma_set(member)
+        for known in range(1 << (d - 1)):
+            released, _ = ncsa.decoders._slot_rule(d, member.column_masks(), full & ~known)
+            v = frozenset(r + 1 for r in range(d - 1) if known >> r & 1)
+            assert any(row == d - 1 for row, _, _ in released) == (v in gammas), (member, v)
 
 
 def test_simulate_never_builds_batch_objects(tmp_path, monkeypatch):

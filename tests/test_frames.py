@@ -165,6 +165,16 @@ def test_config_validation():
     assert abs(cfg.offered_load - 1.5) < 1e-15
 
 
+def test_config_bounds_the_sort_key_and_the_seed():
+    # the (slot, user) key slot * users + user must fit in int64
+    dist = DegreeDistribution({3: 1.0})
+    SystemConfig(users=2, slots=2**62, dist=dist, model=small_model())  # largest key 2**63 - 1
+    with pytest.raises(ValueError, match=r"users \* slots must be at most 2\*\*63"):
+        SystemConfig(users=2, slots=2**62 + 1, dist=dist, model=small_model())
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SystemConfig(users=5, slots=10, dist=dist, model=small_model(), seed=-1)
+
+
 # --- sampling ----------------------------------------------------------------
 
 

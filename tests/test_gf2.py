@@ -13,7 +13,6 @@ from ncsa.gf2 import (
     select_rows,
     span_basis,
     units_in_span,
-    xor_bytes,
 )
 
 
@@ -54,17 +53,22 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> BitMatrix:
     )
 
 
+def xor(a: bytes, b: bytes) -> bytes:
+    """XOR of two equal-length byte strings."""
+    assert len(a) == len(b)
+    return bytes(x ^ y for x, y in zip(a, b))
+
+
 def reduce_matrix(m: BitMatrix) -> tuple[BitMatrix, int]:
-    """`rcef` on the matrix alone (empty payloads): (reduced, field ops)."""
-    reduced, _, ops = rcef(m, [b""] * m.cols)
+    """`rcef` without its combinations: (reduced, field ops)."""
+    reduced, _, ops = rcef(m)
     return reduced, ops
 
 
-def test_xor_bytes():
-    assert xor_bytes(b"\x0f\xf0", b"\xff\x00") == b"\xf0\xf0"
-    assert xor_bytes(b"", b"") == b""
-    a = b"\x13\x27"
-    assert xor_bytes(a, a) == b"\x00\x00"
+def reduce_payloads(m: BitMatrix, payloads: list[bytes]) -> tuple[BitMatrix, list[bytes], int]:
+    """`rcef` with one payload per column carried through its combinations."""
+    reduced, combos, ops = rcef(m)
+    return reduced, combine(payloads, BitMatrix(m.cols, m.cols, combos)), ops
 
 
 def test_bitmatrix_round_trip_and_identity():
@@ -157,17 +161,19 @@ def test_rank_invariant_under_permutations_and_rcef():
 def test_rcef_worked_example():
     # one swap, then one column add: 1 + 2 field operations
     m = BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]])
-    reduced, payloads, ops = rcef(m, [b"a", b"b"])
+    reduced, combos, ops = rcef(m)
     assert reduced.to_rows() == [[1, 0], [0, 1], [0, 1]]
-    assert payloads == [xor_bytes(b"a", b"b"), b"a"]
+    assert combos == [0b11, 0b01]
     assert ops == 3
+    assert reduce_payloads(m, [b"a", b"b"])[1] == [xor(b"a", b"b"), b"a"]
 
 
 def test_rcef_identity_and_zero():
     eye = BitMatrix.identity(4)
-    assert rcef(eye, [b"a", b"b", b"c", b"d"]) == (eye, [b"a", b"b", b"c", b"d"], 0)
+    assert rcef(eye) == (eye, [0b1, 0b10, 0b100, 0b1000], 0)
     z = BitMatrix.zeros(3, 2)
-    assert rcef(z, [b"x", b"y"]) == (z, [b"x", b"y"], 0)
+    assert rcef(z) == (z, [0b1, 0b10], 0)
+    assert rcef(BitMatrix(3, 0)) == (BitMatrix(3, 0), [], 0)
 
 
 def test_rcef_shape():
@@ -200,21 +206,30 @@ def test_rcef_idempotent():
 
 
 def test_rcef_payloads_match_reduced_combination():
-    # with payloads u = combine(v, M), rcef(M, u) must return combine(v, Mtilde)
+    # reduced column j is the XOR of the original columns in combos[j], and a
+    # right-hand side u = combine(v, M) reduces to combine(v, Mtilde)
     rng = random.Random(41)
     for _ in range(300):
         nrows = rng.randint(1, 8)
         ncols = rng.randint(0, 8)
         m = random_matrix(rng, nrows, ncols)
         v = [rng.randbytes(5) for _ in range(nrows)]
-        reduced, payloads, _ = rcef(m, combine(v, m))
-        assert payloads == combine(v, reduced)
+        reduced, combos, _ = rcef(m)
+        assert len(combos) == ncols
+        for j, combo in enumerate(combos):
+            acc = 0
+            for i in range(ncols):
+                if combo >> i & 1:
+                    acc ^= m.column_mask(i)
+            assert acc == reduced.column_mask(j)
+        assert combine(combine(v, m), BitMatrix(ncols, ncols, combos)) == combine(v, reduced)
 
 
 def test_rcef_single_add():
-    # no swap, one column add: payload[1] ^= payload[0], two field operations
+    # no swap, one column add: combos[1] gains column 0, two field operations
     m = BitMatrix.from_rows([[1, 1], [0, 1]])
-    assert rcef(m, [b"a", b"b"]) == (BitMatrix.identity(2), [b"a", xor_bytes(b"a", b"b")], 2)
+    assert rcef(m) == (BitMatrix.identity(2), [0b01, 0b11], 2)
+    assert reduce_payloads(m, [b"a", b"b"])[1] == [b"a", xor(b"a", b"b")]
 
 
 def test_rcef_recovers_substituted_packet():
@@ -223,16 +238,11 @@ def test_rcef_recovers_substituted_packet():
     v = [bytes([i * 17]) * 4 for i in range(1, 5)]
     h = BitMatrix.from_rows([[1, 0], [0, 1], [1, 1], [1, 1]])
     u1, u2 = combine(v, h)
-    sub_u1 = xor_bytes(u1, v[0])  # remove the known packet from column 1
-    reduced, payloads, _ = rcef(select_rows(h, [1, 2, 3]), [sub_u1, u2])
+    sub_u1 = xor(u1, v[0])  # remove the known packet from column 1
+    reduced, payloads, _ = reduce_payloads(select_rows(h, [1, 2, 3]), [sub_u1, u2])
     assert reduced.to_rows() == [[1, 0], [0, 1], [0, 1]]
     assert payloads[0] == v[1]
-    assert payloads[0] == xor_bytes(xor_bytes(u2, u1), v[0])
-
-
-def test_rcef_payload_count_mismatch():
-    with pytest.raises(ValueError):
-        rcef(BitMatrix.from_rows([[0, 1], [1, 1], [1, 1]]), [b"x"])
+    assert payloads[0] == xor(xor(u2, u1), v[0])
 
 
 def test_in_colspan_examples():
@@ -291,7 +301,7 @@ def test_combine_matches_xor_fold():
             acc = bytes(length)
             for r in range(rows):
                 if m.get(r, j):
-                    acc = xor_bytes(acc, v[r])
+                    acc = xor(acc, v[r])
             expected.append(acc)
         assert combine(v, m) == expected
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog as highs_linprog
 
+import ncsa.optimize as optimize_module
 from ncsa import lp
 from ncsa.evolution import evolve, rate_upper_bound, resolve_prob
 from ncsa.frames import DegreeDistribution
@@ -12,9 +13,6 @@ from ncsa.gf2 import BitMatrix
 from ncsa.lp import linprog
 from ncsa.optimize import _certificate_holds, optimize, sweep
 from ncsa.pnc import PncModel, WeightedMatrixFamily
-
-# the package re-exports the function `optimize` under the module's name
-optimize_module = importlib.import_module("ncsa.optimize")
 
 MODEL = PncModel.example(10)
 SWEEP_LOADS = [0.25 * i for i in range(1, 41)]
@@ -45,6 +43,13 @@ def capture_lps(run):
 def sweeps():
     """The default load grid swept at caps 12 and 20, once for all tests."""
     return {cap: capture_lps(lambda: sweep(SWEEP_LOADS, PncModel.example(cap))) for cap in (12, 20)}
+
+
+def test_import_binds_the_optimize_module():
+    # the package must not shadow its submodule with the function `optimize`
+    assert isinstance(optimize_module, types.ModuleType)
+    assert optimize_module.optimize is optimize
+    assert optimize_module.linprog is linprog
 
 
 def test_edge_node_weight_round_trip():
