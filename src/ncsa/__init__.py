@@ -11,8 +11,9 @@ Layers, bottom up:
 - ``frames``: degree distributions, reproducible frame sampling, and the
   frame as CSR arrays (per-slot users and transfer columns, per-output
   members, payload and output rows); per-slot `Batch` objects on demand.
-- ``decoders``: batched and ordinary peeling over per-unit unknown masks
-  with a memoised release rule, plus the global-elimination oracle.
+- ``decoders``: batched and ordinary peeling over per-unit unknown masks,
+  one pass of array operations per generation over a shareable table of
+  release rules, plus the global-elimination oracle.
 - ``evolution``: the asymptotic edge recursion, run to its fixed point by
   ``evolve``, and the rate upper bound.
 - ``optimize``: LP design of degree distributions and load sweeps.

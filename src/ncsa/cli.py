@@ -29,7 +29,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .decoders import FrameInconsistencyError, batched_bp, ge_oracle, ordinary_bp
+from .decoders import FrameInconsistencyError, RuleTable, batched_bp, ge_oracle, ordinary_bp
 from .evolution import InvariantError, evolve, rate_upper_bound
 from .frames import DegreeDistribution, SystemConfig, sample_frame
 from .optimize import optimize, sweep
@@ -219,6 +219,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     rows = []
     fractions: dict[str, list[float]] = {name: [] for name in decoders}
+    rules = RuleTable()  # release rules, shared by every trial and both peelers
     for trial in range(trials):
         frame = sample_frame(dataclasses.replace(config, seed=seed + trial))
         peel = None  # the batched row's report, which the oracle reuses
@@ -231,9 +232,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 row = [trial, seed + trial, name, len(got), frac, None, None]
             else:
                 if name == "batched":
-                    report = peel = batched_bp(frame, max_iters=max_iters)
+                    report = peel = batched_bp(frame, max_iters=max_iters, rules=rules)
                 else:
-                    report = ordinary_bp(frame, max_iters=max_iters)
+                    report = ordinary_bp(frame, max_iters=max_iters, rules=rules)
                 elapsed = time.perf_counter() - t0
                 frac = report.decoded_fraction
                 row = [

@@ -13,34 +13,33 @@ Three recovery strategies, strictly ordered by power:
   gives the same set as eliminating the frame's global matrix; like the
   peelers it raises FrameInconsistencyError on a corrupt frame.
 
-Both peelers run one strict-generation driver over the frame's CSR arrays
-and differ only in their units and wake test: a slot for `batched_bp`, a
-single output equation for `ordinary_bp`.  Each unit keeps the bitmask of
-its still-unknown rows, and what a unit releases is a pure function of its
-transfer columns and that mask, memoised per decode, so only the first
-unit with a given (shape, mask) runs an elimination.  A batch is woken when
-a recovery clears one of its rows and it still has unknowns; an equation
-only when its unknown count drops to one (the counter peel of invertible
-Bloom lookup tables).  An iteration sees only the knowledge available when
-it started, which is the schedule the asymptotic recursion counts, so
-results do not depend on the order units are visited.  The driver compares
-the resolutions made within one pass, and after the peel it checks the
-recovered packets against the frame (`_check_against_frame`).
-
-All payload XORs and elementary column operations of the per-unit
-reductions are tallied in `DecodeReport.field_ops`; per-frame work stays
-linear in the number of transmissions because a unit is revisited only
-after its unknown mask shrinks.
+Both peelers run one strict-generation driver (`_peel`) over the frame's
+CSR arrays: a unit is a slot for `batched_bp` and one output equation for
+`ordinary_bp`, which wakes an equation only when one unknown is left (the
+counter peel of invertible Bloom lookup tables).  What a unit releases is a
+pure function of its transfer columns and its unknown-row mask, kept in a
+`RuleTable` that one decode or many share, and each generation is one pass
+of array operations over the woken units.  An iteration sees only the
+knowledge available when it started, which is the schedule the asymptotic
+recursion counts, so results do not depend on the order units are visited.
+All payload XORs and column operations of the per-unit reductions are
+tallied in `DecodeReport.field_ops`; work stays linear in the transmissions
+because a unit is revisited only after its unknown mask shrinks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
 
-from .frames import Frame, offsets, segments
+from .frames import Frame, offsets, segments, xor_segments
 from .gf2 import BitMatrix, mask_dtype, rcef, select_rows, span_basis, units_in_span
+
+# a rule key holds the shape id in its low bits and the unknown mask above
+_SHAPE_BITS = 32
+_SHAPE_MASK = (1 << _SHAPE_BITS) - 1
 
 
 class FrameInconsistencyError(Exception):
@@ -58,8 +57,7 @@ class DecodeReport:
     per_iteration: tuple[int, ...]
     field_ops: int
     users: int
-    # unit visits that reached the rule, and the rule evaluations that ran
-    # an elimination (memo misses)
+    # unit visits, and the rules this decode added to its table (eliminations)
     visits: int = 0
     eliminations: int = 0
 
@@ -92,25 +90,15 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _one_bits(shift: np.ndarray) -> list[int]:
-    """``1 << shift`` for each entry, as Python ints."""
-    if mask_dtype(int(shift.max(initial=-1)) + 1) is object:
-        return [1 << s for s in shift.tolist()]
-    return np.left_shift(1, shift).tolist()
-
-
 def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, int]:
     """What a unit with `rows` rows, transfer columns `masks` and still-unknown
     rows `unknown` (a bitmask) releases, and the field operations it spends.
 
     The known rows are substituted out of the outputs (one operation per
-    known row per column that holds it); the unknown rows are column-reduced,
-    and every unit column releases its row.  `rcef` names the original
-    columns that make up each reduced column, so a unit column's combination
-    is the set of outputs whose XOR isolates the row.  Returns ``(released,
+    known row per column that holds it); the unknown rows are column-reduced
+    by `rcef`, and every unit column releases its row.  Returns ``(released,
     spent)``; each released entry is ``(row, columns, known rows)``: the
-    row's packet is the XOR of those columns' outputs and those known rows'
-    packets.
+    row's packet is the XOR of those columns' outputs and known rows' packets.
     """
     known = ((1 << rows) - 1) & ~unknown
     spent = sum((m & known).bit_count() for m in masks)
@@ -127,191 +115,206 @@ def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, 
     return tuple(released), spent + ops
 
 
-def _check_against_frame(frame: Frame, recovered: Mapping[int, bytes]) -> None:
-    """Raise FrameInconsistencyError unless the recovered packets agree with
-    the frame: each equals the packet the frame records for its user, and
-    every output column whose members are all recovered re-encodes to the
-    received output.
+class RuleTable:
+    """Release rules by unit shape and unknown mask, for one decode or many.
 
-    Once the first part holds, re-encoding from the recovered packets is
-    re-encoding from the frame's own, which the frame did when it was built:
-    only its `mismatched_outputs` can fail.
-    """
-    if recovered:
-        users = np.fromiter(recovered, dtype=np.int64, count=len(recovered))
-        values = np.frombuffer(b"".join(recovered.values()), dtype=np.uint8)
-        if not np.array_equal(values.reshape(len(users), frame.payload_len), frame.payload_rows[users]):
-            raise FrameInconsistencyError("a recovered packet differs from the one its user sent")
+    `shape_ids` numbers (row count, column masks) shapes.  Rule k is
+    `_slot_rule` on one key, stored flat: ``rule[k]`` is (field operations
+    spent, first term, term count), and a `term` row is (unit-local index,
+    entry row), where column j of a shape with C columns is j and row r is
+    C + r.  A released entry is a run of terms whose packets XOR to its
+    row's packet; its first term names that row (at least 1, as C >= 1),
+    the others hold 0."""
+
+    def __init__(self):
+        self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._named: list[tuple[int, tuple[int, ...]]] = []
+        self._rules: dict[int, int] = {}  # key: the unknown mask above the shape id
+        self.rule = np.zeros((0, 3), np.int64)
+        self.term = np.zeros((0, 2), np.int64)
+
+    def shape_ids(self, shapes) -> np.ndarray:
+        """The id of each ``(rows, column masks)`` shape, numbering new ones."""
+        ids, named = self.shapes, self._named
+        out = np.fromiter((ids.setdefault(shape, len(ids)) for shape in shapes), np.int64)
+        if len(named) < len(ids):
+            named.extend(islice(ids, len(named), None))
+        return out
+
+    def lookup(self, keys: list[int]) -> tuple[np.ndarray, int]:
+        """The rule of each key, evaluating `_slot_rule` once per key not
+        seen before; and how many keys that was."""
+        found = self._rules
+        rules = list(map(found.get, keys))
+        rule, term = [], []
+        if None in rules:
+            for key in dict.fromkeys(key for key, hit in zip(keys, rules) if hit is None):
+                rows, masks = self._named[key & _SHAPE_MASK]
+                released, spent = _slot_rule(rows, masks, key >> _SHAPE_BITS)
+                found[key] = len(found)
+                first = len(term)
+                for r, columns, known in released:
+                    local = [*columns, *(len(masks) + j for j in known)]
+                    term += [(local[0], len(masks) + r), *((t, 0) for t in local[1:])]
+                rule.append((spent, len(self.term) + first, len(term) - first))
+            self.rule = np.concatenate((self.rule, np.array(rule, np.int64).reshape(-1, 3)))
+            self.term = np.concatenate((self.term, np.array(term, np.int64).reshape(-1, 2)))
+            rules = list(map(found.__getitem__, keys))
+        return np.array(rules, dtype=np.int64), len(rule)
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[i]:start[i] + count[i]``, laid end to end."""
+    end = count.cumsum()
+    return np.arange(end[-1] if len(end) else 0) + (start - end + count).repeat(count)
+
+
+def _check_against_frame(frame: Frame, known: np.ndarray, values: np.ndarray) -> None:
+    """Raise FrameInconsistencyError unless each known user's row of
+    `values` is the packet the frame records for it, and every output whose
+    members are all known re-encodes to what was received.  Once the first
+    part holds, only the frame's `mismatched_outputs` can fail the second."""
+    if (values[known] != frame.payload_rows[known]).any():
+        raise FrameInconsistencyError("a recovered packet differs from the one its user sent")
     ptr = frame.member_ptr
     for e in frame.mismatched_outputs.tolist():
-        if all(u in recovered for u in frame.members[ptr[e]:ptr[e + 1]].tolist()):
+        if known[frame.members[ptr[e]:ptr[e + 1]]].all():
             raise FrameInconsistencyError(f"output {e} disagrees with the recovered packets of its members")
 
 
-def _peel(
-    frame: Frame,
-    row_ptr: np.ndarray,
-    row_users: np.ndarray,
-    column_ptr: np.ndarray,
-    shapes: list[tuple[int, tuple[int, ...]]],
-    shape_of: list[int],
-    preknown: Mapping[int, bytes] | None,
-    max_iters: int,
-    counter: bool,
-) -> DecodeReport:
-    """Peel units in strict generations with the memoised `_slot_rule`.
+def _peel(frame: Frame, row_ptr: np.ndarray, row_users: np.ndarray, column_ptr: np.ndarray, shape_id: np.ndarray,
+          rules: RuleTable, preknown: Mapping[int, bytes] | None, max_iters: int, counter: bool) -> DecodeReport:
+    """Peel units in strict generations, each pass one run of array operations.
 
     Unit i holds the rows ``row_users[row_ptr[i]:row_ptr[i + 1]]`` and the
-    transfer columns ``shapes[shape_of[i]]`` (row count and column masks),
-    whose outputs are frame outputs ``column_ptr[i]:column_ptr[i + 1]``;
-    units without columns take no part.  Each unit keeps the bitmask of its
-    unknown rows.  A pass visits the woken units in index order and evaluates the
-    rule on (shape, unknown mask), memoised per decode; a memo miss is one
-    elimination.  Recoveries are merged only after the pass, so every unit
-    of a pass sees the knowledge of its start and the visiting order cannot
-    matter; merging clears the recovered rows' bits, and a unit is woken
-    when its mask is then nonzero, or with `counter` exactly one bit (the
-    only masks on which a single-column unit releases anything).  A pass
-    with recoveries is always followed by one more.
+    transfer columns of shape ``shape_id[i]``, whose outputs are frame
+    outputs ``column_ptr[i]:column_ptr[i + 1]``; units without columns take
+    no part.  A unit's key is its unknown mask above its shape id.  A pass
+    looks up the rule of every woken unit's key (a key new to the table is
+    one elimination); one buffer holds the outputs, then one row per user,
+    so one gather and one `xor_segments` compute every released packet,
+    which is scattered to its user and read back to find conflicts.  The
+    recovered rows' bits are cleared over the user-to-edge CSR, which wakes
+    each touched unit whose mask is still nonzero, or with `counter` exactly
+    one bit (the only masks on which a single-column unit releases anything).
 
     Raises FrameInconsistencyError when two resolutions of one pass
-    disagree about a packet, or when the result disagrees with the frame
-    (`_check_against_frame`).
+    disagree about a packet, or when the result disagrees with the frame.
     """
     recovered = _checked_preknown(frame, preknown)
+    outputs = len(frame.outputs)
     size = frame.payload_len
-    blob = frame.outputs.tobytes()
-    live = (column_ptr[1:] > column_ptr[:-1]).nonzero()[0]
-    first_column = column_ptr.tolist()
-    # each row of a live unit is an edge; sorted by user, a recovery finds
-    # the (unit, row bit) pairs it clears
-    counts = (row_ptr[1:] - row_ptr[:-1])[live]
-    edge_unit, edge_row = segments(counts)
-    edge_unit = live[edge_unit]
-    edge_user = row_users[row_ptr[edge_unit] + edge_row]
-    order = np.argsort(edge_user)  # the order of one user's edges does not matter
-    by_user = offsets(np.bincount(edge_user, minlength=frame.users)).tolist()
-    edge_unit = edge_unit[order].tolist()
-    edge_bit = _one_bits(edge_row[order])
-    del edge_user, edge_row, order
-    users = row_users.tolist()
-    ptr = row_ptr.tolist()
-    unknown = [0] * (len(ptr) - 1)
-    for i, full in zip(live.tolist(), _one_bits(counts)):
-        unknown[i] = full - 1
+    rows = row_ptr[1:] - row_ptr[:-1]
+    cols = column_ptr[1:] - column_ptr[:-1]
+    live = cols > 0
+    # a unit's key: its unknown mask above its shape id
+    dtype = mask_dtype(int(rows[live].max(initial=0)) + _SHAPE_BITS)
+    full = live.astype(dtype) << _SHAPE_BITS
+    key = (full << rows) - full + shape_id
+    # every row is an edge, whose key bit is 0 unless its unit is live;
+    # grouped by user, a recovery finds the bits it clears
+    owner = np.arange(len(rows)).repeat(rows)
+    order = row_users.argsort()
+    edge_unit = owner[order]
+    edge_bit = full[edge_unit] << (order - row_ptr[edge_unit])
+    degree = np.bincount(row_users, minlength=frame.users)
+    by_user = offsets(degree)
+    # local index t of unit i is buffer row local[base[i] + t]: its columns'
+    # outputs, then its rows' users
+    base = row_ptr[:-1] + column_ptr[:-1]
+    local = np.empty(outputs + len(row_users), np.int64)
+    local[np.arange(outputs) + row_ptr[:-1].repeat(cols)] = np.arange(outputs)
+    local[np.arange(len(row_users)) + column_ptr[1:][owner]] = outputs + row_users
+    buf = np.zeros((outputs + frame.users, size), np.uint8)
+    buf[:outputs] = frame.outputs
 
-    value: list[int | None] = [None] * frame.users
-    for u, payload in recovered.items():
-        value[u] = int.from_bytes(payload, "big")
-        for e in range(by_user[u], by_user[u + 1]):
-            unknown[edge_unit[e]] ^= edge_bit[e]
-    if counter:
-        woken = [i for i in live.tolist() if unknown[i] and not unknown[i] & (unknown[i] - 1)]
-    else:
-        woken = [i for i in live.tolist() if unknown[i]]
+    def distinct(items: np.ndarray, bound: int) -> np.ndarray:  # ascending; entries below bound
+        seen = np.zeros(bound, bool)
+        seen[items] = True
+        return seen.nonzero()[0]
 
-    memo: dict[int, tuple[tuple, int]] = {}  # keyed by unknown mask, then shape id, in one int
-    shift = len(shapes).bit_length()
-    ops = visits = eliminations = 0
+    def clear(users: np.ndarray) -> np.ndarray:  # the units holding newly known users
+        at = _ranges(by_user[users], degree[users])
+        np.bitwise_xor.at(key, edge_unit[at], edge_bit[at])
+        return edge_unit[at]
+
+    def wake(units: np.ndarray) -> np.ndarray:
+        unknowns = np.bitwise_count(key[units] >> _SHAPE_BITS)
+        return units[unknowns == 1 if counter else unknowns > 0]
+
+    pre = np.fromiter(recovered, np.int64, len(recovered))
+    if len(pre):
+        buf[outputs + pre] = np.frombuffer(b"".join(recovered.values()), np.uint8).reshape(len(pre), size)
+        clear(pre)
+    woken = live.nonzero()[0]
+    passes = max_iters if len(woken) else 0
+    woken = wake(woken)
+    found = [pre]
+    visited = []
+    eliminations = iterations = 0
     per_iteration: list[int] = []
-    iterations = 0
-    while len(live) and iterations < max_iters:
+    while iterations < passes:
         iterations += 1
-        found: dict[int, int] = {}
-        for i in woken:
-            mask = unknown[i]
-            if not mask:
-                continue
-            visits += 1
-            key = mask << shift | shape_of[i]
-            rule = memo.get(key)
-            if rule is None:
-                rule = memo[key] = _slot_rule(*shapes[shape_of[i]], mask)
-                eliminations += 1
-            released, spent = rule
-            ops += spent
-            if not released:
-                continue
-            base = ptr[i]
-            column = first_column[i]
-            for row, columns, known_rows in released:
-                v = 0
-                for j in columns:
-                    at = (column + j) * size
-                    v ^= int.from_bytes(blob[at:at + size], "big")
-                for r in known_rows:
-                    v ^= value[users[base + r]]
-                user = users[base + row]
-                prior = found.get(user)
-                if prior is None:
-                    found[user] = v
-                elif prior != v:
-                    raise FrameInconsistencyError(f"user {user} resolved to two different payloads")
-
-        per_iteration.append(len(found))
-        if not found:
+        rule, new = rules.lookup(key[woken].tolist())
+        visited.append(rule)
+        eliminations += new
+        rule = rules.rule[rule]
+        at = _ranges(rule[:, 1], rule[:, 2])
+        if not len(at):
+            per_iteration.append(0)
             break
-        touched = set()
-        for user, v in found.items():
-            value[user] = v
-            recovered[user] = v.to_bytes(size, "big")
-            for e in range(by_user[user], by_user[user + 1]):
-                i = edge_unit[e]
-                mask = unknown[i] ^ edge_bit[e]
-                unknown[i] = mask
-                if mask and not (counter and mask & (mask - 1)):
-                    touched.add(i)
-        woken = sorted(touched)
+        where = base[woken].repeat(rule[:, 2])
+        term = rules.term[at]
+        opens = term[:, 1].nonzero()[0]
+        dest = local[where[opens] + term[opens, 1]]
+        value = xor_segments(buf[local[where + term[:, 0]]], np.concatenate((opens, [len(at)])))
+        buf[dest] = value
+        if (buf[dest] != value).any():
+            clash = dest[(buf[dest] != value).any(axis=1)][0] - outputs
+            raise FrameInconsistencyError(f"user {clash} resolved to two different payloads")
+        fresh = distinct(dest - outputs, frame.users)
+        per_iteration.append(len(fresh))
+        found.append(fresh)
+        woken = distinct(wake(clear(fresh)), len(key))
 
-    _check_against_frame(frame, recovered)
-    return DecodeReport(
-        recovered=recovered,
-        preknown=frozenset(preknown or ()),
-        iterations=iterations,
-        per_iteration=tuple(per_iteration),
-        field_ops=ops,
-        users=frame.users,
-        visits=visits,
-        eliminations=eliminations,
-    )
+    users = np.concatenate(found)
+    known = np.zeros(frame.users, bool)
+    known[users] = True
+    _check_against_frame(frame, known, buf[outputs:])
+    fresh = users[len(pre):]
+    values = buf[outputs + fresh].view(f"V{size}").ravel().tolist() if size else [b""] * len(fresh)
+    recovered.update(zip(fresh.tolist(), values))
+    visited = np.concatenate(visited or [np.zeros(0, np.int64)])
+    return DecodeReport(recovered, frozenset(preknown or ()), iterations, tuple(per_iteration),
+                        int(np.add.reduce(rules.rule[visited, 0])), frame.users, len(visited), eliminations)
 
 
-def batched_bp(
-    frame: Frame,
-    preknown: Mapping[int, bytes] | None = None,
-    max_iters: int = 200,
-) -> DecodeReport:
+def batched_bp(frame: Frame, preknown: Mapping[int, bytes] | None = None, max_iters: int = 200, *,
+               rules: RuleTable | None = None) -> DecodeReport:
     """Peel the frame slot-by-slot through per-batch Gaussian reduction.
 
     Each processing of a batch substitutes every currently known member
     packet out of the outputs, reduces the unknown rows of the transfer
     matrix to column echelon form, applying the same column operations to
     the outputs, and reads off packets from unit columns.  Batches are
-    revisited only when another recovery enlarged their known set.
+    revisited only when another recovery enlarged their known set.  `rules`
+    may be a table shared with other decodes; by default each call makes
+    its own, so `eliminations` counts this frame's distinct keys.
 
     Raises FrameInconsistencyError when two resolutions of the same packet
-    disagree or the recovered packets disagree with the frame (impossible
-    for frames produced by `sample_frame`).
+    disagree or the recovered packets disagree with the frame.
     """
-    rows = np.diff(frame.batch_ptr).tolist()
+    rules = RuleTable() if rules is None else rules
+    rows = (frame.batch_ptr[1:] - frame.batch_ptr[:-1]).tolist()
     column_ptr = frame.column_ptr.tolist()
     masks = frame.column_masks.tolist()
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    shape_of = [
-        ids.setdefault((rows[b], tuple(masks[column_ptr[b]:column_ptr[b + 1]])), len(ids))
-        for b in range(len(rows))
-    ]
-    return _peel(
-        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, list(ids), shape_of,
-        preknown, max_iters, counter=False,
-    )
+    shape_id = rules.shape_ids((rows[b], tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b in range(len(rows)))
+    return _peel(frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, shape_id, rules, preknown, max_iters,
+                 counter=False)
 
 
-def ordinary_bp(
-    frame: Frame,
-    preknown: Mapping[int, bytes] | None = None,
-    max_iters: int = 200,
-) -> DecodeReport:
+def ordinary_bp(frame: Frame, preknown: Mapping[int, bytes] | None = None, max_iters: int = 200, *,
+                rules: RuleTable | None = None) -> DecodeReport:
     """Classic peeling over individual output equations.
 
     Every output column of every batch is treated as a standalone XOR
@@ -319,22 +322,18 @@ def ordinary_bp(
     releases it.  Cross-column structure inside a batch is deliberately
     ignored, which is what makes this the weaker baseline.  An equation is
     woken only when its unknown count drops to one: the counter peel of
-    invertible Bloom lookup tables.
+    invertible Bloom lookup tables.  `rules` is as for `batched_bp`.
     """
+    rules = RuleTable() if rules is None else rules
     sizes = frame.member_ptr[1:] - frame.member_ptr[:-1]
     top = int(sizes.max()) if len(sizes) else 0
-    shapes = [(n, ((1 << n) - 1,)) for n in range(top + 1)]  # shape id = member count
-    return _peel(
-        frame, frame.member_ptr, frame.members, np.arange(len(sizes) + 1), shapes, sizes.tolist(),
-        preknown, max_iters, counter=True,
-    )
+    shape_id = rules.shape_ids((n, ((1 << n) - 1,)) for n in range(top + 1))[sizes]
+    return _peel(frame, frame.member_ptr, frame.members, np.arange(len(sizes) + 1), shape_id, rules, preknown,
+                 max_iters, counter=True)
 
 
-def ge_oracle(
-    frame: Frame,
-    preknown: Mapping[int, bytes] | None = None,
-    peeled: DecodeReport | None = None,
-) -> frozenset[int]:
+def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
+              peeled: DecodeReport | None = None) -> frozenset[int]:
     """Users recoverable by full Gaussian elimination on the whole frame.
 
     User u is recoverable exactly when its unit vector lies in the span of
@@ -344,33 +343,32 @@ def ge_oracle(
     Computed by peeling first and eliminating only what is left
     (inactivation decoding): every user `batched_bp` recovers lies in that
     span, so only the residual core of still-unknown users goes through
-    elimination, over transfer columns restricted to the core's rows.  The
-    result is the same set as eliminating the whole frame; the bitmasks are
-    only as wide as the core, and an empty core costs nothing beyond the
-    peel.  Raises FrameInconsistencyError when the peel finds the frame
-    corrupt.
+    elimination, over transfer columns restricted to the core's rows, which
+    gives the same set as eliminating the whole frame.  Raises
+    FrameInconsistencyError when the peel finds the frame corrupt.
 
     `peeled` is the report of a `batched_bp` run on the same frame and
-    `preknown`, which then replaces the oracle's own peel.  Any such run
-    will do, also one stopped early by `max_iters`: what it recovered lies
-    in the span either way.  The corruption check is then
-    the one that run made.
+    `preknown` (also one stopped early by `max_iters`), which then replaces
+    the oracle's own peel and its corruption check.
     """
     if peeled is None:
         peeled = batched_bp(frame, preknown)
     elif peeled.users != frame.users or peeled.preknown != frozenset(preknown or ()):
         raise ValueError("the peel report belongs to another frame or preknown set")
     known = peeled.recovered
-    core = [u for u in range(frame.users) if u not in known]
-    if not core:
+    unknown = np.ones(frame.users, bool)
+    unknown[np.fromiter(known, np.int64, len(known))] = False
+    core = unknown.nonzero()[0]
+    if not len(core):
         return frozenset(known)
-    row_of = np.full(frame.users, -1, dtype=np.int64)
-    row_of[core] = np.arange(len(core))
-    column, _ = segments(np.diff(frame.member_ptr))
-    rows = row_of[frame.members]
-    in_core = rows >= 0
-    masks: dict[int, int] = {}
-    for e, r in zip(column[in_core].tolist(), rows[in_core].tolist()):
-        masks[e] = masks.get(e, 0) | 1 << r
-    solved = units_in_span(span_basis(masks.values()), len(core))
-    return frozenset(known).union(core[i] for i in solved)
+    # each output column as a little-endian bitmask over the core's rows
+    column, _ = segments(frame.member_ptr[1:] - frame.member_ptr[:-1])
+    in_core = unknown[frame.members]
+    row = (unknown.cumsum() - 1)[frame.members[in_core]]
+    width = (len(core) + 7) // 8
+    packed = np.zeros((len(frame.outputs), width), np.uint8)
+    np.bitwise_or.at(packed, (column[in_core], row >> 3), np.left_shift(1, row & 7).astype(np.uint8))
+    flat = memoryview(packed.reshape(-1))  # sliced without copies
+    masks = (int.from_bytes(flat[i:i + width], "little") for i in range(0, len(flat), width))
+    solved = units_in_span(span_basis(masks), len(core))
+    return frozenset(known).union(core[solved].tolist())

@@ -182,14 +182,22 @@ class WeightedMatrixFamily:
             self._masks[i, :matrix.cols] = matrix.column_masks()
 
     def gamma_counts(self) -> list[float]:
-        """counts[j] = mean number of size-j subsets in a member's gamma set."""
-        counts = [0.0] * self.degree
+        """counts[j] = mean number of size-j subsets in a member's gamma set,
+        averaged over its d rows as the target: a frame places a user at a
+        uniform row of its slot.  Row t is moved last, where `gamma_set`
+        takes the target; the integer sizes are summed before dividing by d,
+        so a member whose every row gives the same sizes counts as before."""
+        d = self.degree
+        counts = [0.0] * d
         for matrix, prob in self.entries:
-            sizes = [0] * self.degree
-            for subset in gamma_set(matrix):
-                sizes[len(subset)] += 1
+            if not matrix.cols:  # unlocks nothing, whatever the target
+                continue
+            sizes = [0] * d
+            for t in range(d):
+                for subset in gamma_set(select_rows(matrix, [*range(t), *range(t + 1, d), t])):
+                    sizes[len(subset)] += 1
             for j, c in enumerate(sizes):
-                counts[j] += prob * c
+                counts[j] += prob * (c / d)
         return counts
 
     def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,7 @@ SIMULATE_TEST_MODEL = {
         (   # the custom model of SIMULATE_TEST_MODEL
             ["--users", "300", "--rate", "1.0", "--dist", "2:0.3,3:0.7", "--model", "model.json",
              "--payload-bytes", "4", "--trials", "3"],
-            "330cca43d4cda967fa2b1bcecb5e72302272967a4fb75041ba095bc360f0e69d",
+            "1775e43e1f4ec923c1c97b8ce921c595b1356493062baca4eefd980bbb3f3347",
         ),
     ],
     ids=["small-frames", "peeled", "core", "custom"],

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from ncsa.cli import main
 from ncsa.decoders import (
     DecodeReport,
     FrameInconsistencyError,
+    RuleTable,
     batched_bp,
     ge_oracle,
     ordinary_bp,
@@ -525,6 +528,20 @@ def test_peelers_match_references_on_a_batch_wider_than_int64():
     assert set(batched_bp(frame).recovered) == {0, 30, 69}
 
 
+def test_peelers_match_references_on_a_batch_too_wide_for_int64_keys():
+    # 40 users in one slot: the masks fit int64, but a rule key (the mask
+    # above a 32-bit shape id) does not, so the keys are Python ints
+    users = 40
+    payloads = [bytes([i, 255 - i]) for i in range(users)]
+    rows = [[0, 0] for _ in range(users)]
+    rows[0][1] = rows[39][0] = rows[39][1] = rows[30][0] = 1
+    frame = frame_from_batches(payloads, [(0, tuple(range(users)), rows), (1, (30,), [[1]])])
+    assert frame.column_masks.dtype == np.int64
+    for pre in (None, {5: payloads[5]}):
+        assert_same_peels(frame, pre)
+    assert set(batched_bp(frame).recovered) == {0, 30, 39}
+
+
 def test_peelers_match_references_on_a_sampled_frame_wider_than_int64():
     # 70 users in one slot under a cap of 70: the sampled masks are Python
     # ints.  Knowing all users but two, the slot releases both at this seed.
@@ -581,6 +598,65 @@ def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
     assert 0 < calls <= len(set(keys))
     assert report.eliminations == calls
     assert report.visits >= len(set(keys))
+
+
+def test_peel_counters_are_pinned():
+    """Visits, eliminations and field operations of both peelers on a
+    fixed-seed 20k-user frame; with a fresh rule table per decode they are
+    what the earlier per-decode memo counted."""
+    frame = sample_frame(SystemConfig(
+        users=20_000, slots=40_000, dist=DegreeDistribution({3: 1.0}), model=PncModel.example(10), seed=1,
+    ))
+    batched, plain = batched_bp(frame), ordinary_bp(frame)
+    assert (batched.visits, batched.eliminations, batched.field_ops) == (37_326, 1_331, 33_059)
+    assert (plain.visits, plain.eliminations, plain.field_ops) == (35_495, 20, 9_187)
+    assert len(batched.recovered) == len(plain.recovered) == 20_000
+
+
+def small_frames(count, payload_len=2):
+    """The frames of the `small-frames` benchmark call, by seed."""
+    model = PncModel.example(5)
+    dist = DegreeDistribution({1: 0.15, 2: 0.35, 3: 0.3, 4: 0.2})
+    for seed in range(count):
+        yield sample_frame(SystemConfig(users=50, slots=60, dist=dist, model=model, seed=seed, payload_len=payload_len))
+
+
+def test_a_shared_rule_table_changes_only_the_elimination_count():
+    rules = RuleTable()
+    shared_eliminations = fresh_eliminations = 0
+    for frame in small_frames(20):
+        for peel in (batched_bp, ordinary_bp):
+            shared, fresh = peel(frame, rules=rules), peel(frame)
+            assert dataclasses.replace(shared, eliminations=0) == dataclasses.replace(fresh, eliminations=0)
+            shared_eliminations += shared.eliminations
+            fresh_eliminations += fresh.eliminations
+    assert shared_eliminations == len(rules.rule) < fresh_eliminations
+
+
+def test_simulate_evaluates_each_rule_once(tmp_path, monkeypatch):
+    """One table serves every trial and both peelers of a simulate call."""
+    keys = []
+    slot_rule = ncsa.decoders._slot_rule
+
+    def recording_slot_rule(rows, masks, unknown):
+        keys.append((rows, masks, unknown))
+        return slot_rule(rows, masks, unknown)
+
+    monkeypatch.setattr(ncsa.decoders, "_slot_rule", recording_slot_rule)
+    argv = ["simulate", "--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
+            "--payload-bytes", "2", "--decoder", "all", "--trials", "20", "--out", str(tmp_path / "sim.csv")]
+    assert main(argv) == 0
+    assert 0 < len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("payload_len", [0, 1, 2, 3, 4, 8, 32])
+def test_peelers_match_references_at_every_payload_width(payload_len):
+    # each word size of `xor_segments`, and the empty row
+    rng = random.Random(payload_len)
+    for frame in small_frames(12, payload_len):
+        assert_same_peels(frame)
+        pre = {u: frame.payloads[u] for u in rng.sample(range(50), 5)}
+        assert_same_peels(frame, pre)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncsa.cli import main
 from ncsa.gf2 import BitMatrix, rank
 from ncsa.pnc import (
     PncModel,
@@ -611,3 +612,32 @@ def test_expected_rank_closed_route_values():
     assert model.family(2).expected_rank == Fraction(5, 3)
     assert model.family(3).expected_rank == Fraction(19, 10)
     assert model.expected_rank(3) == 19 / 10
+
+
+def test_gamma_counts_average_an_asymmetric_member_over_its_target_rows(tmp_path):
+    # [[1],[0]] decodes only its first row; a frame puts a user at either row
+    # of a two-user slot, so the slot releases it with probability 1/2 whatever
+    # the other user's state
+    family = PncModel.from_dict({
+        "max_decodable": 2,
+        "families": {"1": [{"matrix": [[1]], "prob": 1.0}], "2": [{"matrix": [[1], [0]], "prob": 1.0}]},
+    }).family(2)
+    assert family.gamma_counts() == [0.5, 0.5]
+
+
+def test_asymmetric_custom_family_predicts_its_frames(tmp_path):
+    model = {
+        "max_decodable": 2,
+        "families": {"1": [{"matrix": [[1]], "prob": 1.0}], "2": [{"matrix": [[1], [0]], "prob": 1.0}]},
+    }
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--users", "20000", "--rate", "0.5", "--dist", "2:1", "--model", str(tmp_path / "model.json"),
+            "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    meta = dict(line[2:].strip().split("=", 1) for line in out.read_text().splitlines() if line.startswith("# "))
+    predicted, measured = float(meta["predicted_fraction"]), float(meta["mean_fraction_batched"])
+    # a user's edge resolves with probability e^-1 (alone) + e^-1 / 2 (one other)
+    assert predicted == pytest.approx(1 - (1 - 1.5 / math.e) ** 2, abs=1e-9)
+    assert measured == pytest.approx(0.7865)
+    assert abs(predicted - measured) < 0.015
