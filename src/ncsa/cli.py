@@ -36,6 +36,11 @@ from .optimize import optimize, sweep
 from .pnc import PncModel, gamma_closed_form, gamma_k_enum
 from .svg import render_line_chart
 
+# `simulate` shares one rule table across its trials until it holds this
+# many shapes and rules, then starts a new one: small frames reuse almost
+# every rule, while large frames add new shapes and keys in every trial
+SHARED_RULES_LIMIT = 1 << 14
+
 
 class ConfigError(ValueError):
     """Bad command line / config file input."""
@@ -219,8 +224,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     rows = []
     fractions: dict[str, list[float]] = {name: [] for name in decoders}
-    rules = RuleTable()  # release rules, shared by every trial and both peelers
+    rules = RuleTable()  # release rules, shared by the trials and both peelers
     for trial in range(trials):
+        if rules.size > SHARED_RULES_LIMIT:
+            rules = RuleTable()
         frame = sample_frame(dataclasses.replace(config, seed=seed + trial))
         peel = None  # the batched row's report, which the oracle reuses
         for name in decoders:

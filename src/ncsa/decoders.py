@@ -13,18 +13,21 @@ Three recovery strategies, strictly ordered by power:
   gives the same set as eliminating the frame's global matrix; like the
   peelers it raises FrameInconsistencyError on a corrupt frame.
 
-Both peelers run one strict-generation driver (`_peel`) over the frame's
-CSR arrays: a unit is a slot for `batched_bp` and one output equation for
+Both peelers run one strict-generation schedule over the frame's CSR
+arrays: a unit is a slot for `batched_bp` and one output equation for
 `ordinary_bp`, which wakes an equation only when one unknown is left (the
 counter peel of invertible Bloom lookup tables).  What a unit releases is a
 pure function of its transfer columns and its unknown-row mask, kept in a
-`RuleTable` that one decode or many share, and each generation is one pass
-of array operations over the woken units.  An iteration sees only the
-knowledge available when it started, which is the schedule the asymptotic
-recursion counts, so results do not depend on the order units are visited.
-All payload XORs and column operations of the per-unit reductions are
-tallied in `DecodeReport.field_ops`; work stays linear in the transmissions
-because a unit is revisited only after its unknown mask shrinks.
+`RuleTable` that one decode or many share.  `_peel` runs each generation as
+one pass of array operations over the woken units; frames of at most
+`_SCALAR_ROWS` unit rows go through `_peel_scalar` instead, unit by unit
+with Python ints, since a pass costs some fifty numpy calls whatever its
+size.  The two give the same report.  An iteration sees only the knowledge
+available when it started, which is the schedule the asymptotic recursion
+counts, so results do not depend on the order units are visited.  All
+payload XORs and column operations of the per-unit reductions are tallied
+in `DecodeReport.field_ops`; work stays linear in the transmissions because
+a unit is revisited only after its unknown mask shrinks.
 """
 from __future__ import annotations
 
@@ -40,6 +43,11 @@ from .gf2 import BitMatrix, mask_dtype, rcef, select_rows, span_basis, units_in_
 # a rule key holds the shape id in its low bits and the unknown mask above
 _SHAPE_BITS = 32
 _SHAPE_MASK = (1 << _SHAPE_BITS) - 1
+
+# frames with at most this many unit rows peel unit by unit in Python
+# (`_peel_scalar`): there a pass of array operations costs more in numpy
+# calls than the Python loop spends on the whole frame
+_SCALAR_ROWS = 200
 
 
 class FrameInconsistencyError(Exception):
@@ -124,14 +132,28 @@ class RuleTable:
     entry row), where column j of a shape with C columns is j and row r is
     C + r.  A released entry is a run of terms whose packets XOR to its
     row's packet; its first term names that row (at least 1, as C >= 1),
-    the others hold 0."""
+    the others hold 0.  Both arrays grow by doubling, so their rows past
+    those in use are spare.  ``entries[k]`` keeps rule k as `_slot_rule`
+    returned it, for `_peel_scalar`.
+    """
 
     def __init__(self):
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
         self._named: list[tuple[int, tuple[int, ...]]] = []
         self._rules: dict[int, int] = {}  # key: the unknown mask above the shape id
-        self.rule = np.zeros((0, 3), np.int64)
-        self.term = np.zeros((0, 2), np.int64)
+        self._terms = 0
+        self.entries: list[tuple[tuple, int]] = []
+        self.rule = np.zeros((16, 3), np.int64)
+        self.term = np.zeros((64, 2), np.int64)
+
+    def __len__(self) -> int:
+        """The number of rules held."""
+        return len(self._rules)
+
+    @property
+    def size(self) -> int:
+        """The number of shapes and rules held, which the memory grows with."""
+        return len(self.shapes) + len(self._rules)
 
     def shape_ids(self, shapes) -> np.ndarray:
         """The id of each ``(rows, column masks)`` shape, numbering new ones."""
@@ -145,22 +167,37 @@ class RuleTable:
         """The rule of each key, evaluating `_slot_rule` once per key not
         seen before; and how many keys that was."""
         found = self._rules
-        rules = list(map(found.get, keys))
-        rule, term = [], []
-        if None in rules:
-            for key in dict.fromkeys(key for key, hit in zip(keys, rules) if hit is None):
-                rows, masks = self._named[key & _SHAPE_MASK]
-                released, spent = _slot_rule(rows, masks, key >> _SHAPE_BITS)
-                found[key] = len(found)
-                first = len(term)
-                for r, columns, known in released:
-                    local = [*columns, *(len(masks) + j for j in known)]
-                    term += [(local[0], len(masks) + r), *((t, 0) for t in local[1:])]
-                rule.append((spent, len(self.term) + first, len(term) - first))
-            self.rule = np.concatenate((self.rule, np.array(rule, np.int64).reshape(-1, 3)))
-            self.term = np.concatenate((self.term, np.array(term, np.int64).reshape(-1, 2)))
-            rules = list(map(found.__getitem__, keys))
-        return np.array(rules, dtype=np.int64), len(rule)
+        try:
+            return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), 0
+        except KeyError:
+            new = [key for key in dict.fromkeys(keys) if key not in found]
+        rules, terms = [], []
+        for key in new:
+            rows, masks = self._named[key & _SHAPE_MASK]
+            released, spent = _slot_rule(rows, masks, key >> _SHAPE_BITS)
+            first = self._terms + len(terms)
+            for row, columns, known in released:
+                local = [*columns, *(len(masks) + r for r in known)]
+                terms += [(local[0], len(masks) + row), *((t, 0) for t in local[1:])]
+            found[key] = len(found)
+            self.entries.append((released, spent))
+            rules.append((spent, first, self._terms + len(terms) - first))
+        self.rule = _put(self.rule, len(found) - len(rules), rules)
+        self.term = _put(self.term, self._terms, terms)
+        self._terms += len(terms)
+        return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), len(new)
+
+
+def _put(table: np.ndarray, used: int, rows: list[tuple[int, ...]]) -> np.ndarray:
+    """`table` with `rows` written from row `used` on, doubled in length
+    (into a new array) when they do not fit."""
+    if used + len(rows) > len(table):
+        grown = np.zeros((max(2 * len(table), used + len(rows)), table.shape[1]), table.dtype)
+        grown[:used] = table[:used]
+        table = grown
+    if rows:
+        table[used:used + len(rows)] = rows
+    return table
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -169,37 +206,57 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(end[-1] if len(end) else 0) + (start - end + count).repeat(count)
 
 
-def _check_against_frame(frame: Frame, known: np.ndarray, values: np.ndarray) -> None:
-    """Raise FrameInconsistencyError unless each known user's row of
-    `values` is the packet the frame records for it, and every output whose
-    members are all known re-encodes to what was received.  Once the first
-    part holds, only the frame's `mismatched_outputs` can fail the second."""
-    if (values[known] != frame.payload_rows[known]).any():
+def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) -> None:
+    """Raise FrameInconsistencyError unless the recovered packets agree with
+    the frame: row i of `values` is the packet the frame records for user
+    ``users[i]``, and every output column whose members are all recovered
+    re-encodes to the received output.
+
+    Once the first part holds, re-encoding from the recovered packets is
+    re-encoding from the frame's own, which the frame did when it was built:
+    only its `mismatched_outputs` can fail.
+    """
+    if values.tobytes() != frame.payload_rows[users].tobytes():
         raise FrameInconsistencyError("a recovered packet differs from the one its user sent")
+    known = np.zeros(frame.users, bool)
+    known[users] = True
     ptr = frame.member_ptr
     for e in frame.mismatched_outputs.tolist():
         if known[frame.members[ptr[e]:ptr[e + 1]]].all():
             raise FrameInconsistencyError(f"output {e} disagrees with the recovered packets of its members")
 
 
-def _peel(frame: Frame, row_ptr: np.ndarray, row_users: np.ndarray, column_ptr: np.ndarray, shape_id: np.ndarray,
-          rules: RuleTable, preknown: Mapping[int, bytes] | None, max_iters: int, counter: bool) -> DecodeReport:
+def _peel(
+    frame: Frame,
+    row_ptr: np.ndarray,
+    row_users: np.ndarray,
+    column_ptr: np.ndarray,
+    shape_id: np.ndarray,
+    rules: RuleTable,
+    preknown: Mapping[int, bytes] | None,
+    max_iters: int,
+    counter: bool,
+) -> DecodeReport:
     """Peel units in strict generations, each pass one run of array operations.
 
     Unit i holds the rows ``row_users[row_ptr[i]:row_ptr[i + 1]]`` and the
     transfer columns of shape ``shape_id[i]``, whose outputs are frame
     outputs ``column_ptr[i]:column_ptr[i + 1]``; units without columns take
-    no part.  A unit's key is its unknown mask above its shape id.  A pass
-    looks up the rule of every woken unit's key (a key new to the table is
-    one elimination); one buffer holds the outputs, then one row per user,
-    so one gather and one `xor_segments` compute every released packet,
-    which is scattered to its user and read back to find conflicts.  The
-    recovered rows' bits are cleared over the user-to-edge CSR, which wakes
-    each touched unit whose mask is still nonzero, or with `counter` exactly
-    one bit (the only masks on which a single-column unit releases anything).
+    no part.  A unit's key is its unknown-row mask above its shape id.  A
+    pass looks up the rule of every woken unit's key (a key new to the
+    table is one elimination).  One buffer holds the outputs, then one row
+    per user, so one gather and one `xor_segments` compute every packet the
+    pass releases; the packets are scattered to their users and read back
+    to find conflicts.  Recoveries are merged only after the pass, so every
+    unit of a pass sees the knowledge of its start: their rows' bits are
+    cleared over the user-to-edge CSR, which wakes each touched unit whose
+    mask is still nonzero, or with `counter` exactly one bit (the only
+    masks on which a single-column unit releases anything).  A pass with
+    recoveries is always followed by one more.
 
     Raises FrameInconsistencyError when two resolutions of one pass
-    disagree about a packet, or when the result disagrees with the frame.
+    disagree about a packet, or when the result disagrees with the frame
+    (`_check_against_frame`).
     """
     recovered = _checked_preknown(frame, preknown)
     outputs = len(frame.outputs)
@@ -207,16 +264,15 @@ def _peel(frame: Frame, row_ptr: np.ndarray, row_users: np.ndarray, column_ptr: 
     rows = row_ptr[1:] - row_ptr[:-1]
     cols = column_ptr[1:] - column_ptr[:-1]
     live = cols > 0
-    # a unit's key: its unknown mask above its shape id
     dtype = mask_dtype(int(rows[live].max(initial=0)) + _SHAPE_BITS)
     full = live.astype(dtype) << _SHAPE_BITS
     key = (full << rows) - full + shape_id
     # every row is an edge, whose key bit is 0 unless its unit is live;
     # grouped by user, a recovery finds the bits it clears
-    owner = np.arange(len(rows)).repeat(rows)
-    order = row_users.argsort()
+    owner, pos = segments(rows)
+    order = row_users.argsort(kind="stable")
     edge_unit = owner[order]
-    edge_bit = full[edge_unit] << (order - row_ptr[edge_unit])
+    edge_bit = full[edge_unit] << pos[order]
     degree = np.bincount(row_users, minlength=frame.users)
     by_user = offsets(degree)
     # local index t of unit i is buffer row local[base[i] + t]: its columns'
@@ -228,12 +284,14 @@ def _peel(frame: Frame, row_ptr: np.ndarray, row_users: np.ndarray, column_ptr: 
     buf = np.zeros((outputs + frame.users, size), np.uint8)
     buf[:outputs] = frame.outputs
 
-    def distinct(items: np.ndarray, bound: int) -> np.ndarray:  # ascending; entries below bound
+    def distinct(items: np.ndarray, bound: int) -> np.ndarray:
+        """The distinct entries, all below `bound`, ascending."""
         seen = np.zeros(bound, bool)
         seen[items] = True
         return seen.nonzero()[0]
 
-    def clear(users: np.ndarray) -> np.ndarray:  # the units holding newly known users
+    def clear(users: np.ndarray) -> np.ndarray:
+        """Clear the bits of newly known users; the units that held them."""
         at = _ranges(by_user[users], degree[users])
         np.bitwise_xor.at(key, edge_unit[at], edge_bit[at])
         return edge_unit[at]
@@ -258,18 +316,18 @@ def _peel(frame: Frame, row_ptr: np.ndarray, row_users: np.ndarray, column_ptr: 
         rule, new = rules.lookup(key[woken].tolist())
         visited.append(rule)
         eliminations += new
-        rule = rules.rule[rule]
-        at = _ranges(rule[:, 1], rule[:, 2])
+        spec = rules.rule[rule]
+        at = _ranges(spec[:, 1], spec[:, 2])
         if not len(at):
             per_iteration.append(0)
             break
-        where = base[woken].repeat(rule[:, 2])
+        where = base[woken].repeat(spec[:, 2])
         term = rules.term[at]
         opens = term[:, 1].nonzero()[0]
         dest = local[where[opens] + term[opens, 1]]
-        value = xor_segments(buf[local[where + term[:, 0]]], np.concatenate((opens, [len(at)])))
+        value = xor_segments(buf[local[where + term[:, 0]]], np.append(opens, len(at)))
         buf[dest] = value
-        if (buf[dest] != value).any():
+        if buf[dest].tobytes() != value.tobytes():
             clash = dest[(buf[dest] != value).any(axis=1)][0] - outputs
             raise FrameInconsistencyError(f"user {clash} resolved to two different payloads")
         fresh = distinct(dest - outputs, frame.users)
@@ -278,19 +336,123 @@ def _peel(frame: Frame, row_ptr: np.ndarray, row_users: np.ndarray, column_ptr: 
         woken = distinct(wake(clear(fresh)), len(key))
 
     users = np.concatenate(found)
-    known = np.zeros(frame.users, bool)
-    known[users] = True
-    _check_against_frame(frame, known, buf[outputs:])
-    fresh = users[len(pre):]
-    values = buf[outputs + fresh].view(f"V{size}").ravel().tolist() if size else [b""] * len(fresh)
-    recovered.update(zip(fresh.tolist(), values))
-    visited = np.concatenate(visited or [np.zeros(0, np.int64)])
-    return DecodeReport(recovered, frozenset(preknown or ()), iterations, tuple(per_iteration),
-                        int(np.add.reduce(rules.rule[visited, 0])), frame.users, len(visited), eliminations)
+    values = buf[outputs + users]
+    _check_against_frame(frame, users, values)
+    fresh = values[len(pre):].view(f"V{size}").ravel().tolist() if size else [b""] * (len(users) - len(pre))
+    recovered.update(zip(users[len(pre):].tolist(), fresh))
+    visited = np.concatenate(visited) if visited else np.zeros(0, np.int64)
+    return DecodeReport(
+        recovered=recovered,
+        preknown=frozenset(preknown or ()),
+        iterations=iterations,
+        per_iteration=tuple(per_iteration),
+        field_ops=int(rules.rule[visited, 0].sum()),
+        users=frame.users,
+        visits=len(visited),
+        eliminations=eliminations,
+    )
 
 
-def batched_bp(frame: Frame, preknown: Mapping[int, bytes] | None = None, max_iters: int = 200, *,
-               rules: RuleTable | None = None) -> DecodeReport:
+def _peel_scalar(
+    frame: Frame,
+    row_ptr: np.ndarray,
+    row_users: np.ndarray,
+    column_ptr: np.ndarray,
+    shape_id: np.ndarray,
+    rules: RuleTable,
+    preknown: Mapping[int, bytes] | None,
+    max_iters: int,
+    counter: bool,
+) -> DecodeReport:
+    """`_peel` unit by unit, with packets as Python ints, for small frames.
+
+    The units, keys, rule table and schedule are `_peel`'s, and so is the
+    report: a pass visits the woken units in index order and merges their
+    recoveries after it, which clears the recovered rows' bits and wakes
+    the touched units as `_peel` does.  Raises FrameInconsistencyError in
+    the same cases.
+    """
+    recovered = _checked_preknown(frame, preknown)
+    size = frame.payload_len
+    blob = frame.outputs.tobytes()
+    ptr, users, first_column = row_ptr.tolist(), row_users.tolist(), column_ptr.tolist()
+    shapes = shape_id.tolist()
+    live = [i for i in range(len(shapes)) if first_column[i + 1] > first_column[i]]
+    unknown = [0] * len(shapes)
+    edges: dict[int, list[tuple[int, int]]] = {}  # per user, the (unit, row bit) of each of its rows
+    for i in live:
+        unknown[i] = (1 << ptr[i + 1] - ptr[i]) - 1
+        for r in range(ptr[i], ptr[i + 1]):
+            edges.setdefault(users[r], []).append((i, 1 << r - ptr[i]))
+    value: dict[int, int] = {}
+
+    def merge(found: dict[int, int]) -> set[int]:
+        """Record the found packets and clear their bits; the touched units."""
+        touched = set()
+        for user, v in found.items():
+            value[user] = v
+            for i, bit in edges.get(user, ()):
+                unknown[i] ^= bit
+                touched.add(i)
+        return touched
+
+    def wakes(i: int) -> bool:
+        mask = unknown[i]
+        return mask > 0 and not (counter and mask & (mask - 1))
+
+    merge({u: int.from_bytes(p, "big") for u, p in recovered.items()})
+    woken = list(filter(wakes, live))
+    table, entries = rules._rules, rules.entries
+    ops = visits = eliminations = iterations = 0
+    per_iteration: list[int] = []
+    while live and iterations < max_iters:
+        iterations += 1
+        found: dict[int, int] = {}
+        for i in woken:
+            key = unknown[i] << _SHAPE_BITS | shapes[i]
+            if key not in table:
+                eliminations += rules.lookup([key])[1]
+            released, spent = entries[table[key]]
+            visits += 1
+            ops += spent
+            base, column = ptr[i], first_column[i]
+            for row, columns, known_rows in released:
+                v = 0
+                for j in columns:
+                    at = (column + j) * size
+                    v ^= int.from_bytes(blob[at:at + size], "big")
+                for r in known_rows:
+                    v ^= value[users[base + r]]
+                user = users[base + row]
+                if found.setdefault(user, v) != v:
+                    raise FrameInconsistencyError(f"user {user} resolved to two different payloads")
+        per_iteration.append(len(found))
+        if not found:
+            break
+        woken = sorted(filter(wakes, merge(found)))
+
+    recovered.update((u, value[u].to_bytes(size, "big")) for u in islice(value, len(recovered), None))
+    values = np.frombuffer(b"".join(recovered.values()), np.uint8).reshape(len(recovered), size)
+    _check_against_frame(frame, np.fromiter(recovered, np.int64, len(recovered)), values)
+    return DecodeReport(
+        recovered=recovered,
+        preknown=frozenset(preknown or ()),
+        iterations=iterations,
+        per_iteration=tuple(per_iteration),
+        field_ops=ops,
+        users=frame.users,
+        visits=visits,
+        eliminations=eliminations,
+    )
+
+
+def batched_bp(
+    frame: Frame,
+    preknown: Mapping[int, bytes] | None = None,
+    max_iters: int = 200,
+    *,
+    rules: RuleTable | None = None,
+) -> DecodeReport:
     """Peel the frame slot-by-slot through per-batch Gaussian reduction.
 
     Each processing of a batch substitutes every currently known member
@@ -302,19 +464,30 @@ def batched_bp(frame: Frame, preknown: Mapping[int, bytes] | None = None, max_it
     its own, so `eliminations` counts this frame's distinct keys.
 
     Raises FrameInconsistencyError when two resolutions of the same packet
-    disagree or the recovered packets disagree with the frame.
+    disagree or the recovered packets disagree with the frame (impossible
+    for frames produced by `sample_frame`).
     """
     rules = RuleTable() if rules is None else rules
     rows = (frame.batch_ptr[1:] - frame.batch_ptr[:-1]).tolist()
     column_ptr = frame.column_ptr.tolist()
     masks = frame.column_masks.tolist()
-    shape_id = rules.shape_ids((rows[b], tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b in range(len(rows)))
-    return _peel(frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, shape_id, rules, preknown, max_iters,
-                 counter=False)
+    shape_id = rules.shape_ids(
+        (rows[b], tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b in range(len(rows))
+    )
+    peel = _peel if len(frame.batch_users) > _SCALAR_ROWS else _peel_scalar
+    return peel(
+        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, shape_id, rules,
+        preknown, max_iters, counter=False,
+    )
 
 
-def ordinary_bp(frame: Frame, preknown: Mapping[int, bytes] | None = None, max_iters: int = 200, *,
-                rules: RuleTable | None = None) -> DecodeReport:
+def ordinary_bp(
+    frame: Frame,
+    preknown: Mapping[int, bytes] | None = None,
+    max_iters: int = 200,
+    *,
+    rules: RuleTable | None = None,
+) -> DecodeReport:
     """Classic peeling over individual output equations.
 
     Every output column of every batch is treated as a standalone XOR
@@ -328,8 +501,11 @@ def ordinary_bp(frame: Frame, preknown: Mapping[int, bytes] | None = None, max_i
     sizes = frame.member_ptr[1:] - frame.member_ptr[:-1]
     top = int(sizes.max()) if len(sizes) else 0
     shape_id = rules.shape_ids((n, ((1 << n) - 1,)) for n in range(top + 1))[sizes]
-    return _peel(frame, frame.member_ptr, frame.members, np.arange(len(sizes) + 1), shape_id, rules, preknown,
-                 max_iters, counter=True)
+    peel = _peel if len(frame.members) > _SCALAR_ROWS else _peel_scalar
+    return peel(
+        frame, frame.member_ptr, frame.members, np.arange(len(sizes) + 1), shape_id, rules,
+        preknown, max_iters, counter=True,
+    )
 
 
 def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
@@ -343,13 +519,17 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
     Computed by peeling first and eliminating only what is left
     (inactivation decoding): every user `batched_bp` recovers lies in that
     span, so only the residual core of still-unknown users goes through
-    elimination, over transfer columns restricted to the core's rows, which
-    gives the same set as eliminating the whole frame.  Raises
-    FrameInconsistencyError when the peel finds the frame corrupt.
+    elimination, over transfer columns restricted to the core's rows.  The
+    result is the same set as eliminating the whole frame; the bitmasks are
+    only as wide as the core, and an empty core costs nothing beyond the
+    peel.  Raises FrameInconsistencyError when the peel finds the frame
+    corrupt.
 
     `peeled` is the report of a `batched_bp` run on the same frame and
-    `preknown` (also one stopped early by `max_iters`), which then replaces
-    the oracle's own peel and its corruption check.
+    `preknown`, which then replaces the oracle's own peel.  Any such run
+    will do, also one stopped early by `max_iters`: what it recovered lies
+    in the span either way.  The corruption check is then the one that run
+    made.
     """
     if peeled is None:
         peeled = batched_bp(frame, preknown)

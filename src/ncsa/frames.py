@@ -37,9 +37,6 @@ _MIN_DISTINCT_PROB = 0.1
 # which stays below users * slots
 _MAX_CELLS = int(np.iinfo(np.int64).max) + 1
 
-# the widest unsigned word that divides a row length, by the length mod 8
-_WORD = tuple(np.dtype(f"u{w}") for w in (8, 1, 2, 1, 4, 1, 2, 1))
-
 
 class DegreeDistribution:
     """Probabilities over user repetition degrees 1..max_degree."""
@@ -199,7 +196,7 @@ def segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def offsets(counts: np.ndarray) -> np.ndarray:
     """CSR offsets (length n + 1) for segments of the given lengths."""
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    counts.cumsum(out=ptr[1:])
+    np.cumsum(counts, out=ptr[1:])
     return ptr
 
 
@@ -210,9 +207,11 @@ def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     Rows are XORed as the widest unsigned words that divide their length,
     which makes the reduction several times faster than byte by byte.
     """
-    words = rows.view(_WORD[rows.shape[1] % 8])
+    width = rows.shape[1]
+    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
+    words = rows.view(f"u{word}")
     out = np.zeros((len(ptr) - 1, words.shape[1]), dtype=words.dtype)
-    nonempty = (ptr[1:] > ptr[:-1]).nonzero()[0]
+    nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
     if len(nonempty):
         out[nonempty] = np.bitwise_xor.reduceat(words, ptr[nonempty], axis=0)
     return out.view(np.uint8)

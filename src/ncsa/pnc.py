@@ -41,7 +41,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .gf2 import BitMatrix, in_colspan, mask_dtype, rank, select_rows
+from .gf2 import BitMatrix, in_colspan, mask_dtype, rank, select_rows, span_basis, units_in_span
 
 _T10 = (1, 0)
 _T01 = (0, 1)
@@ -184,18 +184,22 @@ class WeightedMatrixFamily:
     def gamma_counts(self) -> list[float]:
         """counts[j] = mean number of size-j subsets in a member's gamma set,
         averaged over its d rows as the target: a frame places a user at a
-        uniform row of its slot.  Row t is moved last, where `gamma_set`
-        takes the target; the integer sizes are summed before dividing by d,
-        so a member whose every row gives the same sizes counts as before."""
+        uniform row of its slot.  One walk over each member's known-row
+        subsets V builds one span basis of its columns with the rows of V
+        cleared and counts the rows whose unit vectors it spans, all outside
+        V: each is a target that V unlocks.  The integer sizes are summed
+        before dividing by d, so a member whose every row gives the same
+        sizes counts as with the last row alone."""
         d = self.degree
+        rows = (1 << d) - 1
         counts = [0.0] * d
         for matrix, prob in self.entries:
             if not matrix.cols:  # unlocks nothing, whatever the target
                 continue
             sizes = [0] * d
-            for t in range(d):
-                for subset in gamma_set(select_rows(matrix, [*range(t), *range(t + 1, d), t])):
-                    sizes[len(subset)] += 1
+            for known in range(rows):  # every V that leaves a target
+                basis = span_basis(m & ~known for m in matrix.column_masks())
+                sizes[known.bit_count()] += len(units_in_span(basis, d))
             for j, c in enumerate(sizes):
                 counts[j] += prob * (c / d)
         return counts

@@ -1,12 +1,15 @@
 import dataclasses
 import math
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncsa.cli
 import ncsa.decoders
 from ncsa.cli import main
 from ncsa.decoders import (
@@ -220,16 +223,33 @@ def reference_ordinary_bp(frame, preknown=None, max_iters=200):
     )
 
 
+# values of `_SCALAR_ROWS` that send every frame down one peel: the array
+# passes of `_peel` or the unit-by-unit `_peel_scalar`
+PEEL_PATHS = {"arrays": -1, "scalar": math.inf}
+
+
+@contextmanager
+def peel_path(name):
+    with mock.patch.object(ncsa.decoders, "_SCALAR_ROWS", PEEL_PATHS[name]):
+        yield
+
+
 def assert_same_peels(frame, pre=None, max_iters=200):
-    """Both peelers report exactly what their references report."""
+    """Both peelers report exactly what their references report, down
+    either path, and the two paths report the same in full."""
     for peel, reference in ((batched_bp, reference_batched_bp), (ordinary_bp, reference_ordinary_bp)):
-        got = peel(frame, pre, max_iters)
         want = reference(frame, pre, max_iters)
-        assert got.recovered == want.recovered
-        assert got.iterations == want.iterations
-        assert got.per_iteration == want.per_iteration
-        assert got.field_ops == want.field_ops
-        assert got.preknown == want.preknown
+        reports = []
+        for path in PEEL_PATHS:
+            with peel_path(path):
+                got = peel(frame, pre, max_iters)
+            assert got.recovered == want.recovered
+            assert got.iterations == want.iterations
+            assert got.per_iteration == want.per_iteration
+            assert got.field_ops == want.field_ops
+            assert got.preknown == want.preknown
+            reports.append(got)
+        assert reports[0] == reports[1]
 
 
 def corrupted_two_slot_frame():
@@ -453,18 +473,22 @@ def test_repeat_runs_identical():
 
 def test_conflicting_batches_raise():
     corrupted = corrupted_two_slot_frame()
-    with pytest.raises(FrameInconsistencyError):
-        batched_bp(corrupted)
-    with pytest.raises(FrameInconsistencyError):
-        ordinary_bp(corrupted)
+    for path in PEEL_PATHS:
+        with peel_path(path):
+            with pytest.raises(FrameInconsistencyError, match="user 0 resolved to two different payloads"):
+                batched_bp(corrupted)
+            with pytest.raises(FrameInconsistencyError, match="user 0 resolved to two different payloads"):
+                ordinary_bp(corrupted)
 
 
 @pytest.mark.parametrize("corrupted", [cross_pass_corrupted_frame, unused_corrupt_output_frame])
 def test_corruption_found_after_the_peel_raises(corrupted):
     frame = corrupted()
-    for decode in (batched_bp, ordinary_bp, ge_oracle):
-        with pytest.raises(FrameInconsistencyError):
-            decode(frame)
+    for path in PEEL_PATHS:
+        with peel_path(path):
+            for decode in (batched_bp, ordinary_bp, ge_oracle):
+                with pytest.raises(FrameInconsistencyError):
+                    decode(frame)
 
 
 def test_a_corrupt_output_with_unknown_members_does_not_raise():
@@ -600,14 +624,16 @@ def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
     assert report.visits >= len(set(keys))
 
 
-def test_peel_counters_are_pinned():
+@pytest.mark.parametrize("path", PEEL_PATHS)
+def test_peel_counters_are_pinned(path):
     """Visits, eliminations and field operations of both peelers on a
     fixed-seed 20k-user frame; with a fresh rule table per decode they are
     what the earlier per-decode memo counted."""
     frame = sample_frame(SystemConfig(
         users=20_000, slots=40_000, dist=DegreeDistribution({3: 1.0}), model=PncModel.example(10), seed=1,
     ))
-    batched, plain = batched_bp(frame), ordinary_bp(frame)
+    with peel_path(path):
+        batched, plain = batched_bp(frame), ordinary_bp(frame)
     assert (batched.visits, batched.eliminations, batched.field_ops) == (37_326, 1_331, 33_059)
     assert (plain.visits, plain.eliminations, plain.field_ops) == (35_495, 20, 9_187)
     assert len(batched.recovered) == len(plain.recovered) == 20_000
@@ -621,16 +647,18 @@ def small_frames(count, payload_len=2):
         yield sample_frame(SystemConfig(users=50, slots=60, dist=dist, model=model, seed=seed, payload_len=payload_len))
 
 
-def test_a_shared_rule_table_changes_only_the_elimination_count():
+@pytest.mark.parametrize("path", PEEL_PATHS)
+def test_a_shared_rule_table_changes_only_the_elimination_count(path):
     rules = RuleTable()
     shared_eliminations = fresh_eliminations = 0
-    for frame in small_frames(20):
-        for peel in (batched_bp, ordinary_bp):
-            shared, fresh = peel(frame, rules=rules), peel(frame)
-            assert dataclasses.replace(shared, eliminations=0) == dataclasses.replace(fresh, eliminations=0)
-            shared_eliminations += shared.eliminations
-            fresh_eliminations += fresh.eliminations
-    assert shared_eliminations == len(rules.rule) < fresh_eliminations
+    with peel_path(path):
+        for frame in small_frames(20):
+            for peel in (batched_bp, ordinary_bp):
+                shared, fresh = peel(frame, rules=rules), peel(frame)
+                assert dataclasses.replace(shared, eliminations=0) == dataclasses.replace(fresh, eliminations=0)
+                shared_eliminations += shared.eliminations
+                fresh_eliminations += fresh.eliminations
+    assert shared_eliminations == len(rules) < fresh_eliminations
 
 
 def test_simulate_evaluates_each_rule_once(tmp_path, monkeypatch):
@@ -647,6 +675,26 @@ def test_simulate_evaluates_each_rule_once(tmp_path, monkeypatch):
             "--payload-bytes", "2", "--decoder", "all", "--trials", "20", "--out", str(tmp_path / "sim.csv")]
     assert main(argv) == 0
     assert 0 < len(keys) == len(set(keys))
+
+
+def test_simulate_starts_a_new_rule_table_past_its_limit(tmp_path, monkeypatch):
+    """Past `SHARED_RULES_LIMIT` shapes and rules, simulate drops its table,
+    so some keys are evaluated again, and writes the same rows."""
+    keys = []
+    slot_rule = ncsa.decoders._slot_rule
+
+    def recording_slot_rule(rows, masks, unknown):
+        keys.append((rows, masks, unknown))
+        return slot_rule(rows, masks, unknown)
+
+    argv = ["simulate", "--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
+            "--payload-bytes", "2", "--decoder", "all", "--trials", "20", "--omit-times", "--out"]
+    assert main([*argv, str(tmp_path / "shared.csv")]) == 0
+    monkeypatch.setattr(ncsa.cli, "SHARED_RULES_LIMIT", 100)
+    monkeypatch.setattr(ncsa.decoders, "_slot_rule", recording_slot_rule)
+    assert main([*argv, str(tmp_path / "bounded.csv")]) == 0
+    assert len(keys) > len(set(keys))
+    assert (tmp_path / "bounded.csv").read_bytes() == (tmp_path / "shared.csv").read_bytes()
 
 
 @pytest.mark.parametrize("payload_len", [0, 1, 2, 3, 4, 8, 32])
