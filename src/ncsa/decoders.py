@@ -19,15 +19,21 @@ arrays: a unit is a slot for `batched_bp` and one output equation for
 counter peel of invertible Bloom lookup tables).  What a unit releases is a
 pure function of its transfer columns and its unknown-row mask, kept in a
 `RuleTable` that one decode or many share.  `_peel` runs each generation as
-one pass of array operations over the woken units; frames of at most
-`_SCALAR_ROWS` unit rows go through `_peel_scalar` instead, unit by unit
-with Python ints, since a pass costs some fifty numpy calls whatever its
-size.  The two give the same report.  An iteration sees only the knowledge
-available when it started, which is the schedule the asymptotic recursion
-counts, so results do not depend on the order units are visited.  All
-payload XORs and column operations of the per-unit reductions are tallied
-in `DecodeReport.field_ops`; work stays linear in the transmissions because
-a unit is revisited only after its unknown mask shrinks.
+one pass of array operations over the woken units.  It names batch shapes
+by one lexsort over their masks, finds int64 keys' rules by binary search,
+evaluates the rules of a pass's new keys of at most two columns (every
+stock and every `ordinary_bp` unit) together in closed form
+(`_pair_rules`), and groups edges by user with 16-bit radix sorts;
+`_slot_rule`, which runs `rcef`, is their reference and serves wider units.
+Frames of at most `_SCALAR_ROWS` unit rows go through
+`_peel_scalar` instead, unit by unit with Python ints and `_slot_rule`,
+since a pass costs some fifty numpy calls whatever its size.  The two give
+the same report.  An iteration sees only the knowledge available when it
+started, which is the schedule the asymptotic recursion counts, so results
+do not depend on the order units are visited.  All payload XORs and column
+operations of the per-unit reductions are tallied in
+`DecodeReport.field_ops`; work stays linear in the transmissions because a
+unit is revisited only after its unknown mask shrinks.
 """
 from __future__ import annotations
 
@@ -123,10 +129,49 @@ def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, 
     return tuple(released), spent + ops
 
 
+def _pair_rules(rows, cols, c1, c2, unknown):
+    """`_slot_rule` on many keys of at most two columns at once, in closed
+    form: int64 arrays of row counts, column counts, column masks (``c2`` is
+    0 for one column) and unknown masks.
+
+    `rcef`'s first pivot is the lowest unknown row: a swap (one operation)
+    when only the second column holds it, an add (two) when both do.  Its
+    second pivot is the lowest row of the new second column, added into the
+    first (two) when that holds it too.  Returns per key the operations
+    spent and its term count, and the terms in `RuleTable`'s layout, laid
+    end to end.
+    """
+    known = ((1 << rows) - 1) & ~unknown
+    a, b = c1 & unknown, c2 & unknown
+    low = (a | b) & -(a | b)
+    swap, add = (a & low == 0) & (b & low != 0), (a & b & low) != 0
+    # the reduced columns and their combinations (bit j: column j)
+    x0, k0 = np.where(swap, b, a), np.where(swap, 2, 1)
+    x1, k1 = np.where(swap, a, a * add ^ b), np.where(swap, 1, 2 + add)
+    back = (x0 & x1 & -x1) != 0
+    x = np.stack([x0 ^ x1 * back, x1], axis=1)
+    combo = np.stack([k0 ^ k1 * back, k1], axis=1)
+    spent = np.bitwise_count(c1 & known) + np.bitwise_count(c2 & known) + swap + 2 * add + 2 * back
+    # one entry per reduced column; bit t of `held` is term t: column t for
+    # t < 2, then known row t - 2
+    released = np.bitwise_count(x) == 1
+    isolating = np.where(combo & 1, c1[:, None], 0) ^ np.where(combo & 2, c2[:, None], 0)
+    t = np.arange(2 + int(rows.max(initial=0)))
+    held = ((combo | (isolating & known[:, None]) << 2)[..., None] >> t & 1).astype(bool) & released[..., None]
+    count = held.sum(axis=2)
+    term = np.zeros((int(count.sum()), 2), np.int64)
+    term[:, 0] = np.broadcast_to(np.where(t < 2, t, cols[:, None, None] + t - 2), held.shape)[held]
+    count, released, firsts = count.ravel(), released.ravel(), cols.repeat(2)
+    term[(count.cumsum() - count)[released], 1] = firsts[released] + np.bitwise_count(x.ravel()[released] - 1)
+    return spent.astype(np.int64), count.reshape(-1, 2).sum(axis=1), term
+
+
 class RuleTable:
     """Release rules by unit shape and unknown mask, for one decode or many.
 
-    `shape_ids` numbers (row count, column masks) shapes.  Rule k is
+    `shape_ids` numbers (row count, column masks) shapes.  `lookup` finds
+    the rules of keys in a dict, `find` those of an int64 key array by
+    binary search, and both add the keys not held yet.  Rule k is
     `_slot_rule` on one key, stored flat: ``rule[k]`` is (field operations
     spent, first term, term count), and a `term` row is (unit-local index,
     entry row), where column j of a shape with C columns is j and row r is
@@ -134,15 +179,22 @@ class RuleTable:
     row's packet; its first term names that row (at least 1, as C >= 1),
     the others hold 0.  Both arrays grow by doubling, so their rows past
     those in use are spare.  ``entries[k]`` keeps rule k as `_slot_rule`
-    returned it, for `_peel_scalar`.
+    returns it, for `_peel_scalar`; `entry` fills it on first use when
+    `_pair_rules` made the rule.
     """
 
     def __init__(self):
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
         self._named: list[tuple[int, tuple[int, ...]]] = []
+        # per shape named so far: rows, column count and masks, for
+        # `_pair_rules`; the count is 0 for shapes it does not take
+        self._pairs = np.zeros((0, 4), np.int64)
         self._rules: dict[int, int] = {}  # key: the unknown mask above the shape id
+        # the int64 keys `find` has seen, ascending, and their rules
+        self._sorted = np.zeros(0, np.int64)
+        self._sorted_rules = np.zeros(0, np.int64)
         self._terms = 0
-        self.entries: list[tuple[tuple, int]] = []
+        self.entries: list[tuple[tuple, int] | None] = []
         self.rule = np.zeros((16, 3), np.int64)
         self.term = np.zeros((64, 2), np.int64)
 
@@ -163,39 +215,88 @@ class RuleTable:
             named.extend(islice(ids, len(named), None))
         return out
 
-    def lookup(self, keys: list[int]) -> tuple[np.ndarray, int]:
-        """The rule of each key, evaluating `_slot_rule` once per key not
-        seen before; and how many keys that was."""
+    def lookup(self, keys) -> tuple[np.ndarray, int]:
+        """The rule of each key (Python ints, in a list or an object array),
+        evaluating each key not seen before once by `_slot_rule`; and how
+        many keys were new."""
         found = self._rules
         try:
             return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), 0
         except KeyError:
             new = [key for key in dict.fromkeys(keys) if key not in found]
-        rules, terms = [], []
-        for key in new:
+        self._add_slot_rules(new)
+        return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), len(new)
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
+        """`lookup` for an int64 array of keys: their distinct values are
+        found by binary search in the sorted keys seen so far, and the new
+        ones of at most two columns are evaluated together by `_pair_rules`."""
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        seen = self._sorted
+        at = seen.searchsorted(distinct)
+        missed = distinct[seen.take(at, mode="clip") != distinct] if len(seen) else distinct
+        if not len(missed):
+            return self._sorted_rules[at][inverse], 0
+        new = missed[np.fromiter((key not in self._rules for key in missed.tolist()), bool, len(missed))]
+        if len(self._pairs) < len(self._named):
+            self._pairs = np.concatenate([self._pairs, np.array([
+                (rows, len(masks), *masks, 0, 0)[:4] if len(masks) <= 2 and mask_dtype(rows) is np.int64
+                else (rows, 0, 0, 0)
+                for rows, masks in self._named[len(self._pairs):]
+            ], np.int64)])
+        pairs = self._pairs[new & _SHAPE_MASK]
+        paired = pairs[:, 1] > 0
+        spent, sizes, terms = _pair_rules(*pairs[paired].T, new[paired] >> _SHAPE_BITS)
+        first = self._terms + sizes.cumsum() - sizes
+        self._add(new[paired].tolist(), [None] * len(sizes), np.stack([spent, first, sizes], axis=1), terms)
+        self._add_slot_rules(new[~paired].tolist())
+        where = seen.searchsorted(missed)
+        rules = np.fromiter(map(self._rules.__getitem__, missed.tolist()), np.int64, len(missed))
+        self._sorted = np.insert(seen, where, missed)
+        self._sorted_rules = np.insert(self._sorted_rules, where, rules)
+        return self._sorted_rules[self._sorted.searchsorted(distinct)][inverse], len(new)
+
+    def entry(self, key: int) -> tuple[tuple, int]:
+        """Rule `key` as `_slot_rule` returns it, evaluated now if
+        `_pair_rules` made the rule."""
+        k = self._rules[key]
+        if self.entries[k] is None:
+            self.entries[k] = _slot_rule(*self._named[key & _SHAPE_MASK], key >> _SHAPE_BITS)
+        return self.entries[k]
+
+    def _add_slot_rules(self, keys: list[int]) -> None:
+        """Number `keys` as the next rules, evaluated by `_slot_rule`."""
+        entries, rules, terms = [], [], []
+        for key in keys:
             rows, masks = self._named[key & _SHAPE_MASK]
-            released, spent = _slot_rule(rows, masks, key >> _SHAPE_BITS)
+            released, spent = entry = _slot_rule(rows, masks, key >> _SHAPE_BITS)
             first = self._terms + len(terms)
             for row, columns, known in released:
                 local = [*columns, *(len(masks) + r for r in known)]
                 terms += [(local[0], len(masks) + row), *((t, 0) for t in local[1:])]
-            found[key] = len(found)
-            self.entries.append((released, spent))
+            entries.append(entry)
             rules.append((spent, first, self._terms + len(terms) - first))
-        self.rule = _put(self.rule, len(found) - len(rules), rules)
+        self._add(keys, entries, rules, terms)
+
+    def _add(self, keys: list[int], entries: list, rules, terms) -> None:
+        """Number `keys` as the next rules, with their `entries` and their
+        `rule` and `term` rows."""
+        used = len(self._rules)
+        self._rules.update(zip(keys, range(used, used + len(keys))))
+        self.entries += entries
+        self.rule = _put(self.rule, used, rules)
         self.term = _put(self.term, self._terms, terms)
         self._terms += len(terms)
-        return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), len(new)
 
 
-def _put(table: np.ndarray, used: int, rows: list[tuple[int, ...]]) -> np.ndarray:
+def _put(table: np.ndarray, used: int, rows) -> np.ndarray:
     """`table` with `rows` written from row `used` on, doubled in length
     (into a new array) when they do not fit."""
     if used + len(rows) > len(table):
         grown = np.zeros((max(2 * len(table), used + len(rows)), table.shape[1]), table.dtype)
         grown[:used] = table[:used]
         table = grown
-    if rows:
+    if len(rows):
         table[used:used + len(rows)] = rows
     return table
 
@@ -204,6 +305,46 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The ranges ``start[i]:start[i] + count[i]``, laid end to end."""
     end = count.cumsum()
     return np.arange(end[-1] if len(end) else 0) + (start - end + count).repeat(count)
+
+
+def _stable_order(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values.argsort(kind="stable")`` for values in [0, bound): below
+    2**32 as two stable sorts of 16-bit digits, which numpy radix-sorts."""
+    if bound > 1 << 32:
+        return values.argsort(kind="stable")
+    order = (values & 0xFFFF).astype(np.uint16).argsort(kind="stable")
+    if bound > 1 << 16:
+        order = order[(values[order] >> 16).astype(np.uint16).argsort(kind="stable")]
+    return order
+
+
+def _batch_shape_ids(frame: Frame, rules: RuleTable, arrays: bool) -> np.ndarray:
+    """The shape id of each batch of `frame`.  With `arrays` (int64 masks),
+    the batches' (rows, column count, masks padded with 0) rows are grouped
+    by one lexsort, and only the distinct shapes are named, in order of
+    first appearance as the tuple path names them."""
+    rows = frame.batch_ptr[1:] - frame.batch_ptr[:-1]
+    if not arrays:
+        column_ptr, masks = frame.column_ptr.tolist(), frame.column_masks.tolist()
+        return rules.shape_ids(
+            (r, tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b, r in enumerate(rows.tolist())
+        )
+    cols = frame.column_ptr[1:] - frame.column_ptr[:-1]
+    owner, pos = segments(cols)
+    table = np.zeros((len(rows), 2 + int(cols.max(initial=0))), np.int64)
+    table[:, 0], table[:, 1] = rows, cols
+    table[owner, 2 + pos] = frame.column_masks
+    order = np.lexsort(table.T)
+    ordered = table[order]
+    opens = np.ones(len(order), bool)
+    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[opens]  # each shape's first batch, as lexsort is stable
+    by_first = first.argsort()
+    ids = np.empty(len(first), np.int64)
+    ids[by_first] = rules.shape_ids((r, tuple(m[:c])) for r, c, *m in table[first[by_first]].tolist())
+    shape_id = np.empty(len(rows), np.int64)
+    shape_id[order] = ids[opens.cumsum() - 1]
+    return shape_id
 
 
 def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) -> None:
@@ -270,7 +411,7 @@ def _peel(
     # every row is an edge, whose key bit is 0 unless its unit is live;
     # grouped by user, a recovery finds the bits it clears
     owner, pos = segments(rows)
-    order = row_users.argsort(kind="stable")
+    order = _stable_order(row_users, frame.users)
     edge_unit = owner[order]
     edge_bit = full[edge_unit] << pos[order]
     degree = np.bincount(row_users, minlength=frame.users)
@@ -306,6 +447,7 @@ def _peel(
         clear(pre)
     woken = live.nonzero()[0]
     passes = max_iters if len(woken) else 0
+    find = rules.lookup if key.dtype == object else rules.find
     woken = wake(woken)
     found = [pre]
     visited = []
@@ -313,7 +455,7 @@ def _peel(
     per_iteration: list[int] = []
     while iterations < passes:
         iterations += 1
-        rule, new = rules.lookup(key[woken].tolist())
+        rule, new = find(key[woken])
         visited.append(rule)
         eliminations += new
         spec = rules.rule[rule]
@@ -412,7 +554,7 @@ def _peel_scalar(
             key = unknown[i] << _SHAPE_BITS | shapes[i]
             if key not in table:
                 eliminations += rules.lookup([key])[1]
-            released, spent = entries[table[key]]
+            released, spent = entries[table[key]] or rules.entry(key)
             visits += 1
             ops += spent
             base, column = ptr[i], first_column[i]
@@ -468,13 +610,8 @@ def batched_bp(
     for frames produced by `sample_frame`).
     """
     rules = RuleTable() if rules is None else rules
-    rows = (frame.batch_ptr[1:] - frame.batch_ptr[:-1]).tolist()
-    column_ptr = frame.column_ptr.tolist()
-    masks = frame.column_masks.tolist()
-    shape_id = rules.shape_ids(
-        (rows[b], tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b in range(len(rows))
-    )
     peel = _peel if len(frame.batch_users) > _SCALAR_ROWS else _peel_scalar
+    shape_id = _batch_shape_ids(frame, rules, peel is _peel and frame.column_masks.dtype != object)
     return peel(
         frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, shape_id, rules,
         preknown, max_iters, counter=False,

@@ -7,7 +7,6 @@ plotting stack.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -31,6 +30,11 @@ def _tick_values(lo: float, hi: float, target: int = 5) -> list[float]:
         ticks.append(0.0 if abs(v) < step * 1e-9 else v)
         v += step
     return ticks
+
+
+def _escape(text: str) -> str:
+    """`text` with ``&``, ``<`` and ``>`` written as XML entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -76,30 +80,30 @@ def render_line_chart(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="15">{escape(title)}</text>')
+        out.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="15">{_escape(title)}</text>')
 
     for v in _tick_values(x_lo, x_hi):
         if x_lo <= v <= x_hi:
             x = px(v)
             out.append(f'<line x1="{x:.2f}" y1="{top}" x2="{x:.2f}" y2="{top + plot_h}" stroke="#e0e0e0"/>')
-            out.append(f'<text x="{x:.2f}" y="{top + plot_h + 16}" text-anchor="middle">{escape(_fmt(v))}</text>')
+            out.append(f'<text x="{x:.2f}" y="{top + plot_h + 16}" text-anchor="middle">{_escape(_fmt(v))}</text>')
     for v in _tick_values(y_lo, y_hi):
         if y_lo <= v <= y_hi:
             y = py(v)
             out.append(f'<line x1="{left}" y1="{y:.2f}" x2="{left + plot_w}" y2="{y:.2f}" stroke="#e0e0e0"/>')
-            out.append(f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end">{escape(_fmt(v))}</text>')
+            out.append(f'<text x="{left - 6}" y="{y + 4:.2f}" text-anchor="end">{_escape(_fmt(v))}</text>')
 
     out.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" fill="none" stroke="#404040"/>'
     )
     if x_label:
         out.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle">{escape(x_label)}</text>'
+            f'<text x="{left + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:
         out.append(
             f'<text x="14" y="{top + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {top + plot_h / 2:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 14 {top + plot_h / 2:.1f})">{_escape(y_label)}</text>'
         )
 
     for idx, (name, pts) in enumerate(series.items()):
@@ -110,7 +114,7 @@ def render_line_chart(
         ly = top + 14 + 16 * idx
         lx = left + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{lx + 28}" y="{ly}">{escape(name)}</text>')
+        out.append(f'<text x="{lx + 28}" y="{ly}">{_escape(name)}</text>')
 
     out.append("</svg>")
     return "\n".join(out)

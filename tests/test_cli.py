@@ -12,6 +12,7 @@ import ncsa
 from ncsa.cli import main, read_csv
 from ncsa.frames import DegreeDistribution, sample_frame
 from ncsa.pnc import family_size
+from ncsa.svg import render_line_chart
 
 
 def run(tmp_path, *argv):
@@ -357,6 +358,18 @@ def test_plot_sweep(tmp_path):
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 3
     assert "load sweep" in doc
+
+
+def test_chart_escapes_markup_in_its_labels():
+    # the bytes `xml.sax.saxutils.escape` gave: `&`, `<` and `>` only, quotes kept
+    doc = render_line_chart(
+        {"a<b & c>d": [(0, 0.5), (1, 0.75), (2, 1.0)], "R&D": [(0, 1.0), (2, 0.25)]},
+        title="x < y & y > z", x_label="load <λ>", y_label="rate & \"quote\" 'apos'",
+    )
+    assert hashlib.sha256(doc.encode()).hexdigest() == "2a8fd6126a2e5bc70d3f02f814fc038f236a83b036e79fb4a61fc003b18c9652"
+    root = ET.fromstring(doc)
+    labels = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert {"x < y & y > z", "load <λ>", "rate & \"quote\" 'apos'", "a<b & c>d", "R&D"} <= set(labels)
 
 
 def test_plot_default_columns_and_output_name(tmp_path):

@@ -583,6 +583,38 @@ def test_peelers_match_references_on_a_sampled_frame_wider_than_int64():
     assert set(report.recovered) <= ge_oracle(frame, pre) == reference_ge_oracle(frame, pre)
 
 
+# a custom model with three-column members, whose rules `_peel` evaluates
+# by `_slot_rule` next to the closed form of the narrower ones
+WIDE_MODEL = {
+    "max_decodable": 3,
+    "families": {
+        "1": [{"matrix": [[1]], "prob": 1.0}],
+        "2": [{"matrix": [[1, 0], [0, 1]], "prob": 0.5}, {"matrix": [[1], [1]], "prob": 0.5}],
+        "3": [
+            {"matrix": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], "prob": 0.5},
+            {"matrix": [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "prob": 0.3},
+            {"matrix": [[1, 0], [0, 1], [1, 1]], "prob": 0.2},
+        ],
+    },
+}
+
+
+def wide_frames(count):
+    model = PncModel.from_dict(WIDE_MODEL)
+    dist = DegreeDistribution({1: 0.2, 2: 0.3, 3: 0.5})
+    for seed in range(count):
+        yield sample_frame(SystemConfig(users=400, slots=300, dist=dist, model=model, seed=seed, payload_len=2))
+
+
+def test_peelers_match_references_with_three_column_members():
+    rng = random.Random(3)
+    for frame in wide_frames(5):
+        assert frame.column_masks.dtype == np.int64
+        assert (frame.column_ptr[1:] - frame.column_ptr[:-1]).max() == 3
+        assert_same_peels(frame)
+        assert_same_peels(frame, {u: frame.payloads[u] for u in rng.sample(range(400), 40)})
+
+
 def test_rebuilt_frame_decodes_identically():
     # a sampled frame and the same frame rebuilt from its Batch objects
     model = PncModel.example(5)
@@ -597,31 +629,125 @@ def test_rebuilt_frame_decodes_identically():
 
 
 def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
-    """Without a wall clock: one elimination per distinct (shape, unknown
-    mask) key, and the report counts them."""
+    """Without a wall clock: one rule evaluation per distinct (shape, unknown
+    mask) key, in closed form or by `_slot_rule`, and the report counts them."""
     frame = sample_frame(SystemConfig(
         users=20_000, slots=40_000, dist=DegreeDistribution({3: 1.0}), model=PncModel.example(10), seed=1,
     ))
     keys = []
-    calls = 0
+    slot_rule, pair_rules = ncsa.decoders._slot_rule, ncsa.decoders._pair_rules
 
-    def recording_select_rows(matrix, rows):
-        rows = tuple(rows)
-        keys.append((matrix.rows, matrix.column_masks(), rows))
-        return select_rows(matrix, rows)
+    def recording_slot_rule(rows, masks, unknown):
+        keys.append((rows, tuple(masks), unknown))
+        return slot_rule(rows, masks, unknown)
 
-    def counting_rcef(matrix):
-        nonlocal calls
-        calls += 1
-        return rcef(matrix)
+    def recording_pair_rules(rows, cols, c1, c2, unknown):
+        for r, c, m1, m2, u in zip(*(a.tolist() for a in (rows, cols, c1, c2, unknown))):
+            keys.append((r, (m1, m2)[:c], u))
+        return pair_rules(rows, cols, c1, c2, unknown)
 
-    monkeypatch.setattr(ncsa.decoders, "select_rows", recording_select_rows)
-    monkeypatch.setattr(ncsa.decoders, "rcef", counting_rcef)
+    monkeypatch.setattr(ncsa.decoders, "_slot_rule", recording_slot_rule)
+    monkeypatch.setattr(ncsa.decoders, "_pair_rules", recording_pair_rules)
     report = batched_bp(frame)
     assert report.decoded_fraction == 1.0
-    assert 0 < calls <= len(set(keys))
-    assert report.eliminations == calls
+    assert 0 < len(keys) <= len(set(keys))
+    assert report.eliminations == len(keys)
     assert report.visits >= len(set(keys))
+
+
+def pair_rules_as_slot_rules(rows, masks, unknowns):
+    """`_pair_rules` on keys of one shape, read back into `_slot_rule`'s
+    ``(released, spent)`` form."""
+    def column(value):
+        return np.full(len(unknowns), value, np.int64)
+
+    c = len(masks)
+    spent, counts, terms = ncsa.decoders._pair_rules(
+        column(rows), column(c), column(masks[0]), column(masks[1] if c == 2 else 0),
+        np.array(unknowns, np.int64),
+    )
+    out, at = [], 0
+    for ops, count in zip(spent.tolist(), counts.tolist()):
+        released = []
+        for local, row in terms[at:at + count].tolist():
+            if row:
+                released.append((row - c, [], []))
+            if local < c:
+                released[-1][1].append(local)
+            else:
+                released[-1][2].append(local - c)
+        out.append((tuple((row, tuple(cols), tuple(known)) for row, cols, known in released), ops))
+        at += count
+    assert at == len(terms)
+    return out
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_pair_rules_equal_slot_rule_on_every_stock_key(d):
+    members = {member.column_masks() for member, _ in example_family(d).entries}
+    unknowns = list(range(1 << d))
+    for masks in members:
+        assert len(masks) <= 2
+        got = pair_rules_as_slot_rules(d, masks, unknowns)
+        assert got == [ncsa.decoders._slot_rule(d, masks, u) for u in unknowns], masks
+
+
+def test_pair_rules_equal_slot_rule_on_random_keys():
+    # up to d = 10, and at 31 rows, the widest shape whose keys fit int64
+    rng = random.Random(4)
+    for rows in [*range(1, 11), 31]:
+        for _ in range(200):
+            masks = tuple(rng.randrange(1 << rows) for _ in range(rng.randint(1, 2)))
+            unknowns = [rng.randrange(1 << rows) for _ in range(8)]
+            got = pair_rules_as_slot_rules(rows, masks, unknowns)
+            assert got == [ncsa.decoders._slot_rule(rows, masks, u) for u in unknowns], (rows, masks)
+
+
+@pytest.mark.parametrize("bound", [1 << 16, 1 << 20, 1 << 40])
+def test_stable_order_is_a_stable_argsort(bound):
+    # one 16-bit digit, two, and past 2**32 numpy's own stable argsort
+    rng = np.random.default_rng(bound)
+    for size in (0, 1, 5_000):
+        values = rng.integers(0, bound, size)
+        values[: size // 2] = values[size // 2: size // 2 * 2]  # ties, which stability orders
+        got = ncsa.decoders._stable_order(values, bound)
+        assert got.tolist() == values.argsort(kind="stable").tolist()
+
+
+def test_batch_shapes_are_named_alike_in_arrays_and_tuples():
+    stock = [sample_frame(SystemConfig(
+        users=2_000, slots=1_500, dist=DegreeDistribution({1: 0.2, 3: 0.5, 6: 0.3}), model=PncModel.example(10),
+        seed=seed,
+    )) for seed in range(3)]
+    arrays, tuples = RuleTable(), RuleTable()
+    for frame in [*stock, *wide_frames(2)]:
+        got = ncsa.decoders._batch_shape_ids(frame, arrays, True)
+        assert got.tolist() == ncsa.decoders._batch_shape_ids(frame, tuples, False).tolist()
+    assert arrays.shapes == tuples.shapes
+
+
+@pytest.mark.parametrize("first, then", [("arrays", "scalar"), ("scalar", "arrays")])
+def test_a_table_filled_down_one_path_serves_the_other(first, then):
+    """Rules either path added serve the other with no new elimination, and
+    the reports are a fresh table's; a rule `_pair_rules` made is evaluated
+    by `_slot_rule` on first scalar use."""
+    rules = RuleTable()
+    frames = list(small_frames(20))
+    with peel_path(first):
+        for frame in frames:
+            for peel in (batched_bp, ordinary_bp):
+                peel(frame, rules=rules)
+    held, pending = len(rules), rules.entries.count(None)
+    assert bool(pending) == (first == "arrays")
+    with peel_path(then):
+        for frame in frames:
+            for peel in (batched_bp, ordinary_bp):
+                shared, fresh = peel(frame, rules=rules), peel(frame)
+                assert shared.eliminations == 0
+                assert dataclasses.replace(shared, eliminations=0) == dataclasses.replace(fresh, eliminations=0)
+    assert len(rules) == held
+    if first == "arrays":
+        assert rules.entries.count(None) < pending
 
 
 @pytest.mark.parametrize("path", PEEL_PATHS)

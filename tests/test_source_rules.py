@@ -4,6 +4,8 @@ Runtime checks must survive ``python -O``, which strips ``assert``
 statements, so the package raises explicit exceptions instead.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import ncsa
@@ -32,3 +34,16 @@ def test_mask_width_is_decided_in_gf2_only():
             if isinstance(node, ast.Constant) and type(node.value) is int and node.value in (62, 63)
         ]
     assert not found, f"mask width tested outside gf2.mask_dtype: {', '.join(found)}"
+
+
+def test_cli_import_loads_no_network_modules():
+    # every CLI spawn pays for what `import ncsa.cli` loads; `urllib.parse`
+    # is allowed, as numpy's own `pathlib` import loads it
+    code = "import sys, ncsa.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    ).stdout.split()
+    banned = ("urllib.request", "http.client", "ssl", "email", "socket", "xml.sax")
+    found = [name for name in loaded if name in banned or name.split(".")[0] in banned]
+    assert not found, f"import ncsa.cli loads {', '.join(found)}"
