@@ -20,12 +20,11 @@ counter peel of invertible Bloom lookup tables).  What a unit releases is a
 pure function of its transfer columns and its unknown-row mask, kept in a
 `RuleTable` that one decode or many share.  `_peel` runs each generation as
 one pass of array operations over the woken units.  It names batch shapes
-by one lexsort over their masks, finds int64 keys' rules by binary search,
-evaluates the rules of a pass's new keys of at most two columns (every
-stock and every `ordinary_bp` unit) together in closed form
-(`_pair_rules`), and groups edges by user with 16-bit radix sorts;
-`_slot_rule`, which runs `rcef`, is their reference and serves wider units.
-Frames of at most `_SCALAR_ROWS` unit rows go through
+by one lexsort over their masks, evaluates the rules of a pass's new int64
+keys of at most two columns (every stock and every `ordinary_bp` unit)
+together in closed form (`_pair_rules`), and groups edges by user with
+16-bit radix sorts; `_slot_rule`, which runs `rcef`, is their reference and
+serves wider units.  Frames of at most `_SCALAR_ROWS` unit rows go through
 `_peel_scalar` instead, unit by unit with Python ints and `_slot_rule`,
 since a pass costs some fifty numpy calls whatever its size.  The two give
 the same report.  An iteration sees only the knowledge available when it
@@ -169,9 +168,8 @@ def _pair_rules(rows, cols, c1, c2, unknown):
 class RuleTable:
     """Release rules by unit shape and unknown mask, for one decode or many.
 
-    `shape_ids` numbers (row count, column masks) shapes.  `lookup` finds
-    the rules of keys in a dict, `find` those of an int64 key array by
-    binary search, and both add the keys not held yet.  Rule k is
+    `shape_ids` numbers (row count, column masks) shapes, and `lookup`
+    finds the rules of keys, adding the keys not held yet.  Rule k is
     `_slot_rule` on one key, stored flat: ``rule[k]`` is (field operations
     spent, first term, term count), and a `term` row is (unit-local index,
     entry row), where column j of a shape with C columns is j and row r is
@@ -186,13 +184,7 @@ class RuleTable:
     def __init__(self):
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
         self._named: list[tuple[int, tuple[int, ...]]] = []
-        # per shape named so far: rows, column count and masks, for
-        # `_pair_rules`; the count is 0 for shapes it does not take
-        self._pairs = np.zeros((0, 4), np.int64)
         self._rules: dict[int, int] = {}  # key: the unknown mask above the shape id
-        # the int64 keys `find` has seen, ascending, and their rules
-        self._sorted = np.zeros(0, np.int64)
-        self._sorted_rules = np.zeros(0, np.int64)
         self._terms = 0
         self.entries: list[tuple[tuple, int] | None] = []
         self.rule = np.zeros((16, 3), np.int64)
@@ -215,46 +207,23 @@ class RuleTable:
             named.extend(islice(ids, len(named), None))
         return out
 
-    def lookup(self, keys) -> tuple[np.ndarray, int]:
-        """The rule of each key (Python ints, in a list or an object array),
-        evaluating each key not seen before once by `_slot_rule`; and how
-        many keys were new."""
+    def lookup(self, keys: list[int], pairs: bool = False) -> tuple[np.ndarray, int]:
+        """The rule of each key, evaluating each key not seen before once;
+        and how many keys were new.  With `pairs` (keys that fit in int64)
+        the new keys of at most two columns are evaluated together by
+        `_pair_rules`; the others go one by one through `_slot_rule`."""
         found = self._rules
         try:
             return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), 0
         except KeyError:
             new = [key for key in dict.fromkeys(keys) if key not in found]
-        self._add_slot_rules(new)
+        wide = new
+        if pairs:
+            narrow = [len(self._named[key & _SHAPE_MASK][1]) <= 2 for key in new]
+            self._add_pair_rules([key for key, n in zip(new, narrow) if n])
+            wide = [key for key, n in zip(new, narrow) if not n]
+        self._add_slot_rules(wide)
         return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), len(new)
-
-    def find(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
-        """`lookup` for an int64 array of keys: their distinct values are
-        found by binary search in the sorted keys seen so far, and the new
-        ones of at most two columns are evaluated together by `_pair_rules`."""
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        seen = self._sorted
-        at = seen.searchsorted(distinct)
-        missed = distinct[seen.take(at, mode="clip") != distinct] if len(seen) else distinct
-        if not len(missed):
-            return self._sorted_rules[at][inverse], 0
-        new = missed[np.fromiter((key not in self._rules for key in missed.tolist()), bool, len(missed))]
-        if len(self._pairs) < len(self._named):
-            self._pairs = np.concatenate([self._pairs, np.array([
-                (rows, len(masks), *masks, 0, 0)[:4] if len(masks) <= 2 and mask_dtype(rows) is np.int64
-                else (rows, 0, 0, 0)
-                for rows, masks in self._named[len(self._pairs):]
-            ], np.int64)])
-        pairs = self._pairs[new & _SHAPE_MASK]
-        paired = pairs[:, 1] > 0
-        spent, sizes, terms = _pair_rules(*pairs[paired].T, new[paired] >> _SHAPE_BITS)
-        first = self._terms + sizes.cumsum() - sizes
-        self._add(new[paired].tolist(), [None] * len(sizes), np.stack([spent, first, sizes], axis=1), terms)
-        self._add_slot_rules(new[~paired].tolist())
-        where = seen.searchsorted(missed)
-        rules = np.fromiter(map(self._rules.__getitem__, missed.tolist()), np.int64, len(missed))
-        self._sorted = np.insert(seen, where, missed)
-        self._sorted_rules = np.insert(self._sorted_rules, where, rules)
-        return self._sorted_rules[self._sorted.searchsorted(distinct)][inverse], len(new)
 
     def entry(self, key: int) -> tuple[tuple, int]:
         """Rule `key` as `_slot_rule` returns it, evaluated now if
@@ -277,6 +246,17 @@ class RuleTable:
             entries.append(entry)
             rules.append((spent, first, self._terms + len(terms) - first))
         self._add(keys, entries, rules, terms)
+
+    def _add_pair_rules(self, keys: list[int]) -> None:
+        """Number `keys`, int64 keys of at most two columns, as the next
+        rules, evaluated together by `_pair_rules`."""
+        if not keys:
+            return
+        shapes = (self._named[key & _SHAPE_MASK] for key in keys)
+        table = np.array([(rows, len(masks), *masks, 0)[:4] for rows, masks in shapes], np.int64)
+        spent, sizes, terms = _pair_rules(*table.T, np.array(keys, np.int64) >> _SHAPE_BITS)
+        first = self._terms + sizes.cumsum() - sizes
+        self._add(keys, [None] * len(keys), np.stack([spent, first, sizes], axis=1), terms)
 
     def _add(self, keys: list[int], entries: list, rules, terms) -> None:
         """Number `keys` as the next rules, with their `entries` and their
@@ -447,7 +427,6 @@ def _peel(
         clear(pre)
     woken = live.nonzero()[0]
     passes = max_iters if len(woken) else 0
-    find = rules.lookup if key.dtype == object else rules.find
     woken = wake(woken)
     found = [pre]
     visited = []
@@ -455,7 +434,7 @@ def _peel(
     per_iteration: list[int] = []
     while iterations < passes:
         iterations += 1
-        rule, new = find(key[woken])
+        rule, new = rules.lookup(key[woken].tolist(), pairs=key.dtype != object)
         visited.append(rule)
         eliminations += new
         spec = rules.rule[rule]

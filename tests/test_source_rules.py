@@ -4,6 +4,7 @@ Runtime checks must survive ``python -O``, which strips ``assert``
 statements, so the package raises explicit exceptions instead.
 """
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -40,9 +41,10 @@ def test_cli_import_loads_no_network_modules():
     # every CLI spawn pays for what `import ncsa.cli` loads; `urllib.parse`
     # is allowed, as numpy's own `pathlib` import loads it
     code = "import sys, ncsa.cli; print(' '.join(sorted(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     loaded = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(PACKAGE.parent)},
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
     ).stdout.split()
     banned = ("urllib.request", "http.client", "ssl", "email", "socket", "xml.sax")
     found = [name for name in loaded if name in banned or name.split(".")[0] in banned]
