@@ -65,11 +65,11 @@ class PoissonMixture:
         self.lam = lam
         self.model = model
         self.weights = poisson_weights(lam, min_terms=model.max_decodable - 1)
-        kmax = min(len(self.weights) - 1, model.max_decodable - 1)
-        self._polys = [(float(self.weights[k]), model.gamma_poly(k)) for k in range(kmax + 1)]
+        # Gamma_k is 0 from the cap on, so only the first max_decodable weights mix
+        self._weights = [float(w) for w in self.weights[:model.max_decodable]]
 
     def __call__(self, x):
-        value = sum(w * poly(x) for w, poly in self._polys)
+        value = sum(w * g for w, g in zip(self._weights, self.model.gamma_values(x)))
         if not np.all((np.asarray(value) >= -1e-9) & (np.asarray(value) <= 1.0 + 1e-9)):
             raise InvariantError(f"mixture left [0,1]: {value!r}")
         return value

@@ -306,10 +306,14 @@ class Frame:
         self.members = batch_users[batch_ptr[col_batch[pair_col[hit]]] + pair_row[hit]]
         self.member_ptr = offsets(np.bincount(pair_col[hit], minlength=len(column_masks)))
         encoded = xor_segments(payload_rows[self.members], self.member_ptr)
-        self.outputs = encoded if outputs is None else outputs
         # output columns that differ from the XOR of their members' payloads:
-        # none unless a hand-built frame is corrupt
-        self.mismatched_outputs = np.flatnonzero((encoded != self.outputs).any(axis=1))
+        # none when the frame encodes its own outputs, and in a hand-built frame only if it is corrupt
+        if outputs is None:
+            self.outputs = encoded
+            self.mismatched_outputs = np.empty(0, dtype=np.int64)
+        else:
+            self.outputs = outputs
+            self.mismatched_outputs = np.flatnonzero((encoded != outputs).any(axis=1))
         for name in ("payload_rows", "batch_slot", "batch_ptr", "batch_users", "column_ptr", "column_masks",
                      "members", "member_ptr", "outputs", "mismatched_outputs"):
             getattr(self, name).flags.writeable = False
@@ -395,7 +399,8 @@ def sample_frame(config: SystemConfig) -> Frame:
     degrees = config.dist.degree_from_uniform(rng.random(users))
     ends = np.cumsum(degrees)
     flat = np.empty(int(ends[-1]), dtype=np.int64)  # every user's slots, user by user
-    for d in np.unique(degrees).tolist():
+    # the degrees drawn, ascending; np.unique would import numpy.ma (numpy 2.4)
+    for d in np.bincount(degrees).nonzero()[0].tolist():
         who = np.flatnonzero(degrees == d)
         flat[(ends[who] - d)[:, None] + np.arange(d)] = _distinct_rows(rng, len(who), d, n)
     payload_rows = np.frombuffer(rng.bytes(users * payload_len), dtype=np.uint8).reshape(users, payload_len)
@@ -415,7 +420,8 @@ def sample_frame(config: SystemConfig) -> Frame:
     # to batch order as column counts and column masks
     n_cols = np.zeros(len(first), dtype=np.int64)
     drawn = []
-    for c in np.unique(sizes).tolist():
+    # the collision sizes present, ascending; np.unique would import numpy.ma (numpy 2.4)
+    for c in np.bincount(sizes).nonzero()[0].tolist():
         at = np.flatnonzero(sizes == c)
         n_cols[at], masks = config.model.family(c).sample(rng, len(at))
         drawn.append((at, masks))

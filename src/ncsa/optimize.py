@@ -120,7 +120,9 @@ def optimize(
         if not np.any(bad):
             break
         cuts = fine[bad]
-        grown = np.unique(np.concatenate([xs, cuts]))
+        # sort and drop repeats by hand: np.unique imports numpy.ma (numpy 2.4)
+        grown = np.sort(np.concatenate([xs, cuts]))
+        grown = grown[np.concatenate(([True], grown[1:] != grown[:-1]))]
         if len(grown) == len(xs):
             break  # flagged points already constrained; report them below
         xs = grown
@@ -149,19 +151,17 @@ def _certificate_holds(omega: np.ndarray, rows: np.ndarray, bound: np.ndarray, d
     Moving `CERT_DELTA` of edge weight from degree j to degree i < j raises
     the objective by CERT_DELTA*(1/i - 1/j); the solution is certified when
     every such transfer that would improve the objective breaks feasibility.
+    All improving transfers out of one degree j are tested as one matrix,
+    a column per target degree.
     """
     values = rows @ omega
     inv = 1.0 / degrees
-    n = len(omega)
-    for j in range(n):
-        if omega[j] < CERT_DELTA:
-            continue
-        for i in range(n):
-            if inv[i] <= inv[j]:
-                continue  # not an improvement
-            shifted = values + CERT_DELTA * (rows[:, i] - rows[:, j])
-            if np.all(shifted <= bound + CERT_SLACK):
-                return False
+    limit = (bound + CERT_SLACK)[:, None]
+    for j in np.flatnonzero(omega >= CERT_DELTA).tolist():
+        better = inv > inv[j]
+        shifted = values[:, None] + CERT_DELTA * (rows[:, better] - rows[:, [j]])
+        if (shifted <= limit).all(axis=0).any():
+            return False
     return True
 
 

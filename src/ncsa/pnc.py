@@ -27,7 +27,7 @@ subsets of the first d-1 users, once known, let the last user's packet be
 solved out of the slot.  Each family owns its two analysis tables: the mean
 rank (`expected_rank`) and the gamma-set size counts (`gamma_counts`), from
 which the model builds and caches the degree-(k) polynomials that drive the
-asymptotic recursion.
+asymptotic recursion, and their values on the evaluation grids it has seen.
 """
 from __future__ import annotations
 
@@ -42,6 +42,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .gf2 import BitMatrix, in_colspan, mask_dtype, rank, select_rows, span_basis, units_in_span
+
+# `PncModel.gamma_values` keeps the rows of at most this many grids.  A sweep
+# reuses its fine grid and first design grid at every load and each load's
+# refined design grids once, so the two shared grids stay cached.
+GAMMA_CACHE_GRIDS = 16
 
 _T10 = (1, 0)
 _T01 = (0, 1)
@@ -455,6 +460,8 @@ class PncModel:
             if one.size != 1 or one.entries[0][0] != _SINGLE.entries[0][0]:
                 raise ValueError("size-1 family must be the single [1] matrix")
         self._gamma: dict[int, GammaPoly] = {}
+        # (dtype, shape, bytes) of a grid -> its read-only Gamma_k rows, least recently used first
+        self._gamma_rows: dict[tuple, np.ndarray] = {}
 
     @classmethod
     def example(cls, max_decodable: int) -> "PncModel":
@@ -515,6 +522,26 @@ class PncModel:
         if poly is None:
             poly = self._gamma[k] = GammaPoly(k, _counts_to_coeffs(k, self.family(k + 1).gamma_counts()))
         return poly
+
+    def gamma_values(self, x):
+        """Gamma_k(x) for k = 0..max_decodable-1, one row per k: the polynomials
+        that can be nonzero, each evaluated as `gamma_poly(k)(x)`.
+
+        An ndarray grid's rows are cached, read-only, keyed by the grid's
+        dtype, shape and bytes, and the least recently used of
+        `GAMMA_CACHE_GRIDS` grids is dropped first; a scalar's are not.
+        """
+        if not isinstance(x, np.ndarray):
+            return [self.gamma_poly(k)(x) for k in range(self.max_decodable)]
+        key = (x.dtype.str, x.shape, x.tobytes())
+        rows = self._gamma_rows.pop(key, None)
+        if rows is None:
+            rows = np.array([self.gamma_poly(k)(x) for k in range(self.max_decodable)])
+            rows.flags.writeable = False
+        self._gamma_rows[key] = rows
+        if len(self._gamma_rows) > GAMMA_CACHE_GRIDS:
+            del self._gamma_rows[next(iter(self._gamma_rows))]
+        return rows
 
     def expected_rank(self, d: int) -> float:
         """Mean decoded-combination count (matrix rank) at collision size d;

@@ -16,6 +16,7 @@ from ncsa.decoders import (
     DecodeReport,
     FrameInconsistencyError,
     RuleTable,
+    _check_against_frame,
     batched_bp,
     ge_oracle,
     ordinary_bp,
@@ -499,6 +500,17 @@ def test_a_corrupt_output_with_unknown_members_does_not_raise():
     assert corrupted.mismatched_outputs.tolist() == [1]
     assert batched_bp(corrupted).recovered == {0: b"a"}
     assert ordinary_bp(corrupted).recovered == {0: b"a"}
+
+
+def test_a_corrupt_hand_built_frame_fails_the_frame_check():
+    frame = frame_from_batches([b"a", b"b"], [(0, (0,), [[1]]), (1, (0, 1), [[1], [1]])])
+    bad = Batch(slot=1, users=(0, 1), transfer=frame.batches[1].transfer, outputs=(b"q",))
+    corrupted = Frame(n_slots=2, payload_len=1, payloads=frame.payloads, batches=(frame.batches[0], bad))
+    assert corrupted.mismatched_outputs.tolist() == [1]
+    users = np.array([0, 1])
+    _check_against_frame(frame, users, frame.payload_rows[users])
+    with pytest.raises(FrameInconsistencyError, match="output 1 disagrees"):
+        _check_against_frame(corrupted, users, corrupted.payload_rows[users])
 
 
 # --- the shared peeling driver against the references -------------------------

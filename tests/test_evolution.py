@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncsa
 from ncsa.evolution import (
+    PoissonMixture,
     evolve,
     poisson_weights,
     rate_upper_bound,
@@ -79,6 +82,31 @@ def test_resolve_prob_monotone_and_bounded():
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.all(vals >= math.exp(-2.0) - 1e-12)  # empty-slot floor
     assert np.all(vals <= 1.0 + 1e-12)
+
+
+def reference_mixture(lam, model, x):
+    """The mixture as `PoissonMixture` summed it before the model cached
+    its Gamma_k rows: one polynomial evaluation per weight and call."""
+    weights = poisson_weights(lam, min_terms=model.max_decodable - 1)
+    kmax = min(len(weights) - 1, model.max_decodable - 1)
+    return sum(float(weights[k]) * model.gamma_poly(k)(x) for k in range(kmax + 1))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    st.floats(0.01, 12.0),
+    st.integers(2, 12),
+)
+def test_mixture_equals_the_per_call_sum_bit_for_bit(points, lam, cap):
+    model = PncModel.example(cap)
+    mix = PoissonMixture(lam, model)
+    grid = np.array(points)
+    want = reference_mixture(lam, model, grid).tobytes()
+    assert mix(grid).tobytes() == want
+    assert mix(grid.copy()).tobytes() == want  # served from the model's cache
+    for x in points[:3]:
+        assert mix(x) == reference_mixture(lam, model, x)
 
 
 def test_resolve_prob_vectorizes():
@@ -172,10 +200,10 @@ def test_mixture_range_check_survives_optimize_flag():
     script = (
         "import sys\n"
         "from ncsa.evolution import InvariantError, PoissonMixture\n"
-        "from ncsa.pnc import GammaPoly, PncModel\n"
+        "from ncsa.pnc import PncModel\n"
         "assert False, 'asserts must be stripped'\n"
         "mix = PoissonMixture(1.0, PncModel.example(3))\n"
-        "mix._polys = [(1.0, GammaPoly(0, (2.0,)))]\n"
+        "mix._weights = [2.0]  # 2 * Gamma_0, and Gamma_0 = 1\n"
         "try:\n"
         "    mix(0.5)\n"
         "except InvariantError as exc:\n"

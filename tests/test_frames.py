@@ -384,10 +384,13 @@ def test_csr_arrays_agree_with_the_batches():
         members = frame.members[frame.member_ptr[e]:frame.member_ptr[e + 1]].tolist()
         assert members == [u for pos, u in enumerate(users) if mask >> pos & 1]
         assert frame.outputs[e].tobytes() == output
-    assert frame.mismatched_outputs.tolist() == []
+    # a sampled frame encodes its own outputs, so none can mismatch
+    assert frame.mismatched_outputs.dtype == np.int64 and frame.mismatched_outputs.shape == (0,)
+    assert not frame.mismatched_outputs.flags.writeable
     rebuilt = Frame(n_slots=frame.n_slots, payload_len=frame.payload_len, payloads=frame.payloads,
                     batches=frame.batches)
     assert rebuilt == frame
+    assert rebuilt.mismatched_outputs.tolist() == []
     assert rebuilt.payloads == frame.payloads and rebuilt.batches == frame.batches
 
 

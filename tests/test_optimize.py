@@ -7,12 +7,13 @@ from scipy.optimize import linprog as highs_linprog
 
 import ncsa.optimize as optimize_module
 from ncsa import lp
-from ncsa.evolution import evolve, rate_upper_bound, resolve_prob
+from ncsa.evolution import PoissonMixture, evolve, rate_upper_bound, resolve_prob
 from ncsa.frames import DegreeDistribution
 from ncsa.gf2 import BitMatrix
 from ncsa.lp import linprog
-from ncsa.optimize import _certificate_holds, optimize, sweep
+from ncsa.optimize import CERT_DELTA, CERT_SLACK, _certificate_holds, optimize, sweep
 from ncsa.pnc import PncModel, WeightedMatrixFamily
+from test_evolution import reference_mixture
 
 MODEL = PncModel.example(10)
 SWEEP_LOADS = [0.25 * i for i in range(1, 41)]
@@ -225,6 +226,82 @@ def test_sweep_designs_pass_the_fine_grid(sweeps, cap):
             assert p.result.violations == (), f"lam={p.lam}"
             assert p.result.certificate_ok is True
             assert p.rate_star <= p.upper_bound + 1e-9
+
+
+def reference_certificate_holds(omega, rows, bound, degrees):
+    """`_certificate_holds` as it was before it tested a degree's transfers
+    as one matrix: one transfer (j -> i) at a time."""
+    values = rows @ omega
+    inv = 1.0 / degrees
+    n = len(omega)
+    for j in range(n):
+        if omega[j] < CERT_DELTA:
+            continue
+        for i in range(n):
+            if inv[i] <= inv[j]:
+                continue  # not an improvement
+            shifted = values + CERT_DELTA * (rows[:, i] - rows[:, j])
+            if np.all(shifted <= bound + CERT_SLACK):
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def recorded_sweeps():
+    """The default load grid swept at caps 10 and 12, with every mixture
+    evaluation as (mixture, x, value) and every certificate check's arguments."""
+    runs = {}
+    check = optimize_module._certificate_holds
+    for cap in (10, 12):
+        mixtures, certificates = [], []
+
+        class Recording(PoissonMixture):
+            def __call__(self, x):
+                value = super().__call__(x)
+                mixtures.append((self, x, value))
+                return value
+
+        def recording_check(*args):
+            certificates.append(args)
+            return check(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize_module, "PoissonMixture", Recording)
+            mp.setattr(optimize_module, "_certificate_holds", recording_check)
+            points = sweep(SWEEP_LOADS, PncModel.example(cap))
+        runs[cap] = points, mixtures, certificates
+    return runs
+
+
+@pytest.mark.parametrize("cap", (10, 12))
+def test_sweep_mixtures_equal_the_per_call_sum_bit_for_bit(recorded_sweeps, cap):
+    _, mixtures, _ = recorded_sweeps[cap]
+    model = PncModel.example(cap)
+    for mix, x, value in mixtures:
+        want = np.asarray(reference_mixture(mix.lam, model, x)).tobytes()
+        assert np.asarray(value).tobytes() == want, (mix.lam, np.shape(x))
+    # every load evaluated its fine grid and its first design grid
+    for size in (1000, 100):
+        assert {mix.lam for mix, x, _ in mixtures if np.size(x) == size} == set(SWEEP_LOADS)
+
+
+@pytest.mark.parametrize("cap", (10, 12))
+def test_certificate_equals_the_pairwise_loop(recorded_sweeps, cap):
+    points, _, certificates = recorded_sweeps[cap]
+    assert len(certificates) == sum(p.feasible for p in points)
+    outcomes = set()
+    for omega, rows, bound, degrees in certificates:
+        assert _certificate_holds(omega, rows, bound, degrees) is True
+        assert reference_certificate_holds(omega, rows, bound, degrees) is True
+        # weight pushed to one degree: to the top one it leaves slack that a
+        # transfer back down can use, so the certificate fails there
+        for d in (0, len(omega) // 2, len(omega) - 1):
+            moved = 0.9 * omega
+            moved[d] += 0.1
+            got = _certificate_holds(moved, rows, bound, degrees)
+            assert got is reference_certificate_holds(moved, rows, bound, degrees), (d, omega)
+            outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_simplex_matches_highs_on_small_random_lps():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ncsa.cli import main
 from ncsa.gf2 import BitMatrix, rank
 from ncsa.pnc import (
+    GAMMA_CACHE_GRIDS,
     PncModel,
     StockFamily,
     WeightedMatrixFamily,
@@ -369,6 +370,38 @@ def test_gamma_poly_ndarray_evaluation():
     vals = model.gamma_poly(2)(xs)
     assert vals.shape == (3,)
     assert abs(vals[0] - 0.1) < 1e-15
+
+
+def test_gamma_values_are_the_polynomials_rows():
+    model = PncModel.example(5)
+    xs = np.linspace(0.0, 1.0, 7)
+    rows = model.gamma_values(xs)
+    assert rows.shape == (5, 7)
+    for k in range(5):
+        assert rows[k].tobytes() == model.gamma_poly(k)(xs).tobytes()
+    assert model.gamma_values(0.3) == [model.gamma_poly(k)(0.3) for k in range(5)]
+
+
+def test_gamma_values_cache_is_bounded_and_read_only():
+    model = PncModel.example(6)
+    kept = np.linspace(0.0, 1.0, 50)
+    rows = model.gamma_values(kept)
+    assert model.gamma_values(kept.copy()) is rows  # keyed by the grid's bytes, not its identity
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        next(iter(rows))[1] = 0.5
+    for n in range(100):
+        model.gamma_values(np.linspace(0.0, 1.0, n + 60))
+        assert model.gamma_values(kept) is rows  # used between the others, so never the oldest
+        assert len(model._gamma_rows) <= GAMMA_CACHE_GRIDS
+    assert len(model._gamma_rows) == GAMMA_CACHE_GRIDS
+    first = np.linspace(0.0, 1.0, 60)
+    assert model.gamma_values(first).tobytes() == np.array([model.gamma_poly(k)(first) for k in range(6)]).tobytes()
+    model.gamma_values(0.25)  # scalars are not cached
+    assert len(model._gamma_rows) == GAMMA_CACHE_GRIDS
+    # the same bytes as another dtype or shape are another grid
+    assert model.gamma_values(kept.reshape(5, 10)).shape == (6, 5, 10)
 
 
 # --- closed form ----------------------------------------------------------------
