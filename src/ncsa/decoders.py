@@ -20,25 +20,27 @@ counter peel of invertible Bloom lookup tables).  What a unit releases is a
 pure function of its transfer columns and its unknown-row mask, kept in a
 `RuleTable` that one decode or many share.  `_peel` runs each generation as
 one pass of array operations over the woken units.  It names batch shapes
-by one lexsort over their masks, evaluates the rules of a pass's new int64
-keys of at most two columns (every stock and every `ordinary_bp` unit)
-together in closed form (`_pair_rules`), and groups edges by user with
-16-bit radix sorts; `_slot_rule`, which runs `rcef`, is their reference and
-serves wider units.  Frames of at most `_SCALAR_ROWS` unit rows go through
-`_peel_scalar` instead, unit by unit with Python ints and `_slot_rule`,
-since a pass costs some fifty numpy calls whatever its size.  The two give
-the same report.  An iteration sees only the knowledge available when it
-started, which is the schedule the asymptotic recursion counts, so results
-do not depend on the order units are visited.  All payload XORs and column
-operations of the per-unit reductions are tallied in
-`DecodeReport.field_ops`; work stays linear in the transmissions because a
-unit is revisited only after its unknown mask shrinks.
+by one lexsort over their masks, groups a pass's keys and the edges by user
+with 16-bit radix sorts, so the table is probed once per distinct key,
+evaluates the new int64 keys of at most two columns (every stock and every
+`ordinary_bp` unit) together in closed form (`_pair_rules`), and gathers
+rows with `np.take`; `_slot_rule`, which runs `rcef`, is the reference of
+the closed form and serves wider units.  Frames of at most `_SCALAR_ROWS`
+unit rows go through `_peel_scalar` instead, unit by unit with Python ints
+and `_slot_rule`, since a pass costs some fifty numpy calls whatever its
+size.  The two give the same report, whose `RecoveredPackets` keep the
+recovered users and packets as arrays.  An iteration sees only the
+knowledge available when it started, which is the schedule the asymptotic
+recursion counts, so results do not depend on the order units are visited.
+All payload XORs and column operations of the per-unit reductions are
+tallied in `DecodeReport.field_ops`; work stays linear in the transmissions
+because a unit is revisited only after its unknown mask shrinks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Mapping
+from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
@@ -60,11 +62,65 @@ class FrameInconsistencyError(Exception):
     packets disagree with the frame; the frame is corrupt."""
 
 
+class RecoveredPackets(Mapping[int, bytes]):
+    """A decode's packets by user, read-only and kept as arrays: user
+    ``users[i]`` has packet ``rows[i]``.  Iteration follows `users`;
+    `bytes` objects are built only for the entries read."""
+
+    __slots__ = ("users", "rows", "_at")
+
+    def __init__(self, users: np.ndarray, rows: np.ndarray):
+        users.flags.writeable = rows.flags.writeable = False
+        self.users, self.rows = users, rows
+        self._at: dict[int, int] | None = None  # each user's row, made on the first read
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.users.tolist())
+
+    def __getitem__(self, user: int) -> bytes:
+        if self._at is None:
+            self._at = dict(zip(self.users.tolist(), range(len(self.users))))
+        return self.rows[self._at[user]].tobytes()
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+class UserSet(AbstractSet[int]):
+    """A read-only set of users kept as a boolean array over all users, so
+    that its ints are built only when it is iterated; it compares and
+    hashes as the frozenset of the same users."""
+
+    __slots__ = ("mask", "_len")
+
+    def __init__(self, mask: np.ndarray):
+        mask.flags.writeable = False
+        self.mask, self._len = mask, int(np.count_nonzero(mask))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __contains__(self, user: object) -> bool:
+        return isinstance(user, (int, np.integer)) and 0 <= user < len(self.mask) and bool(self.mask[user])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.mask.nonzero()[0].tolist())
+
+    def __repr__(self) -> str:
+        return repr(frozenset(self))
+
+    __hash__ = AbstractSet._hash
+    _from_iterable = frozenset  # what the set operators build
+
+
 @dataclass(frozen=True)
 class DecodeReport:
     """Outcome of one decoding run."""
 
-    recovered: dict[int, bytes]
+    recovered: Mapping[int, bytes]
     preknown: frozenset[int]
     iterations: int
     per_iteration: tuple[int, ...]
@@ -207,23 +263,40 @@ class RuleTable:
             named.extend(islice(ids, len(named), None))
         return out
 
-    def lookup(self, keys: list[int], pairs: bool = False) -> tuple[np.ndarray, int]:
-        """The rule of each key, evaluating each key not seen before once;
-        and how many keys were new.  With `pairs` (keys that fit in int64)
-        the new keys of at most two columns are evaluated together by
-        `_pair_rules`; the others go one by one through `_slot_rule`."""
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
+        """The rule of each key of an int64 or object array, and how many
+        distinct keys were new.  The keys are grouped by a stable sort of
+        their unknown mask above a shape id only as wide as the shapes
+        named, so the table is probed once per distinct key; the new keys
+        are added (`add`) in order of first appearance."""
+        compact = (keys >> _SHAPE_BITS) << (len(self.shapes) - 1).bit_length() | keys & _SHAPE_MASK
+        order = _stable_order(compact, int(compact.max(initial=0)) + 1)
+        ordered = compact[order]
+        opens = np.ones(len(keys), bool)
+        opens[1:] = ordered[1:] != ordered[:-1]
+        first = order[opens]  # each distinct key's first position, as the sort is stable
+        distinct = keys[first].tolist()
         found = self._rules
-        try:
-            return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), 0
-        except KeyError:
-            new = [key for key in dict.fromkeys(keys) if key not in found]
-        wide = new
-        if pairs:
-            narrow = [len(self._named[key & _SHAPE_MASK][1]) <= 2 for key in new]
-            self._add_pair_rules([key for key, n in zip(new, narrow) if n])
-            wide = [key for key, n in zip(new, narrow) if not n]
-        self._add_slot_rules(wide)
-        return np.fromiter(map(found.__getitem__, keys), np.int64, len(keys)), len(new)
+        ids = np.fromiter((found.get(key, -1) for key in distinct), np.int64, len(distinct))
+        new = (ids < 0).nonzero()[0]
+        if len(new):
+            new = new[first[new].argsort()]
+            ids[new] = self.add([distinct[i] for i in new.tolist()], pairs=keys.dtype != object)
+        rule = np.empty(len(keys), np.int64)
+        rule[order] = ids[opens.cumsum() - 1]
+        return rule, len(new)
+
+    def add(self, keys: list[int], pairs: bool) -> np.ndarray:
+        """Evaluate and number `keys`, none of them held yet; their rule
+        ids.  With `pairs` (keys that fit in int64) those of at most two
+        columns are evaluated together by `_pair_rules` and numbered first;
+        the others go one by one through `_slot_rule`."""
+        wide = [not pairs or len(self._named[key & _SHAPE_MASK][1]) > 2 for key in keys]
+        self._add_pair_rules([key for key, w in zip(keys, wide) if not w])
+        self._add_slot_rules([key for key, w in zip(keys, wide) if w])
+        ids = np.empty(len(keys), np.int64)
+        ids[np.argsort(wide, kind="stable")] = np.arange(len(self._rules) - len(keys), len(self._rules))
+        return ids
 
     def entry(self, key: int) -> tuple[tuple, int]:
         """Rule `key` as `_slot_rule` returns it, evaluated now if
@@ -315,13 +388,14 @@ def _batch_shape_ids(frame: Frame, rules: RuleTable, arrays: bool) -> np.ndarray
     table[:, 0], table[:, 1] = rows, cols
     table[owner, 2 + pos] = frame.column_masks
     order = np.lexsort(table.T)
-    ordered = table[order]
+    ordered = np.take(table, order, axis=0)
     opens = np.ones(len(order), bool)
     opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     first = order[opens]  # each shape's first batch, as lexsort is stable
     by_first = first.argsort()
     ids = np.empty(len(first), np.int64)
-    ids[by_first] = rules.shape_ids((r, tuple(m[:c])) for r, c, *m in table[first[by_first]].tolist())
+    distinct = np.take(table, first[by_first], axis=0).tolist()
+    ids[by_first] = rules.shape_ids((r, tuple(m[:c])) for r, c, *m in distinct)
     shape_id = np.empty(len(rows), np.int64)
     shape_id[order] = ids[opens.cumsum() - 1]
     return shape_id
@@ -337,7 +411,7 @@ def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) ->
     re-encoding from the frame's own, which the frame did when it was built:
     only its `mismatched_outputs` can fail.
     """
-    if values.tobytes() != frame.payload_rows[users].tobytes():
+    if values.tobytes() != np.take(frame.payload_rows, users, axis=0).tobytes():
         raise FrameInconsistencyError("a recovered packet differs from the one its user sent")
     known = np.zeros(frame.users, bool)
     known[users] = True
@@ -379,7 +453,7 @@ def _peel(
     disagree about a packet, or when the result disagrees with the frame
     (`_check_against_frame`).
     """
-    recovered = _checked_preknown(frame, preknown)
+    known = _checked_preknown(frame, preknown)
     outputs = len(frame.outputs)
     size = frame.payload_len
     rows = row_ptr[1:] - row_ptr[:-1]
@@ -421,34 +495,34 @@ def _peel(
         unknowns = np.bitwise_count(key[units] >> _SHAPE_BITS)
         return units[unknowns == 1 if counter else unknowns > 0]
 
-    pre = np.fromiter(recovered, np.int64, len(recovered))
+    pre = np.fromiter(known, np.int64, len(known))
     if len(pre):
-        buf[outputs + pre] = np.frombuffer(b"".join(recovered.values()), np.uint8).reshape(len(pre), size)
+        buf[outputs + pre] = np.frombuffer(b"".join(known.values()), np.uint8).reshape(len(pre), size)
         clear(pre)
     woken = live.nonzero()[0]
     passes = max_iters if len(woken) else 0
     woken = wake(woken)
     found = [pre]
-    visited = []
-    eliminations = iterations = 0
+    ops = visits = eliminations = iterations = 0
     per_iteration: list[int] = []
     while iterations < passes:
         iterations += 1
-        rule, new = rules.lookup(key[woken].tolist(), pairs=key.dtype != object)
-        visited.append(rule)
+        rule, new = rules.lookup(key[woken])
+        spec = np.take(rules.rule, rule, axis=0)
+        visits += len(rule)
         eliminations += new
-        spec = rules.rule[rule]
+        ops += int(spec[:, 0].sum())
         at = _ranges(spec[:, 1], spec[:, 2])
         if not len(at):
             per_iteration.append(0)
             break
         where = base[woken].repeat(spec[:, 2])
-        term = rules.term[at]
+        term = np.take(rules.term, at, axis=0)
         opens = term[:, 1].nonzero()[0]
         dest = local[where[opens] + term[opens, 1]]
-        value = xor_segments(buf[local[where + term[:, 0]]], np.append(opens, len(at)))
+        value = xor_segments(np.take(buf, local[where + term[:, 0]], axis=0), np.append(opens, len(at)))
         buf[dest] = value
-        if buf[dest].tobytes() != value.tobytes():
+        if np.take(buf, dest, axis=0).tobytes() != value.tobytes():
             clash = dest[(buf[dest] != value).any(axis=1)][0] - outputs
             raise FrameInconsistencyError(f"user {clash} resolved to two different payloads")
         fresh = distinct(dest - outputs, frame.users)
@@ -457,19 +531,16 @@ def _peel(
         woken = distinct(wake(clear(fresh)), len(key))
 
     users = np.concatenate(found)
-    values = buf[outputs + users]
+    values = np.take(buf, outputs + users, axis=0)
     _check_against_frame(frame, users, values)
-    fresh = values[len(pre):].view(f"V{size}").ravel().tolist() if size else [b""] * (len(users) - len(pre))
-    recovered.update(zip(users[len(pre):].tolist(), fresh))
-    visited = np.concatenate(visited) if visited else np.zeros(0, np.int64)
     return DecodeReport(
-        recovered=recovered,
+        recovered=RecoveredPackets(users, values),
         preknown=frozenset(preknown or ()),
         iterations=iterations,
         per_iteration=tuple(per_iteration),
-        field_ops=int(rules.rule[visited, 0].sum()),
+        field_ops=ops,
         users=frame.users,
-        visits=len(visited),
+        visits=visits,
         eliminations=eliminations,
     )
 
@@ -493,7 +564,7 @@ def _peel_scalar(
     the touched units as `_peel` does.  Raises FrameInconsistencyError in
     the same cases.
     """
-    recovered = _checked_preknown(frame, preknown)
+    known = _checked_preknown(frame, preknown)
     size = frame.payload_len
     blob = frame.outputs.tobytes()
     ptr, users, first_column = row_ptr.tolist(), row_users.tolist(), column_ptr.tolist()
@@ -521,7 +592,7 @@ def _peel_scalar(
         mask = unknown[i]
         return mask > 0 and not (counter and mask & (mask - 1))
 
-    merge({u: int.from_bytes(p, "big") for u, p in recovered.items()})
+    merge({u: int.from_bytes(p, "big") for u, p in known.items()})
     woken = list(filter(wakes, live))
     table, entries = rules._rules, rules.entries
     ops = visits = eliminations = iterations = 0
@@ -532,7 +603,8 @@ def _peel_scalar(
         for i in woken:
             key = unknown[i] << _SHAPE_BITS | shapes[i]
             if key not in table:
-                eliminations += rules.lookup([key])[1]
+                rules.add([key], pairs=False)
+                eliminations += 1
             released, spent = entries[table[key]] or rules.entry(key)
             visits += 1
             ops += spent
@@ -552,11 +624,12 @@ def _peel_scalar(
             break
         woken = sorted(filter(wakes, merge(found)))
 
-    recovered.update((u, value[u].to_bytes(size, "big")) for u in islice(value, len(recovered), None))
-    values = np.frombuffer(b"".join(recovered.values()), np.uint8).reshape(len(recovered), size)
-    _check_against_frame(frame, np.fromiter(recovered, np.int64, len(recovered)), values)
+    users = np.fromiter(value, np.int64, len(value))
+    packets = b"".join(v.to_bytes(size, "big") for v in value.values())
+    values = np.frombuffer(packets, np.uint8).reshape(len(users), size)
+    _check_against_frame(frame, users, values)
     return DecodeReport(
-        recovered=recovered,
+        recovered=RecoveredPackets(users, values),
         preknown=frozenset(preknown or ()),
         iterations=iterations,
         per_iteration=tuple(per_iteration),
@@ -625,7 +698,7 @@ def ordinary_bp(
 
 
 def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
-              peeled: DecodeReport | None = None) -> frozenset[int]:
+              peeled: DecodeReport | None = None) -> UserSet:
     """Users recoverable by full Gaussian elimination on the whole frame.
 
     User u is recoverable exactly when its unit vector lies in the span of
@@ -636,10 +709,10 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
     (inactivation decoding): every user `batched_bp` recovers lies in that
     span, so only the residual core of still-unknown users goes through
     elimination, over transfer columns restricted to the core's rows.  The
-    result is the same set as eliminating the whole frame; the bitmasks are
-    only as wide as the core, and an empty core costs nothing beyond the
-    peel.  Raises FrameInconsistencyError when the peel finds the frame
-    corrupt.
+    result is the same set as eliminating the whole frame, as a `UserSet`
+    marked from the peel's user array; the bitmasks are only as wide as the
+    core, and an empty core costs nothing beyond the peel.  Raises
+    FrameInconsistencyError when the peel finds the frame corrupt.
 
     `peeled` is the report of a `batched_bp` run on the same frame and
     `preknown`, which then replaces the oracle's own peel.  Any such run
@@ -651,12 +724,12 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
         peeled = batched_bp(frame, preknown)
     elif peeled.users != frame.users or peeled.preknown != frozenset(preknown or ()):
         raise ValueError("the peel report belongs to another frame or preknown set")
-    known = peeled.recovered
-    unknown = np.ones(frame.users, bool)
-    unknown[np.fromiter(known, np.int64, len(known))] = False
+    known = np.zeros(frame.users, bool)
+    known[peeled.recovered.users] = True
+    unknown = ~known
     core = unknown.nonzero()[0]
     if not len(core):
-        return frozenset(known)
+        return UserSet(known)
     # each output column as a little-endian bitmask over the core's rows
     column, _ = segments(frame.member_ptr[1:] - frame.member_ptr[:-1])
     in_core = unknown[frame.members]
@@ -666,5 +739,5 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
     np.bitwise_or.at(packed, (column[in_core], row >> 3), np.left_shift(1, row & 7).astype(np.uint8))
     flat = memoryview(packed.reshape(-1))  # sliced without copies
     masks = (int.from_bytes(flat[i:i + width], "little") for i in range(0, len(flat), width))
-    solved = units_in_span(span_basis(masks), len(core))
-    return frozenset(known).union(core[solved].tolist())
+    known[core[units_in_span(span_basis(masks), len(core))]] = True
+    return UserSet(known)

@@ -206,14 +206,22 @@ def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
 
     Rows are XORed as the widest unsigned words that divide their length,
     which makes the reduction several times faster than byte by byte.
+    Single-row segments are copied, and one `reduceat` runs over the others.
     """
     width = rows.shape[1]
     word = next(w for w in (8, 4, 2, 1) if width % w == 0)
     words = rows.view(f"u{word}")
     out = np.zeros((len(ptr) - 1, words.shape[1]), dtype=words.dtype)
-    nonempty = np.flatnonzero(ptr[1:] > ptr[:-1])
-    if len(nonempty):
-        out[nonempty] = np.bitwise_xor.reduceat(words, ptr[nonempty], axis=0)
+    count = ptr[1:] - ptr[:-1]
+    single = (count == 1).nonzero()[0]
+    out[single] = np.take(words, ptr[single], axis=0)
+    many = (count > 1).nonzero()[0]
+    if len(many):
+        # each segment's start and end, so that the rows between two of
+        # them reduce into a row of their own, which is dropped; the last
+        # end is left out when it is the end of `rows`, as reduceat needs
+        bounds = ptr[(many[:, None] + (0, 1)).ravel()]
+        out[many] = np.bitwise_xor.reduceat(words, bounds[:-1] if bounds[-1] == len(words) else bounds, axis=0)[::2]
     return out.view(np.uint8)
 
 
@@ -305,7 +313,7 @@ class Frame:
         hit = ((column_masks[pair_col] >> pair_row) & 1).astype(bool)
         self.members = batch_users[batch_ptr[col_batch[pair_col[hit]]] + pair_row[hit]]
         self.member_ptr = offsets(np.bincount(pair_col[hit], minlength=len(column_masks)))
-        encoded = xor_segments(payload_rows[self.members], self.member_ptr)
+        encoded = xor_segments(np.take(payload_rows, self.members, axis=0), self.member_ptr)
         # output columns that differ from the XOR of their members' payloads:
         # none when the frame encodes its own outputs, and in a hand-built frame only if it is corrupt
         if outputs is None:

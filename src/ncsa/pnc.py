@@ -214,7 +214,7 @@ class WeightedMatrixFamily:
         their column counts and their column masks padded with zeros to the
         widest member (a ``(count, width)`` array)."""
         picks = np.minimum(np.searchsorted(self._cum, rng.random(count)), len(self.entries) - 1)
-        return self._cols[picks], self._masks[picks]
+        return self._cols[picks], np.take(self._masks, picks, axis=0)
 
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
         return iter(self.entries)
@@ -264,7 +264,7 @@ class StockFamily:
         shape = np.searchsorted(self._cum, rng.random(count))
         pos = np.argsort(rng.random((count, self.degree)), axis=1)
         ones = np.ones(pos.shape, dtype=mask_dtype(self.degree))
-        masks = (np.left_shift(ones, pos)[:, :, None] * self._rep_bits[shape]).sum(axis=1)
+        masks = (np.left_shift(ones, pos)[:, :, None] * np.take(self._rep_bits, shape, axis=0)).sum(axis=1)
         return self._shape_cols[shape], masks
 
     def gamma_counts(self) -> list[Fraction]:

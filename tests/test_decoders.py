@@ -15,7 +15,9 @@ from ncsa.cli import main
 from ncsa.decoders import (
     DecodeReport,
     FrameInconsistencyError,
+    RecoveredPackets,
     RuleTable,
+    UserSet,
     _check_against_frame,
     batched_bp,
     ge_oracle,
@@ -380,6 +382,33 @@ def test_report_iteration_counts_add_up():
     assert report.users == 80
 
 
+@pytest.mark.parametrize("path", PEEL_PATHS)
+def test_recovered_packets_read_as_the_dict_they_replace(path):
+    """Both peels report their packets as the same read-only mapping over
+    arrays, which compares, iterates, reads and prints as the dict of the
+    preknown packets, then the recovered ones, did."""
+    frame = sample_frame(SystemConfig(
+        users=80, slots=120, dist=DegreeDistribution({2: 0.6, 3: 0.4}), model=PncModel.example(5), seed=31,
+        payload_len=3,
+    ))
+    pre = {7: frame.payloads[7], 2: frame.payloads[2]}
+    with peel_path(path):
+        report = batched_bp(frame, pre)
+    got = report.recovered
+    assert isinstance(got, RecoveredPackets)
+    want = {**pre, **{u: frame.payloads[u] for u in got.users[2:].tolist()}}
+    assert len(got) == len(want) > len(pre)
+    assert list(got) == list(want) and list(got.items()) == list(want.items())
+    assert got == want and repr(got) == repr(want)
+    assert 7 in got and frame.users not in got and got.get(frame.users) is None
+    with pytest.raises(KeyError):
+        got[frame.users]
+    with pytest.raises(ValueError):
+        got.rows[0, 0] = 1
+    with peel_path(path):
+        assert repr(batched_bp(four_user_frame()).recovered) == "{}"
+
+
 def test_decoded_fraction_counts_preknown():
     frame = four_user_frame()
     report = batched_bp(frame, preknown={0: frame.payloads[0]})
@@ -667,6 +696,103 @@ def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
     assert report.visits >= len(set(keys))
 
 
+class CountingDict(dict):
+    """A dict that counts the probes of its keys."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("peel", [batched_bp, ordinary_bp])
+def test_a_peel_pass_probes_the_rule_table_once_per_distinct_key(peel, monkeypatch):
+    frame = sample_frame(SystemConfig(
+        users=20_000, slots=40_000, dist=DegreeDistribution({3: 1.0}), model=PncModel.example(10), seed=1,
+    ))
+    rules = RuleTable()
+    rules._rules = CountingDict()
+    distinct = []
+    lookup = RuleTable.lookup
+
+    def recording_lookup(self, keys):
+        distinct.append(len(set(keys.tolist())))
+        return lookup(self, keys)
+
+    monkeypatch.setattr(RuleTable, "lookup", recording_lookup)
+    report = peel(frame, rules=rules)
+    assert report.decoded_fraction == 1.0
+    assert len(distinct) == report.iterations
+    assert rules._rules.probes == sum(distinct) < report.visits
+
+
+def reference_lookup(rules, keys, pairs):
+    """`RuleTable.lookup` one key at a time: the keys not held are added in
+    order of first appearance, then every key is read from the table."""
+    found = rules._rules
+    new = [key for key in dict.fromkeys(keys) if key not in found]
+    rules.add(new, pairs)
+    return [found[key] for key in keys], len(new)
+
+
+def assert_lookups_match_the_reference(shapes, batches, dtype):
+    """Look up each batch of keys in two tables naming the same shapes, by
+    `RuleTable.lookup` and by `reference_lookup`: the rule ids, the new-key
+    counts and the rules held are equal."""
+    grouped, reference = RuleTable(), RuleTable()
+    grouped.shape_ids(shapes)
+    reference.shape_ids(shapes)
+    for keys in batches:
+        ids, new = grouped.lookup(np.array(keys, dtype))
+        assert (ids.tolist(), new) == reference_lookup(reference, keys, dtype != object)
+    assert grouped._rules == reference._rules and grouped.entries == reference.entries
+    assert np.array_equal(grouped.rule[:len(grouped)], reference.rule[:len(reference)])
+    assert np.array_equal(grouped.term[:grouped._terms], reference.term[:reference._terms])
+
+
+@pytest.mark.parametrize("rows, dtype", [(range(1, 11), np.int64), (range(32, 71), object)])
+def test_grouped_lookup_matches_the_per_key_reference_on_random_keys(rows, dtype):
+    # one to three columns; past 31 rows a key does not fit int64
+    rng = random.Random(len(rows))
+    shapes = []
+    for _ in range(40):
+        r = rng.choice(rows)
+        shapes.append((r, tuple(rng.randrange(1, 1 << r) for _ in range(rng.randint(1, 3)))))
+    shapes = list(dict.fromkeys(shapes))
+    pool = [rng.randrange(1 << shapes[s][0]) << 32 | s for s in (rng.randrange(len(shapes)) for _ in range(60))]
+    batches = [[rng.choice(pool) for _ in range(rng.randint(0, 80))] for _ in range(8)]
+    assert_lookups_match_the_reference(shapes, batches, dtype)
+
+
+def test_grouped_lookup_matches_the_per_key_reference_on_peel_keys(monkeypatch):
+    """The keys the passes of both peelers look up, over a frame with
+    three-column members and a shared table."""
+    batches = []
+    lookup = RuleTable.lookup
+
+    def recording_lookup(self, keys):
+        batches.append(keys.tolist())
+        return lookup(self, keys)
+
+    rules = RuleTable()
+    monkeypatch.setattr(RuleTable, "lookup", recording_lookup)
+    for frame in wide_frames(2):
+        for peel in (batched_bp, ordinary_bp):
+            peel(frame, rules=rules)
+    monkeypatch.undo()
+    assert sum(map(len, batches)) > len({key for keys in batches for key in keys}) > 0
+    assert_lookups_match_the_reference(list(rules.shapes), batches, np.int64)
+
+
 def pair_rules_as_slot_rules(rows, masks, unknowns):
     """`_pair_rules` on keys of one shape, read back into `_slot_rule`'s
     ``(released, spent)`` form."""
@@ -933,6 +1059,36 @@ def test_oracle_matches_reference_past_the_peeling_threshold():
         if full_rank_cores and partial_cores:
             break
     assert full_rank_cores > 0 and partial_cores > 0
+
+
+def test_the_oracle_answers_with_a_read_only_set_over_a_user_array():
+    """The oracle's `UserSet` compares, hashes, prints and combines as the
+    frozenset of its users, with no ints built to count them."""
+    # user 3 peels, 0-2 need elimination (as in the dense system above),
+    # and the sum of 4 and 5 releases neither
+    frame = frame_from_batches(
+        [bytes([i + 1]) for i in range(6)],
+        [
+            (0, (0, 1), [[1], [1]]),
+            (1, (1, 2), [[1], [1]]),
+            (2, (0, 2), [[1], [1]]),
+            (3, (0, 1, 2), [[1], [1], [1]]),
+            (4, (3,), [[1]]),
+            (5, (4, 5), [[1], [1]]),
+        ],
+    )
+    peeled = batched_bp(frame)
+    want = reference_ge_oracle(frame)
+    assert (set(peeled.recovered), want) == ({3}, {0, 1, 2, 3})
+    got = ge_oracle(frame, peeled=peeled)
+    assert isinstance(got, UserSet) and len(got) == got.mask.sum() == len(want)
+    assert got == want and want == got and hash(got) == hash(want) and repr(got) == repr(want)
+    assert list(got) == sorted(want)
+    assert set(peeled.recovered) <= got and got | {-1} == want | {-1} and got - {0} == want - {0}
+    outside = min(set(range(frame.users)) - want)
+    assert outside not in got and frame.users not in got and -1 not in got and "0" not in got
+    with pytest.raises(ValueError):
+        got.mask[outside] = True
 
 
 def test_oracle_rejects_a_report_of_another_frame():

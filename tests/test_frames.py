@@ -14,6 +14,7 @@ from ncsa.frames import (
     global_matrix,
     sample_frame,
     slot_degree_histogram,
+    xor_segments,
 )
 from ncsa.gf2 import BitMatrix, combine, rank
 from ncsa.pnc import PncModel, example_family
@@ -455,3 +456,51 @@ def test_global_matrix_empty_and_column_count():
     g = global_matrix(frame)
     assert g.rows == 40
     assert g.cols == sum(b.transfer.cols for b in frame.batches)
+
+
+# --- segment XOR against a byte-by-byte reference ---------------------------------
+
+
+def reference_xor_segments(rows, ptr):
+    """XOR each segment byte by byte, in Python."""
+    out = []
+    for start, end in zip(ptr[:-1], ptr[1:]):
+        acc = [0] * rows.shape[1]
+        for row in rows[start:end].tolist():
+            acc = [a ^ b for a, b in zip(acc, row)]
+        out.append(acc)
+    return np.array(out, np.uint8).reshape(len(ptr) - 1, rows.shape[1])
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 12, 32])
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [],
+        [0, 0],
+        [1, 1, 1],
+        [3],
+        [2, 0, 1],
+        # single-row segments after the last multi-row one, which a reduce
+        # over the multi-row starts alone would fold into it
+        [0, 4, 1, 0, 1, 1],
+        [1, 3, 2, 1, 0, 5, 1],
+    ],
+)
+def test_xor_segments_matches_a_byte_by_byte_reference(counts, width):
+    rng = np.random.default_rng(len(counts) * 100 + width)
+    ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64)
+    rows = rng.integers(0, 256, (int(ptr[-1]), width), dtype=np.uint8)
+    got = xor_segments(rows, ptr)
+    assert got.dtype == np.uint8 and got.shape == (len(counts), width)
+    assert got.tolist() == reference_xor_segments(rows, ptr).tolist()
+
+
+def test_xor_segments_matches_the_reference_on_random_segments():
+    rng = np.random.default_rng(5)
+    for width in (1, 6, 16):
+        for _ in range(30):
+            counts = rng.choice([0, 1, 1, 1, 2, 3, 7], size=rng.integers(1, 40))
+            ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            rows = rng.integers(0, 256, (int(ptr[-1]), width), dtype=np.uint8)
+            assert xor_segments(rows, ptr).tolist() == reference_xor_segments(rows, ptr).tolist()
