@@ -253,7 +253,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fractions[name].append(frac)
 
     meta = {
-        "schema": "ncsa-simulate-v3",
+        "schema": "ncsa-simulate-v4",
         "command": "simulate", "users": users, "slots": slots,
         "rate": users / slots, "lam": lam, "dist": dist.to_pairs(),
         "model": _model_label(cfg, model),
@@ -473,7 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def model_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--cap", type=int, help="stock model: largest decodable degree (default 10)")
-        p.add_argument("--model", help="JSON file describing a custom per-degree matrix model")
+        p.add_argument("--model", help="JSON file describing a custom per-degree matrix model; "
+                                         "a slot places each drawn member at a uniform row order")
 
     def design_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--eps", type=float)

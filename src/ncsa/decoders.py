@@ -421,6 +421,23 @@ def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) ->
             raise FrameInconsistencyError(f"output {e} disagrees with the recovered packets of its members")
 
 
+def _report(frame: Frame, users: np.ndarray, values: np.ndarray, preknown: Mapping[int, bytes] | None,
+            iterations: int, per_iteration: list[int], ops: int, visits: int, eliminations: int) -> DecodeReport:
+    """A peel's report, once its packets (row i of `values` for user
+    ``users[i]``) pass `_check_against_frame`."""
+    _check_against_frame(frame, users, values)
+    return DecodeReport(
+        recovered=RecoveredPackets(users, values),
+        preknown=frozenset(preknown or ()),
+        iterations=iterations,
+        per_iteration=tuple(per_iteration),
+        field_ops=ops,
+        users=frame.users,
+        visits=visits,
+        eliminations=eliminations,
+    )
+
+
 def _peel(
     frame: Frame,
     row_ptr: np.ndarray,
@@ -531,18 +548,8 @@ def _peel(
         woken = distinct(wake(clear(fresh)), len(key))
 
     users = np.concatenate(found)
-    values = np.take(buf, outputs + users, axis=0)
-    _check_against_frame(frame, users, values)
-    return DecodeReport(
-        recovered=RecoveredPackets(users, values),
-        preknown=frozenset(preknown or ()),
-        iterations=iterations,
-        per_iteration=tuple(per_iteration),
-        field_ops=ops,
-        users=frame.users,
-        visits=visits,
-        eliminations=eliminations,
-    )
+    return _report(frame, users, np.take(buf, outputs + users, axis=0), preknown,
+                   iterations, per_iteration, ops, visits, eliminations)
 
 
 def _peel_scalar(
@@ -626,18 +633,8 @@ def _peel_scalar(
 
     users = np.fromiter(value, np.int64, len(value))
     packets = b"".join(v.to_bytes(size, "big") for v in value.values())
-    values = np.frombuffer(packets, np.uint8).reshape(len(users), size)
-    _check_against_frame(frame, users, values)
-    return DecodeReport(
-        recovered=RecoveredPackets(users, values),
-        preknown=frozenset(preknown or ()),
-        iterations=iterations,
-        per_iteration=tuple(per_iteration),
-        field_ops=ops,
-        users=frame.users,
-        visits=visits,
-        eliminations=eliminations,
-    )
+    return _report(frame, users, np.frombuffer(packets, np.uint8).reshape(len(users), size), preknown,
+                   iterations, per_iteration, ops, visits, eliminations)
 
 
 def batched_bp(
@@ -726,18 +723,13 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
         raise ValueError("the peel report belongs to another frame or preknown set")
     known = np.zeros(frame.users, bool)
     known[peeled.recovered.users] = True
-    unknown = ~known
-    core = unknown.nonzero()[0]
+    core = (~known).nonzero()[0]
     if not len(core):
         return UserSet(known)
-    # each output column as a little-endian bitmask over the core's rows
-    column, _ = segments(frame.member_ptr[1:] - frame.member_ptr[:-1])
-    in_core = unknown[frame.members]
-    row = (unknown.cumsum() - 1)[frame.members[in_core]]
-    width = (len(core) + 7) // 8
-    packed = np.zeros((len(frame.outputs), width), np.uint8)
-    np.bitwise_or.at(packed, (column[in_core], row >> 3), np.left_shift(1, row & 7).astype(np.uint8))
-    flat = memoryview(packed.reshape(-1))  # sliced without copies
-    masks = (int.from_bytes(flat[i:i + width], "little") for i in range(0, len(flat), width))
+    # each output column as a bitmask over the core's rows (-1: not in the core)
+    row = np.full(frame.users, -1)
+    row[core] = np.arange(len(core))
+    rows, ptr = row[frame.members].tolist(), frame.member_ptr.tolist()
+    masks = (sum(1 << r for r in rows[ptr[e]:ptr[e + 1]] if r >= 0) for e in range(len(ptr) - 1))
     known[core[units_in_span(span_basis(masks), len(core))]] = True
     return UserSet(known)

@@ -12,15 +12,17 @@ The stock model captures a receiver that resolves one or two XOR
 combinations out of a collision: either the XOR of everything (single
 all-ones column), or two combinations whose rows split the users into
 [1,0] / [0,1] / [1,1] patterns.  Every distinct row arrangement is a member,
-all equally likely, so sampling a member also picks the (uniform) assignment
-of users to rows.  The family grows about 3^d, so `StockFamily` holds it as
-its O(d^2) member shapes (row-type counts) with their arrangement counts:
+all equally likely.  The family grows about 3^d, so `StockFamily` holds it
+as its O(d^2) member shapes (row-type counts) with their arrangement counts:
 ranks, the mean rank, the solvability counts and sampling all follow from
 one representative per shape.  `example_family` lists every member and is
 kept as the enumerated reference the counted routes are tested against.
 
-Both family types sample a block of draws as arrays, not matrices: the
-column counts and the column masks padded with zeros (`gf2.mask_dtype`).
+Both family types share one sampler, which draws a block of members as
+arrays, not matrices: the column counts and the column masks padded with
+zeros (`gf2.mask_dtype`).  Each member (a stock shape) is drawn by its
+weight and placed at a uniform row arrangement, so a user sits at an
+independent, uniform row of each of its slots, as the recursion assumes.
 
 `gamma_set` is the solvability footprint a decoder cares about: which
 subsets of the first d-1 users, once known, let the last user's packet be
@@ -153,7 +155,38 @@ def family_size(d: int) -> int:
     return sum(count for _, count in _stock_shapes(d))
 
 
-class WeightedMatrixFamily:
+class _MemberSampler:
+    """The member sampler both family types share, over four tables with one
+    entry per member (per shape representative in a stock family): the
+    cumulative weights, the column counts, the column masks padded with
+    zeros to the widest member, and the member x row x column 0/1 entries
+    that a row arrangement moves."""
+
+    def _tabulate(self, members: Sequence[BitMatrix], cum: Iterable[float]) -> None:
+        self._cum = np.fromiter(cum, dtype=float, count=len(members))
+        self._cum[-1] = 1.0
+        self._cols = np.array([m.cols for m in members], dtype=np.int64)
+        self._masks = np.zeros((len(members), int(self._cols.max())), dtype=mask_dtype(self.degree))
+        for i, m in enumerate(members):
+            self._masks[i, :m.cols] = m.column_masks()
+        self._bits = ((self._masks[:, None, :] >> np.arange(self.degree)[:, None]) & 1).astype(np.int64)
+
+    def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """`count` independent members, each drawn by its weight and placed at
+        a uniform arrangement of its rows (member row r lands in row pos[r]
+        for a uniform permutation pos), as their column counts and their
+        column masks padded with zeros (a ``(count, width)`` array).  With
+        one row or no columns there is nothing to arrange or draw."""
+        picks = np.searchsorted(self._cum, rng.random(count))
+        if self.degree == 1 or not self._masks.shape[1]:
+            return self._cols[picks], np.take(self._masks, picks, axis=0)
+        pos = np.argsort(rng.random((count, self.degree)), axis=1)
+        ones = np.ones(pos.shape, dtype=mask_dtype(self.degree))
+        masks = (np.left_shift(ones, pos)[:, :, None] * np.take(self._bits, picks, axis=0)).sum(axis=1)
+        return self._cols[picks], masks
+
+
+class WeightedMatrixFamily(_MemberSampler):
     """A probability distribution over transfer matrices of one collision size."""
 
     def __init__(self, degree: int, entries: Iterable[tuple[BitMatrix, float]]):
@@ -178,13 +211,7 @@ class WeightedMatrixFamily:
         self.size = len(entries)
         # mean decoded-combination count: every member's rank is its column count
         self.expected_rank = sum(prob * matrix.cols for matrix, prob in entries)
-        self._cum = np.fromiter(accumulate(p for _, p in entries), dtype=float, count=len(entries))
-        self._cum[-1] = 1.0
-        # per member: how many columns, and its column masks padded to the widest member
-        self._cols = np.array([matrix.cols for matrix, _ in entries], dtype=np.int64)
-        self._masks = np.zeros((len(entries), int(self._cols.max())), dtype=mask_dtype(degree))
-        for i, (matrix, _) in enumerate(entries):
-            self._masks[i, :matrix.cols] = matrix.column_masks()
+        self._tabulate([matrix for matrix, _ in entries], accumulate(p for _, p in entries))
 
     def gamma_counts(self) -> list[float]:
         """counts[j] = mean number of size-j subsets in a member's gamma set,
@@ -209,18 +236,11 @@ class WeightedMatrixFamily:
                 counts[j] += prob * (c / d)
         return counts
 
-    def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """`count` independent members, each drawn at its probability, as
-        their column counts and their column masks padded with zeros to the
-        widest member (a ``(count, width)`` array)."""
-        picks = np.minimum(np.searchsorted(self._cum, rng.random(count)), len(self.entries) - 1)
-        return self._cols[picks], np.take(self._masks, picks, axis=0)
-
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
         return iter(self.entries)
 
 
-class StockFamily:
+class StockFamily(_MemberSampler):
     """The stock family at one collision size d >= 2, counted per member shape.
 
     Holds one representative per shape with its member count, so no member
@@ -246,26 +266,8 @@ class StockFamily:
         self.size = sum(count for _, count in shapes)
         self.expected_rank = Fraction(ranked, self.size)
         # float cumulative shape probabilities: the size outgrows int64 above d = 40
-        self._cum = np.array([float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes)])
-        # per shape: how many columns, and the representative's entries
-        # padded to two columns
-        self._shape_cols = np.array([rep.cols for rep, _ in shapes], dtype=np.int64)
-        self._rep_bits = np.array([
-            [[(rep.column_mask(j) >> r) & 1 if j < rep.cols else 0 for j in range(2)] for r in range(degree)]
-            for rep, _ in shapes
-        ])
-
-    def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """`count` independent uniform members, as their column counts and
-        their column masks padded with zeros to two columns.  Each is a shape
-        drawn by its member count, then a uniform arrangement of its rows
-        (representative row r lands in row pos[r] for a uniform permutation
-        pos), so every member has probability 1/size."""
-        shape = np.searchsorted(self._cum, rng.random(count))
-        pos = np.argsort(rng.random((count, self.degree)), axis=1)
-        ones = np.ones(pos.shape, dtype=mask_dtype(self.degree))
-        masks = (np.left_shift(ones, pos)[:, :, None] * np.take(self._rep_bits, shape, axis=0)).sum(axis=1)
-        return self._shape_cols[shape], masks
+        cum = (float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes))
+        self._tabulate([rep for rep, _ in shapes], cum)
 
     def gamma_counts(self) -> list[Fraction]:
         """counts[j] = mean number of size-j subsets in a member's gamma set,

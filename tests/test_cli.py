@@ -33,7 +33,7 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     meta, header, rows = read_csv(str(a))
-    assert meta["schema"] == "ncsa-simulate-v3"
+    assert meta["schema"] == "ncsa-simulate-v4"
     assert len(rows) == 3
     assert all(row["seconds"] == "0.0" for row in rows)
     assert "predicted_fraction" in meta
@@ -67,27 +67,29 @@ SIMULATE_TEST_MODEL = {
         (   # the `small-frames` benchmark call, 50 trials
             ["--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
              "--payload-bytes", "2", "--trials", "50"],
-            "a4e8b6c24655d62d5f649c09beb8f1fe6d1330a962f53780381691c07d107527",
+            "f346be4c5092d1a187cad75ade3d57468e4ce6c44f5442e126a60069d658987b",
         ),
         (   # peeling recovers every user
             ["--users", "2000", "--rate", "0.5", "--dist", "3:1", "--cap", "10", "--trials", "2"],
-            "94f44ae9f1619ac0cce1366df2026b761bdf30e497daf211656357d32b6073c2",
+            "e02dc802461431533a6dd69cdefc5e5995290ba32d550b398591e55824f18581",
         ),
         (   # past the peeling threshold: the oracle eliminates a non-empty core
             ["--users", "1000", "--rate", "1.75", "--dist", "3:1", "--cap", "10", "--trials", "2"],
-            "06fe04b7c3327ef7aae2b0d250beae95a5f221d3ccf896f9189e87e035d8fa85",
+            "2eab5fd557a3f98ce066351d14a6da5f0b213a44c0b50fe81aaca781f20e5165",
         ),
         (   # the custom model of SIMULATE_TEST_MODEL
             ["--users", "300", "--rate", "1.0", "--dist", "2:0.3,3:0.7", "--model", "model.json",
              "--payload-bytes", "4", "--trials", "3"],
-            "1775e43e1f4ec923c1c97b8ce921c595b1356493062baca4eefd980bbb3f3347",
+            "ff95e43cb834c33c3d30d86d414ab41676168b08d6747e8e9480e79f443c5f8b",
         ),
     ],
     ids=["small-frames", "peeled", "core", "custom"],
 )
 def test_simulate_output_is_pinned(tmp_path, monkeypatch, argv, digest):
-    """SHA-256 of `simulate --decoder all --omit-times`, which covers frame
-    sampling, both peelers with their field_ops and the oracle.  The custom
+    """SHA-256 of `simulate --decoder all --omit-times` without its
+    `# schema=` line, which covers frame sampling, both peelers with their
+    field_ops and the oracle.  The schema line is checked on its own, so a
+    schema bump moves only the digests whose output moved.  The custom
     model is passed by a relative path, so that its `# model=` line does not
     depend on the directory.
 
@@ -98,7 +100,10 @@ def test_simulate_output_is_pinned(tmp_path, monkeypatch, argv, digest):
     Path("model.json").write_text(json.dumps(SIMULATE_TEST_MODEL))
     code, out = run(tmp_path, "simulate", *argv, "--decoder", "all", "--omit-times")
     assert code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert [line for line in lines if line.startswith(b"# schema=")] == [b"# schema=ncsa-simulate-v4\n"]
+    rest = b"".join(line for line in lines if not line.startswith(b"# schema="))
+    assert hashlib.sha256(rest).hexdigest() == digest
 
 
 GAMMA_TEST_MODEL = {

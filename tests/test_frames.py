@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from itertools import combinations
@@ -414,6 +415,34 @@ def test_sample_frame_builds_no_bitmatrix(monkeypatch, custom):
 
     monkeypatch.setattr(BitMatrix, "__init__", refuse)
     assert sample_frame(config) == first
+
+
+@pytest.mark.parametrize(
+    "dist, cap, users, slots, payload_len, seeds, digest",
+    [
+        (   # the `small-frames` benchmark frames
+            "1:0.15,2:0.35,3:0.3,4:0.2", 5, 50, 60, 2, range(50),
+            "3c6de24b3e582ca815d0e8002178876800a2d012fc1b536780c38f60e2dfc3f7",
+        ),
+        (   # slots of 57 to 83 users, whose column masks outgrow int64
+            "1:1", 90, 140, 2, 4, range(2),
+            "6899140ee68b89753ccd7fa9df526d1551f29c86311cf6407c4d447d52ecb535",
+        ),
+    ],
+    ids=["small-frames", "wide-masks"],
+)
+def test_stock_frames_are_pinned(dist, cap, users, slots, payload_len, seeds, digest):
+    """SHA-256 of the frame arrays that stock seeds draw: a change to how a
+    stock frame is sampled moves it, and bumps the simulate schema."""
+    model = PncModel.example(cap)
+    h = hashlib.sha256()
+    for seed in seeds:
+        frame = sample_frame(SystemConfig(users=users, slots=slots, dist=DegreeDistribution.from_pairs(dist),
+                                          model=model, payload_len=payload_len, seed=seed))
+        for name in ("payload_rows", "batch_slot", "batch_ptr", "batch_users", "column_ptr", "outputs"):
+            h.update(np.ascontiguousarray(getattr(frame, name)).tobytes())
+        h.update(repr(frame.column_masks.tolist()).encode())
+    assert h.hexdigest() == digest
 
 
 def test_hand_built_frame_flags_outputs_that_disagree_with_its_payloads():

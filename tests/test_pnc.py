@@ -199,6 +199,11 @@ def as_matrices(fam, drawn):
     return [BitMatrix(fam.degree, c, m[:c]) for c, m in zip(cols.tolist(), masks.tolist())]
 
 
+def row_multiset(matrix):
+    """A matrix up to a permutation of its rows."""
+    return tuple(sorted(map(tuple, matrix.to_rows())))
+
+
 def test_counted_sample_is_uniform():
     # fixed seeds; p is about 0.034 at d=3 and 0.93 at d=4
     for d, draws, seed in ((3, 20000, 0), (4, 35000, 1)):
@@ -238,10 +243,28 @@ def test_weighted_sample_follows_probabilities():
     probs = [0.5, 0.3, 0.2]
     fam = WeightedMatrixFamily(2, zip(members, probs))
     draws = 20000
-    seen = Counter(as_matrices(fam, fam.sample(np.random.default_rng(0), draws)))
-    assert set(seen) == set(members)
+    # a member lands at a uniform row order, so draws are compared up to one
+    seen = Counter(map(row_multiset, as_matrices(fam, fam.sample(np.random.default_rng(0), draws))))
+    assert set(seen) == set(map(row_multiset, members))
     # fixed seed; p is about 0.64
-    assert scipy.stats.chisquare([seen[m] for m in members], [draws * p for p in probs]).pvalue > 0.01
+    assert scipy.stats.chisquare([seen[row_multiset(m)] for m in members], [draws * p for p in probs]).pvalue > 0.01
+
+
+def test_weighted_sample_places_a_member_at_a_uniform_row_order():
+    # every distinct arrangement of an asymmetric member is equally likely:
+    # six for the first member (three distinct rows), three for the second
+    members = [BitMatrix.from_rows(rows) for rows in ([[1, 0], [0, 1], [0, 0]], [[1], [1], [0]])]
+    probs = [0.7, 0.3]
+    fam = WeightedMatrixFamily(3, zip(members, probs))
+    draws = 30000
+    seen = Counter(as_matrices(fam, fam.sample(np.random.default_rng(2), draws)))
+    expected = {}
+    for member, prob in zip(members, probs):
+        arrangements = {BitMatrix.from_rows(rows) for rows in itertools.permutations(member.to_rows())}
+        expected.update((m, draws * prob / len(arrangements)) for m in arrangements)
+    assert len(expected) == 9 and set(seen) == set(expected)
+    # fixed seed; p is about 0.94
+    assert scipy.stats.chisquare([seen[m] for m in expected], list(expected.values())).pvalue > 0.01
 
 
 def test_example_family_rejects_degree_zero():
@@ -579,7 +602,8 @@ def test_model_from_dict_property(data, seed):
         fam = model.family(d)
         assert list(fam) == listed
         assert fam.expected_rank == sum(prob * rank(m) for m, prob in listed)
-        assert set(as_matrices(fam, fam.sample(rng, 64))) <= {m for m, _ in listed}
+        drawn = as_matrices(fam, fam.sample(rng, 64))
+        assert set(map(row_multiset, drawn)) <= {row_multiset(m) for m, _ in listed}
     above = model.family(model.max_decodable + 1)
     assert [m.cols for m, _ in above] == [0]
 
@@ -679,25 +703,35 @@ def test_gamma_counts_average_every_target_row_of_random_members():
         assert family.gamma_counts() == pytest.approx(want, abs=1e-12)
 
 
-def test_asymmetric_custom_family_predicts_its_frames(tmp_path):
-    model = {
-        "max_decodable": 2,
-        "families": {"1": [{"matrix": [[1]], "prob": 1.0}], "2": [{"matrix": [[1], [0]], "prob": 1.0}]},
-    }
+def simulate_gap(tmp_path, families, dist):
+    """The recursion's prediction and the batched-BP fraction of a 20k-user
+    frame at rate 0.5 under a custom model (seed 0)."""
+    model = {"max_decodable": len(families) + 1, "families": {"1": [{"matrix": [[1]], "prob": 1.0}], **families}}
     (tmp_path / "model.json").write_text(json.dumps(model))
     out = tmp_path / "sim.csv"
-    argv = ["simulate", "--users", "20000", "--rate", "0.5", "--dist", "2:1", "--model", str(tmp_path / "model.json"),
+    argv = ["simulate", "--users", "20000", "--rate", "0.5", "--dist", dist, "--model", str(tmp_path / "model.json"),
             "--seed", "0", "--out", str(out)]
     assert main(argv) == 0
     meta = dict(line[2:].strip().split("=", 1) for line in out.read_text().splitlines() if line.startswith("# "))
-    predicted, measured = float(meta["predicted_fraction"]), float(meta["mean_fraction_batched"])
+    return float(meta["predicted_fraction"]), float(meta["mean_fraction_batched"])
+
+
+def test_asymmetric_custom_family_predicts_its_frames(tmp_path):
+    predicted, measured = simulate_gap(tmp_path, {"2": [{"matrix": [[1], [0]], "prob": 1.0}]}, "2:1")
     # a user's edge resolves with probability e^-1 (alone) + e^-1 / 2 (one other)
     assert predicted == pytest.approx(1 - (1 - 1.5 / math.e) ** 2, abs=1e-9)
-    assert measured == pytest.approx(0.7865)
-    # 0.0126 apart, not within 0.01: `sample_frame` lists a slot's users by
-    # id, so the lower id is the decoded row of every two-user slot and a
-    # user's rows are not independent across its slots, as the recursion
-    # assumes.  Averaged over the ids the frame should recover about 0.788.
-    # A uniform row order per slot would close the gap but changes which
-    # frame a seed draws (ROADMAP item 5).
-    assert abs(predicted - measured) < 0.015
+    # a slot places the member at a uniform row order, so a user's rows are
+    # independent across its slots, as the recursion assumes
+    assert measured == pytest.approx(0.7974)
+    assert abs(predicted - measured) < 0.01
+
+
+@pytest.mark.parametrize("dist", ["2:1", "3:1"])
+def test_mixed_width_custom_family_predicts_its_frames(tmp_path, dist):
+    # one- and two-column members, some with a row that no column holds
+    families = {
+        "2": [{"matrix": [[1], [0]], "prob": 0.6}, {"matrix": [[1, 0], [1, 1]], "prob": 0.4}],
+        "3": [{"matrix": [[1, 0], [0, 1], [0, 0]], "prob": 0.7}, {"matrix": [[1], [1], [0]], "prob": 0.3}],
+    }
+    predicted, measured = simulate_gap(tmp_path, families, dist)
+    assert abs(predicted - measured) < 0.01
