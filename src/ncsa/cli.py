@@ -306,6 +306,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "command": "optimize", "lam": result.lam, **design,
         "model": _model_label(cfg, model),
         "feasible": result.feasible, "status": result.status,
+        "lp_solves": result.lp_solves, "lp_pivots": result.lp_pivots,
     }
     if not result.feasible:
         _write_csv(cfg.get("out"), meta, ["degree", "node_prob", "edge_weight"], [])

@@ -360,6 +360,17 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(end[-1] if len(end) else 0) + (start - end + count).repeat(count)
 
 
+def _scatter_rows(buf: np.ndarray, dest: np.ndarray, value: np.ndarray) -> None:
+    """``buf[dest] = value`` for C-contiguous 2-D uint8 arrays, written as
+    one 1-D scatter of row-sized void items, which is several times faster
+    than the 2-D fancy scatter.  Zero-width rows have no void view."""
+    width = buf.shape[1]
+    if width:
+        buf.view(f"V{width}")[:, 0][dest] = value.view(f"V{width}")[:, 0]
+    else:
+        buf[dest] = value
+
+
 def _stable_order(values: np.ndarray, bound: int) -> np.ndarray:
     """``values.argsort(kind="stable")`` for values in [0, bound): below
     2**32 as two stable sorts of 16-bit digits, which numpy radix-sorts."""
@@ -538,7 +549,7 @@ def _peel(
         opens = term[:, 1].nonzero()[0]
         dest = local[where[opens] + term[opens, 1]]
         value = xor_segments(np.take(buf, local[where + term[:, 0]], axis=0), np.append(opens, len(at)))
-        buf[dest] = value
+        _scatter_rows(buf, dest, value)
         if np.take(buf, dest, axis=0).tobytes() != value.tobytes():
             clash = dest[(buf[dest] != value).any(axis=1)][0] - outputs
             raise FrameInconsistencyError(f"user {clash} resolved to two different payloads")

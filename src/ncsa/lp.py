@@ -17,16 +17,28 @@ negative reduced cost (Dantzig's rule) and leaves the row of least ratio,
 ties going to the lowest variable index.  After `DEGENERATE_RUN` pivots in
 a row that leave the vertex where it was, both choices follow Bland's rule
 (lowest eligible index; Bland, Math. Oper. Res. 1977) until a pivot moves
-the vertex again, which rules out cycling.  `MAX_PIVOTS` bounds the work
-in any case.
+the vertex again, which rules out cycling.
+
+A solve can start from an earlier optimum (`start`) when its program
+extends that one by appended rows, as a cutting-plane loop's does (Kelley,
+J. SIAM 1960).  Each new row is written in the optimum's nonbasic
+variables with its slack basic.  Adding rows leaves the optimal basis dual
+feasible, so dual-simplex pivots (Lemke, Naval Res. Logist. Q. 1954) take
+it back to primal feasibility: the row of most negative right-hand side
+leaves, and the least ratio of reduced cost to the row's entry enters,
+ties going to the lowest variable index.  A row that no pivot can meet
+makes the program infeasible.  A primal pass then confirms the optimum.
+The dual pivots follow no anti-cycling rule.  `MAX_PIVOTS` bounds the
+pivots of each call, cold or warm, so it ends any cycle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-# Both phases together take at most this many pivots.
+# One call takes at most this many pivots: both phases, or a warm start's
+# dual and primal pivots.
 MAX_PIVOTS = 5000
 # Bland's rule takes over after this many degenerate pivots in a row.
 DEGENERATE_RUN = 10
@@ -40,16 +52,75 @@ class LPResult:
     message: str
     x: np.ndarray | None = None
     pivots: int = 0
+    # the optimal tableau and the program it solves, for a later warm start
+    _optimum: _Optimum | None = field(default=None, repr=False, compare=False)
 
 
-def linprog(c, A_ub, b_ub) -> LPResult:
+@dataclass(frozen=True)
+class _Optimum:
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lp: _Tableau
+
+    def extended_by(self, c: np.ndarray, a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether (c, a, b) is this program with rows appended."""
+        m = len(self.b)
+        return (np.array_equal(c, self.c) and np.array_equal(a[:m], self.a)
+                and np.array_equal(b[:m], self.b))
+
+    def extend(self, a: np.ndarray, b: np.ndarray) -> _Tableau:
+        """A tableau of the optimal basis with the rows of `a` past this
+        program's appended, each in the nonbasic variables, its slack basic."""
+        old, (m, n) = self.lp, self.a.shape
+        weight_rows = np.flatnonzero(old.basis < n)
+        weight_cols = np.flatnonzero(old.nonbasic < n)
+        rows = np.zeros((len(b) - m, old.tab.shape[1]))
+        rows[:, weight_cols] = a[m:, old.nonbasic[weight_cols]]
+        rows[:, -1] = b[m:]
+        rows -= a[m:, old.basis[weight_rows]] @ old.tab[weight_rows]
+        tab = np.concatenate([old.tab[:-1], rows, old.tab[-1:]])
+        return _Tableau(tab, np.append(old.basis, n + np.arange(m, len(b))), old.nonbasic.copy())
+
+
+def linprog(c, A_ub, b_ub, start: LPResult | None = None) -> LPResult:
     """Maximize c.w over w >= 0 with sum(w) = 1 and A_ub w <= b_ub.
 
-    A failed result names its cause in `message`: "infeasible" with the
-    sum that phase 1 could not drive to zero, or the pivot limit.
+    When `start` is an optimum of this program without its last rows, the
+    solve starts from its basis by dual simplex; any other `start` is
+    ignored and the solve is cold.  A failed result names its cause in
+    `message`: "infeasible" with the sum that phase 1 could not drive to
+    zero or the row the dual simplex could not meet, or the pivot limit.
     """
-    a = np.asarray(A_ub, dtype=float)
-    b = np.asarray(b_ub, dtype=float)
+    c = np.array(c, dtype=float)
+    a = np.array(A_ub, dtype=float)
+    b = np.array(b_ub, dtype=float)
+    m, n = a.shape
+    prior = start._optimum if start is not None else None
+    warm = prior is not None and prior.extended_by(c, a, b)
+    lp = prior.extend(a, b) if warm else _phase_one(a, b)
+    try:
+        if warm:
+            lp.restore()
+        else:
+            lp.run()
+            unmet = -lp.tab[-1, -1]
+            if unmet > TOL:
+                return LPResult(False, f"infeasible: phase 1 leaves {unmet:.3g} unmet "
+                                       f"after {lp.pivots} pivots", pivots=lp.pivots)
+            _phase_two(lp, c, n + m)
+        lp.run()
+    except _Stop as stop:
+        return LPResult(False, str(stop), pivots=lp.pivots)
+
+    point = np.zeros(n + m)
+    point[lp.basis] = lp.tab[:-1, -1]
+    return LPResult(True, f"optimal after {lp.pivots} pivots", point[:n], lp.pivots,
+                    _Optimum(c, a, b, lp))
+
+
+def _phase_one(a: np.ndarray, b: np.ndarray) -> _Tableau:
+    """The starting tableau, whose cost row is the artificials' sum."""
     m, n = a.shape
     neg = np.flatnonzero(b < 0)
     sign = np.ones(m)
@@ -68,31 +139,23 @@ def linprog(c, A_ub, b_ub) -> LPResult:
     tab[-1] = -tab[art].sum(axis=0)
     basis = np.append(n + np.arange(m), 0)
     basis[art] = n + m + np.arange(len(art))
-    lp = _Tableau(tab, basis, nonbasic)
-    try:
-        lp.run()
-        unmet = -lp.tab[-1, -1]
-        if unmet > TOL:
-            return LPResult(False, f"infeasible: phase 1 leaves {unmet:.3g} unmet "
-                                   f"after {lp.pivots} pivots", pivots=lp.pivots)
-        # An artificial still basic sits at zero.  Every inequality has its
-        # own slack, so the rows have full rank and its row has a nonzero
-        # entry outside the artificials' columns: pivot it out there.
-        for r in np.flatnonzero(lp.basis >= n + m):
-            lp.pivot(r, int(np.where(lp.nonbasic < n + m, np.abs(lp.tab[r, :-1]), 0.0).argmax()))
-        cols = np.append(lp.nonbasic < n + m, True)
-        lp.tab, lp.nonbasic = lp.tab[:, cols], lp.nonbasic[cols[:-1]]
-        cost = np.zeros(n + m)
-        cost[:n] = -np.asarray(c, dtype=float)
-        lp.tab[-1, :-1] = cost[lp.nonbasic] - cost[lp.basis] @ lp.tab[:-1, :-1]
-        lp.tab[-1, -1] = -cost[lp.basis] @ lp.tab[:-1, -1]
-        lp.run()
-    except _Stop as stop:
-        return LPResult(False, str(stop), pivots=lp.pivots)
+    return _Tableau(tab, basis, nonbasic)
 
-    point = np.zeros(n + m)
-    point[lp.basis] = lp.tab[:-1, -1]
-    return LPResult(True, f"optimal after {lp.pivots} pivots", point[:n], lp.pivots)
+
+def _phase_two(lp: _Tableau, c: np.ndarray, artificial: int) -> None:
+    """Drop phase 1's artificials, the variables from `artificial` on, and
+    price the basis at -c."""
+    # An artificial still basic sits at zero.  Every inequality has its
+    # own slack, so the rows have full rank and its row has a nonzero
+    # entry outside the artificials' columns: pivot it out there.
+    for r in np.flatnonzero(lp.basis >= artificial):
+        lp.pivot(r, int(np.where(lp.nonbasic < artificial, np.abs(lp.tab[r, :-1]), 0.0).argmax()))
+    cols = np.append(lp.nonbasic < artificial, True)
+    lp.tab, lp.nonbasic = lp.tab[:, cols], lp.nonbasic[cols[:-1]]
+    cost = np.zeros(artificial)
+    cost[:len(c)] = -c
+    lp.tab[-1, :-1] = cost[lp.nonbasic] - cost[lp.basis] @ lp.tab[:-1, :-1]
+    lp.tab[-1, -1] = -cost[lp.basis] @ lp.tab[:-1, -1]
 
 
 class _Stop(Exception):
@@ -149,3 +212,21 @@ class _Tableau:
             ties = eligible[ratios <= least + TOL]
             degenerate = degenerate + 1 if least <= TOL else 0
             self.pivot(ties[self.basis[ties].argmin()], s)
+
+    def restore(self) -> None:
+        """Dual simplex: pivot until no basic variable is negative, keeping
+        every reduced cost nonnegative."""
+        tab = self.tab
+        while True:
+            values = tab[:-1, -1]
+            r = int(values.argmin())
+            if values[r] >= -TOL:
+                return
+            row = tab[r, :-1]
+            eligible = (row < -TOL).nonzero()[0]
+            if not len(eligible):
+                raise _Stop(f"infeasible: no pivot makes variable {self.basis[r]} nonnegative "
+                            f"after {self.pivots} pivots")
+            ratios = tab[-1, eligible] / -row[eligible]
+            ties = eligible[ratios <= ratios.min() + TOL]
+            self.pivot(r, ties[self.nonbasic[ties].argmin()])

@@ -23,6 +23,8 @@ Grid feasibility is necessary but not sufficient for the continuum, so a
 solution is re-verified a posteriori on a 10x finer grid, and a local
 optimality certificate (no feasible pairwise weight transfer improves the
 objective) is checked so the result does not rest on trusting the solver.
+Each point the fine grid flags becomes a row appended to the program, and
+the grown program is warm-started from the last optimum by dual simplex.
 """
 from __future__ import annotations
 
@@ -63,6 +65,9 @@ class OptimizationResult:
     rate_star: float | None = None
     violations: tuple[tuple[float, float, float], ...] = ()
     certificate_ok: bool | None = None
+    # LP solves and simplex pivots over all refinement rounds
+    lp_solves: int = 0
+    lp_pivots: int = 0
 
 
 def optimize(
@@ -81,9 +86,10 @@ def optimize(
 
     The grid LP guarantees nothing between its constraint points, so the
     solution is re-verified on a `VERIFY_FACTOR` times finer grid; any point
-    it flags is added as a constraint and the LP re-solved, up to
-    `REFINE_ROUNDS` times.  Violations still present after the last round
-    are reported in the result instead of being hidden.
+    it flags is appended as a constraint and the LP warm-started from the
+    last optimum, up to `REFINE_ROUNDS` solves in all.  Violations still
+    present after the last round are reported in the result instead of
+    being hidden.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"offered load must be a positive finite number, got {lam!r}")
@@ -100,17 +106,26 @@ def optimize(
     fine = eta * np.arange(1, VERIFY_FACTOR * grid_points + 1) / (VERIFY_FACTOR * grid_points)
     fine_resolve = np.asarray(mix(fine))
     need = fine * (1.0 + eps)
+    # the fine points equal to a design grid point are constrained already
+    # (matched by searchsorted: np.isin and np.unique import numpy.ma)
+    at = np.minimum(np.searchsorted(fine, xs), len(fine) - 1)
+    constrained = np.zeros(len(fine), bool)
+    constrained[at[fine[at] == xs]] = True
 
     base = dict(
         lam=lam, eps=eps, eta=eta, max_degree=max_degree, grid_points=grid_points,
     )
+    cuts, cut_resolve = xs, np.asarray(mix(xs))
+    rows, bound = np.empty((0, max_degree)), np.empty(0)
+    res, solves, pivots = None, 0, 0
     for _ in range(REFINE_ROUNDS):
-        shrink = 1.0 - np.asarray(mix(xs))  # 1 - P(x_j)
-        rows = shrink[:, None] ** (degrees - 1)[None, :]
-        bound = 1.0 - xs * (1.0 + eps)
-        res = linprog(1.0 / degrees, rows, bound)
+        rows = np.concatenate([rows, (1.0 - cut_resolve)[:, None] ** (degrees - 1)[None, :]])
+        bound = np.concatenate([bound, 1.0 - cuts * (1.0 + eps)])
+        res = linprog(1.0 / degrees, rows, bound, res)
+        solves, pivots = solves + 1, pivots + res.pivots
         if not res.success:
-            return OptimizationResult(feasible=False, status=res.message, **base)
+            return OptimizationResult(feasible=False, status=res.message,
+                                      lp_solves=solves, lp_pivots=pivots, **base)
 
         omega = np.clip(res.x, 0.0, None)
         omega = omega / omega.sum()
@@ -119,13 +134,12 @@ def optimize(
         bad = curve < need - VERIFY_SLACK
         if not np.any(bad):
             break
-        cuts = fine[bad]
-        # sort and drop repeats by hand: np.unique imports numpy.ma (numpy 2.4)
-        grown = np.sort(np.concatenate([xs, cuts]))
-        grown = grown[np.concatenate(([True], grown[1:] != grown[:-1]))]
-        if len(grown) == len(xs):
+        fresh = bad & ~constrained
+        if not np.any(fresh):
             break  # flagged points already constrained; report them below
-        xs = grown
+        constrained |= fresh
+        # the mixture is elementwise: this is mix(cuts), bit for bit
+        cuts, cut_resolve = fine[fresh], fine_resolve[fresh]
 
     rate = float(lam * np.sum(omega / degrees))
     rate_star = rate * node_fraction(dist, float(mix(eta)))
@@ -141,6 +155,8 @@ def optimize(
         rate_star=float(rate_star),
         violations=violations,
         certificate_ok=_certificate_holds(omega, rows, bound, degrees),
+        lp_solves=solves,
+        lp_pivots=pivots,
         **base,
     )
 

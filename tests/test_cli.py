@@ -131,14 +131,20 @@ GAMMA_TEST_MODEL = {
             ["evolve", "--dist", "3:1", "--lam", "1.2", "--model", "model.json"],
             "f942934d57734d837a2814e5a7bcc6f1946c1ba43ace0db4212f559b2c3068de",
         ),
+        (
+            ["optimize", "--lam", "1.0", "--cap", "10"],
+            "f00ab6ef064ecaf877652fb6afee4a720061a33cfe4ef92a732fa6444a84d9a2",
+        ),
+        (["sweep", "--cap", "10"], "ba0710af76ee1b05da9c8e0d4e80a52dd11496f22864b5cceb9f5ac7bb911533"),
     ],
-    ids=["evolve-stock", "gamma-stock", "gamma-custom", "evolve-custom"],
+    ids=["evolve-stock", "gamma-stock", "gamma-custom", "evolve-custom", "optimize-stock", "sweep-stock"],
 )
 def test_analysis_output_is_pinned(tmp_path, monkeypatch, argv, digest):
     """SHA-256 of the analysis outputs: the recursion, the gamma tables and
     the mean ranks, for the stock model and for the two-member custom model
     of `test_gamma_custom_model`, passed by a relative path so that its
-    `# model=` line does not depend on the directory.
+    `# model=` line does not depend on the directory; and the LP design of
+    one load and of the default load grid, with its refinement rounds.
 
     A change that alters this output on purpose updates these digests and
     says so, with the old and new output, in CHANGES.md.
@@ -228,6 +234,9 @@ def test_optimize_csv_rebuilds_distribution(tmp_path):
     assert float(meta["rate_star"]) <= float(meta["upper_bound"]) + 1e-9
     assert meta["certificate_ok"] == "true"
     assert meta["grid_violations"] == "0"
+    # one solve, whose pivots are the run's and the status's
+    assert meta["lp_solves"] == "1"
+    assert meta["status"] == f"optimal after {meta['lp_pivots']} pivots"
     probs = {int(r["degree"]): float(r["node_prob"]) for r in rows}
     rebuilt = DegreeDistribution(probs)  # validates sum and support
     assert rebuilt.prob(2) > 0.9
@@ -243,6 +252,7 @@ def test_optimize_infeasible_exit_code(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
     meta, header, rows = read_csv(str(out))
     assert meta["feasible"] == "false"
+    assert meta["lp_solves"] == "1" and int(meta["lp_pivots"]) > 0
     assert rows == []
 
 

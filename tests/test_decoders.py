@@ -852,6 +852,20 @@ def test_stable_order_is_a_stable_argsort(bound):
         assert got.tolist() == values.argsort(kind="stable").tolist()
 
 
+@pytest.mark.parametrize("payload_len", [0, 1, 2, 32])
+def test_row_scatter_equals_the_2d_scatter(payload_len):
+    # 200 writes into 40 rows repeat destinations: the last write wins in both
+    rng = np.random.default_rng(payload_len)
+    for rows, count in ((0, 0), (1, 3), (40, 25), (40, 200)):
+        buf = rng.integers(0, 256, (rows, payload_len), dtype=np.uint8)
+        dest = rng.integers(0, rows, count) if rows else np.zeros(0, np.int64)
+        value = rng.integers(0, 256, (count, payload_len), dtype=np.uint8)
+        want = buf.copy()
+        want[dest] = value
+        ncsa.decoders._scatter_rows(buf, dest, value)
+        assert buf.tobytes() == want.tobytes()
+
+
 def test_batch_shapes_are_named_alike_in_arrays_and_tuples():
     stock = [sample_frame(SystemConfig(
         users=2_000, slots=1_500, dist=DegreeDistribution({1: 0.2, 3: 0.5, 6: 0.3}), model=PncModel.example(10),

@@ -27,13 +27,16 @@ def reference_linprog(c, a, b):
 
 
 def capture_lps(run):
-    """`run()`'s result and every LP `optimize` solved meanwhile, as (c, A, b)."""
+    """`run()`'s result and every LP `optimize` solved meanwhile, as
+    (c, A, b, start, result): `start` is the optimum a refinement round
+    warm-starts from, None for a cold solve."""
     lps = []
     solve = optimize_module.linprog
 
-    def recording(c, a, b):
-        lps.append((np.array(c), np.array(a), np.array(b)))
-        return solve(c, a, b)
+    def recording(c, a, b, start=None):
+        result = solve(c, a, b, start)
+        lps.append((np.array(c), np.array(a), np.array(b), start, result))
+        return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize_module, "linprog", recording)
@@ -42,8 +45,8 @@ def capture_lps(run):
 
 @pytest.fixture(scope="module")
 def sweeps():
-    """The default load grid swept at caps 12 and 20, once for all tests."""
-    return {cap: capture_lps(lambda: sweep(SWEEP_LOADS, PncModel.example(cap))) for cap in (12, 20)}
+    """The default load grid swept at caps 10, 12 and 20, once for all tests."""
+    return {cap: capture_lps(lambda: sweep(SWEEP_LOADS, PncModel.example(cap))) for cap in (10, 12, 20)}
 
 
 def test_import_binds_the_optimize_module():
@@ -91,7 +94,8 @@ def test_full_coverage_is_infeasible():
     assert "infeasible" in res.status
     # the last row asks for 1 - P(1)^(i-1) coverage of 1.001: b < 0, so
     # phase 1 needs an artificial there, and both solvers give up
-    ((c, a, b),) = lps
+    ((c, a, b, start, _),) = lps
+    assert start is None
     assert b[-1] < 0
     assert reference_linprog(c, a, b).status == 2  # HiGHS: infeasible
 
@@ -201,7 +205,7 @@ def test_simplex_matches_highs_on_the_sweep_lps(sweeps, cap):
     # objectives agree to 1e-6, and only the simplex meets the rows to 1e-9.
     _, lps = sweeps[cap]
     assert len(lps) >= 40
-    for c, a, b in lps:
+    for c, a, b, _, _ in lps:
         degrees = np.arange(1, len(c) + 1)
         ours, ref = linprog(c, a, b), reference_linprog(c, a, b)
         assert ours.success == ref.success, ours.message
@@ -216,9 +220,9 @@ def test_simplex_matches_highs_on_the_sweep_lps(sweeps, cap):
             _certificate_holds(_normalised(ref.x), a, b, degrees)
 
 
-@pytest.mark.parametrize("cap", (12, 20))
+@pytest.mark.parametrize("cap", (10, 12, 20))
 def test_sweep_designs_pass_the_fine_grid(sweeps, cap):
-    # criterion 9's check at the larger caps
+    # criterion 9's check at the default cap and the larger ones
     points, _ = sweeps[cap]
     assert [p.lam for p in points if not p.feasible] == [10.0]
     for p in points:
@@ -226,6 +230,71 @@ def test_sweep_designs_pass_the_fine_grid(sweeps, cap):
             assert p.result.violations == (), f"lam={p.lam}"
             assert p.result.certificate_ok is True
             assert p.rate_star <= p.upper_bound + 1e-9
+
+
+def _vertex(a, b, x):
+    """The support of x and the rows it meets with equality."""
+    return tuple(np.flatnonzero(x > 1e-9)), tuple(np.flatnonzero(b - a @ x < 1e-9))
+
+
+def _refinements(lps):
+    """Each warm-started LP of a sweep with the LP before it, which is the
+    round it starts from, and the load both belong to."""
+    loads = iter(SWEEP_LOADS)
+    for before, lp in zip([None, *lps], lps):
+        if lp[3] is None:
+            lam = next(loads)  # every load's first round is cold
+        else:
+            yield lam, before, lp
+
+
+@pytest.mark.parametrize("cap", (10, 12, 20))
+def test_warm_refinements_reach_the_cold_vertex(sweeps, cap):
+    # Every refinement round appends rows to the last round's program and
+    # starts from its optimum.  It must end at the vertex where a cold solve
+    # of the same rows ends.  The points agree to 1e-10, not to rounding:
+    # at cap 20 the vertex's binding system has a condition number up to
+    # 2.5e6, and the cold point lies up to 1.9e-11 from the exact vertex,
+    # the warm one up to 5.9e-11.  The objective, which the sweep
+    # publishes, agrees to 1e-13.
+    points, lps = sweeps[cap]
+    refined = list(_refinements(lps))
+    assert len(refined) >= 20
+    warm_pivots = cold_pivots = 0
+    for _, (_, before_a, before_b, _, before), (c, a, b, start, warm) in refined:
+        assert start is before
+        assert len(b) > len(before_b)
+        assert np.array_equal(a[:len(before_a)], before_a) and np.array_equal(b[:len(before_b)], before_b)
+        assert warm.success, warm.message
+        assert warm.message == f"optimal after {warm.pivots} pivots"
+        cold = linprog(c, a, b)
+        assert cold.success, cold.message
+        assert _vertex(a, b, warm.x) == _vertex(a, b, cold.x)
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-10)
+        assert c @ warm.x == pytest.approx(c @ cold.x, rel=1e-13)
+        warm_pivots, cold_pivots = warm_pivots + warm.pivots, cold_pivots + cold.pivots
+    assert 5 * warm_pivots < cold_pivots
+    # the designs' telemetry adds up to the solves and pivots made
+    designs = [p.result for p in points if p.result is not None]
+    assert sum(r.lp_solves for r in designs) == len(lps)
+    assert sum(r.lp_pivots for r in designs) == sum(lp[4].pivots for lp in lps)
+
+
+def test_refinement_rows_are_the_mixture_at_the_cuts(sweeps):
+    # a round's new rows come from the fine grid's mixture values; they must
+    # equal (1 - mix(cuts))^(d - 1) with the mixture evaluated at the cuts
+    _, lps = sweeps[12]
+    model = PncModel.example(12)
+    degrees = np.arange(1, 31)
+    fine = 0.99 * np.arange(1, 1001) / 1000
+    cut_at = dict(zip(1.0 - fine * 1.001, fine))  # a cut's point from its bound
+    assert len(cut_at) == len(fine)
+    refined = list(_refinements(lps))
+    assert refined
+    for lam, (_, _, before_b, _, _), (_, a, b, _, _) in refined:
+        cuts = np.array([cut_at[v] for v in b[len(before_b):]])
+        want = (1.0 - np.asarray(PoissonMixture(lam, model)(cuts)))[:, None] ** (degrees - 1)[None, :]
+        assert a[len(before_b):].tobytes() == want.tobytes(), lam
 
 
 def reference_certificate_holds(omega, rows, bound, degrees):
@@ -323,6 +392,65 @@ def test_simplex_matches_highs_on_small_random_lps():
             assert c @ ours.x == pytest.approx(-ref.fun, abs=1e-9)
             assert np.max(a @ ours.x - b) <= 1e-9 and abs(ours.x.sum() - 1.0) <= 1e-12
     assert outcomes == {True, False}
+
+
+def test_warm_start_matches_highs_on_small_random_lps():
+    # rows appended after an optimum, some of which leave no feasible
+    # point, must give HiGHS's answer for the grown program
+    rng = np.random.default_rng(11)
+    outcomes, warm = set(), 0
+    for _ in range(300):
+        m, n = rng.integers(1, 5), rng.integers(2, 5)
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-2, 3, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+        first = linprog(c, a, b)
+        k = rng.integers(1, 4)
+        more_a = rng.integers(-2, 3, size=(k, n)).astype(float)
+        more_b = rng.integers(-2, 3, size=k).astype(float)
+        a, b = np.concatenate([a, more_a]), np.concatenate([b, more_b])
+        ours, ref = linprog(c, a, b, first), reference_linprog(c, a, b)
+        warm += first.success
+        assert ours.success == (ref.status == 0), (a, b, c, ours.message)
+        outcomes.add((first.success, ours.success))
+        if ours.success:
+            assert c @ ours.x == pytest.approx(-ref.fun, abs=1e-9)
+            assert np.max(a @ ours.x - b) <= 1e-9 and abs(ours.x.sum() - 1.0) <= 1e-12
+            assert ours.x.min() >= -1e-12
+        else:
+            assert "infeasible" in ours.message
+    assert warm >= 100
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_warm_start_needs_the_earlier_rows():
+    # a start whose rows are not a prefix of the new program is ignored
+    a, b, c = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.75, 0.75]), np.array([1.0, 2.0])
+    first = linprog(c, a, b)
+    assert first.success and first.x.tolist() == [0.25, 0.75]
+    for other in ((c, a[::-1], b[::-1]), (-c, a, b), (c, a[:1], b[:1])):
+        warm, cold = linprog(*other, first), linprog(*other)
+        assert (warm.x.tolist(), warm.pivots) == (cold.x.tolist(), cold.pivots) and cold.pivots > 0
+    # appending no row returns the same optimum without a pivot
+    again = linprog(c, a, b, first)
+    assert again.pivots == 0 and again.x.tolist() == first.x.tolist()
+    # a cut that moves the optimum takes a dual pivot
+    cut = linprog(c, np.vstack([a, [[-1.0, 1.0]]]), np.append(b, 0.0), first)
+    assert cut.success and cut.pivots >= 1
+    np.testing.assert_allclose(cut.x, [0.5, 0.5], atol=1e-15)
+
+
+def test_pivot_cap_stops_a_warm_start(monkeypatch):
+    a, b, c = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.75, 0.75]), np.array([1.0, 2.0])
+    first = linprog(c, a, b)
+    grown = np.vstack([a, [[-1.0, 1.0]]]), np.append(b, 0.0)
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+    res = linprog(c, *grown, first)
+    assert not res.success
+    assert res.message == "pivot limit of 0 reached"
+    assert res.x is None and res.pivots == 0
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 1)
+    assert linprog(c, *grown, first).success
 
 
 # Beale's cycling example (Beale, Naval Res. Logist. Q. 1955) behind a
