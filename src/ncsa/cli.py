@@ -354,11 +354,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         [p.lam, p.feasible, p.rate, p.rate_star, p.upper_bound, p.error or ""]
         for p in points
     ]
+    designs = [p.result for p in points if p.result is not None]
     meta = {
         "schema": "ncsa-sweep-v1",
         "command": "sweep",
         "model": _model_label(cfg, model),
         **design, "points": len(points),
+        "lp_solves": sum(r.lp_solves for r in designs),
+        "lp_pivots": sum(r.lp_pivots for r in designs),
     }
     header = ["lam", "feasible", "rate", "rate_star", "upper_bound", "error"]
     _write_csv(cfg.get("out"), meta, header, rows)

@@ -24,19 +24,22 @@ solution is re-verified a posteriori on a 10x finer grid, and a local
 optimality certificate (no feasible pairwise weight transfer improves the
 objective) is checked so the result does not rest on trusting the solver.
 Each point the fine grid flags becomes a row appended to the program, and
-the grown program is warm-started from the last optimum by dual simplex.
+the grown program is warm-started from the last optimum.  A sweep starts
+each load's first round from the last load's first-round optimum: the
+grid, the objective and the right-hand side are the same, and only the
+coefficients move with the load.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .evolution import InvariantError, PoissonMixture, edge_fraction, node_fraction, rate_upper_bound
 from .frames import DegreeDistribution
-from .lp import linprog
+from .lp import LPResult, linprog
 from .pnc import PncModel
 
 # The a-posteriori check runs on a grid this many times finer than the LP's.
@@ -68,6 +71,8 @@ class OptimizationResult:
     # LP solves and simplex pivots over all refinement rounds
     lp_solves: int = 0
     lp_pivots: int = 0
+    # the first round's LP result, a start for the same design at another load
+    _first_round: LPResult | None = field(default=None, repr=False, compare=False)
 
 
 def optimize(
@@ -77,6 +82,8 @@ def optimize(
     eta: float = 0.99,
     max_degree: int = 30,
     grid_points: int = 100,
+    *,
+    start: LPResult | None = None,
 ) -> OptimizationResult:
     """Maximize the design rate at offered load `lam`.
 
@@ -89,7 +96,8 @@ def optimize(
     it flags is appended as a constraint and the LP warm-started from the
     last optimum, up to `REFINE_ROUNDS` solves in all.  Violations still
     present after the last round are reported in the result instead of
-    being hidden.
+    being hidden.  `start`, the `_first_round` of the same design at
+    another load, warm-starts the first round.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"offered load must be a positive finite number, got {lam!r}")
@@ -117,15 +125,16 @@ def optimize(
     )
     cuts, cut_resolve = xs, np.asarray(mix(xs))
     rows, bound = np.empty((0, max_degree)), np.empty(0)
-    res, solves, pivots = None, 0, 0
+    res, first, solves, pivots = start, None, 0, 0
     for _ in range(REFINE_ROUNDS):
         rows = np.concatenate([rows, (1.0 - cut_resolve)[:, None] ** (degrees - 1)[None, :]])
         bound = np.concatenate([bound, 1.0 - cuts * (1.0 + eps)])
         res = linprog(1.0 / degrees, rows, bound, res)
+        first = res if first is None else first
         solves, pivots = solves + 1, pivots + res.pivots
         if not res.success:
             return OptimizationResult(feasible=False, status=res.message,
-                                      lp_solves=solves, lp_pivots=pivots, **base)
+                                      lp_solves=solves, lp_pivots=pivots, _first_round=first, **base)
 
         omega = np.clip(res.x, 0.0, None)
         omega = omega / omega.sum()
@@ -157,6 +166,7 @@ def optimize(
         certificate_ok=_certificate_holds(omega, rows, bound, degrees),
         lp_solves=solves,
         lp_pivots=pivots,
+        _first_round=first,
         **base,
     )
 
@@ -196,17 +206,21 @@ def sweep(lams: Sequence[float], model: PncModel, **design) -> list[SweepPoint]:
     """Optimize across a load grid; per-point failures are recorded, not raised.
 
     `design` holds `optimize`'s keywords (eps, eta, max_degree, grid_points)
-    and is passed on unchanged, so the defaults are `optimize`'s.
+    and is passed on unchanged, so the defaults are `optimize`'s.  Each
+    load's first LP round starts from the last first round that reached an
+    optimum.
     """
-    points = []
+    points, start = [], None
     for lam in lams:
         try:
             upper = rate_upper_bound(lam, model)
-            res = optimize(lam, model, **design)
+            res = optimize(lam, model, **design, start=start)
         except (ValueError, InvariantError) as exc:  # a bad point must not kill the sweep
             points.append(SweepPoint(lam=lam, feasible=False, rate=None, rate_star=None,
                                      upper_bound=float("nan"), error=str(exc)))
             continue
+        if res._first_round.success:
+            start = res._first_round
         points.append(
             SweepPoint(
                 lam=lam,

@@ -13,10 +13,11 @@ combinations out of a collision: either the XOR of everything (single
 all-ones column), or two combinations whose rows split the users into
 [1,0] / [0,1] / [1,1] patterns.  Every distinct row arrangement is a member,
 all equally likely.  The family grows about 3^d, so `StockFamily` holds it
-as its O(d^2) member shapes (row-type counts) with their arrangement counts:
-ranks, the mean rank, the solvability counts and sampling all follow from
-one representative per shape.  `example_family` lists every member and is
-kept as the enumerated reference the counted routes are tested against.
+as its O(d^2) member shapes (row-type counts) with their arrangement counts,
+in closed form: a shape's column masks are runs of ones, every two-column
+member has rank 2, and the solvability counts add one binomial row per
+route size.  `example_family` lists every member and is kept as the
+enumerated reference the counted tables are tested against.
 
 Both family types share one sampler, which draws a block of members as
 arrays, not matrices: the column counts and the column masks padded with
@@ -37,7 +38,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, groupby
-from math import comb
+from math import comb, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -158,18 +159,10 @@ def family_size(d: int) -> int:
 class _MemberSampler:
     """The member sampler both family types share, over four tables with one
     entry per member (per shape representative in a stock family): the
-    cumulative weights, the column counts, the column masks padded with
-    zeros to the widest member, and the member x row x column 0/1 entries
-    that a row arrangement moves."""
-
-    def _tabulate(self, members: Sequence[BitMatrix], cum: Iterable[float]) -> None:
-        self._cum = np.fromiter(cum, dtype=float, count=len(members))
-        self._cum[-1] = 1.0
-        self._cols = np.array([m.cols for m in members], dtype=np.int64)
-        self._masks = np.zeros((len(members), int(self._cols.max())), dtype=mask_dtype(self.degree))
-        for i, m in enumerate(members):
-            self._masks[i, :m.cols] = m.column_masks()
-        self._bits = ((self._masks[:, None, :] >> np.arange(self.degree)[:, None]) & 1).astype(np.int64)
+    cumulative weights `_cum` (the last exactly 1), the column counts
+    `_cols`, the column masks `_masks` padded with zeros to the widest
+    member, and the member x row x column 0/1 entries `_bits` that a row
+    arrangement moves."""
 
     def sample(self, rng, count: int) -> tuple[np.ndarray, np.ndarray]:
         """`count` independent members, each drawn by its weight and placed at
@@ -211,7 +204,13 @@ class WeightedMatrixFamily(_MemberSampler):
         self.size = len(entries)
         # mean decoded-combination count: every member's rank is its column count
         self.expected_rank = sum(prob * matrix.cols for matrix, prob in entries)
-        self._tabulate([matrix for matrix, _ in entries], accumulate(p for _, p in entries))
+        self._cum = np.fromiter(accumulate(p for _, p in entries), dtype=float, count=self.size)
+        self._cum[-1] = 1.0
+        self._cols = np.array([m.cols for m, _ in entries], dtype=np.int64)
+        self._masks = np.zeros((self.size, int(self._cols.max())), dtype=mask_dtype(degree))
+        for i, (m, _) in enumerate(entries):
+            self._masks[i, :m.cols] = m.column_masks()
+        self._bits = ((self._masks[:, None, :] >> np.arange(degree)[:, None]) & 1).astype(np.int64)
 
     def gamma_counts(self) -> list[float]:
         """counts[j] = mean number of size-j subsets in a member's gamma set,
@@ -241,33 +240,46 @@ class WeightedMatrixFamily(_MemberSampler):
 
 
 class StockFamily(_MemberSampler):
-    """The stock family at one collision size d >= 2, counted per member shape.
+    """The stock family at collision size d >= 2, counted per member shape.
 
-    Holds one representative per shape with its member count, so no member
-    is built until one is sampled.  Row permutations preserve rank, so
-    rank-checking the representatives covers every member, and the mean rank
-    is exact.  Iterating lists every member through `example_family`.
+    `shapes` pairs each shape, the row-type counts (a1, a2, a3) of a
+    two-column member or None for the all-ones column, with its member
+    count; no member is built until one is sampled.  The sampler's tables
+    hold the representative whose rows are grouped by type (see
+    `_shape_rows`), whose columns are runs of ones: column 1 the [1,0] and
+    [1,1] rows, column 2 the [0,1] and [1,1] rows.  Both are nonzero and
+    distinct, so every two-column member has full column rank 2 and the
+    mean rank is exact.  Iterating lists every member through
+    `example_family`.
     """
 
     def __init__(self, degree: int):
         if degree < 2:
             raise ValueError("the stock family needs a collision size of at least 2")
-        shapes = []
-        ranked = 0
-        for shape, count in _stock_shapes(degree):
-            rep = BitMatrix.from_rows(_shape_rows(degree, shape))
-            r = rank(rep)
-            if r != rep.cols:
-                raise ValueError("transfer matrices must have full column rank")
-            shapes.append((rep, count))
-            ranked += r * count
-        self.degree = degree
-        self.shapes = tuple(shapes)
-        self.size = sum(count for _, count in shapes)
-        self.expected_rank = Fraction(ranked, self.size)
-        # float cumulative shape probabilities: the size outgrows int64 above d = 40
-        cum = (float(Fraction(c, self.size)) for c in accumulate(count for _, count in shapes))
-        self._tabulate([rep for rep, _ in shapes], cum)
+        d = degree
+        self.degree = d
+        self.shapes = tuple(_stock_shapes(d))
+        counts = [count for _, count in self.shapes]
+        self.size = sum(counts)
+        # the all-ones member has rank 1, every other rank 2
+        self.expected_rank = Fraction(2 * self.size - 1, self.size)
+        # each cumulative shape probability is one correctly rounded integer
+        # quotient: the size outgrows int64 above d = 40
+        self._cum = np.array([c / self.size for c in accumulate(counts)])
+        self._cum[-1] = 1.0
+        self._cols = np.full(len(counts), 2, dtype=np.int64)
+        self._cols[0] = 1
+        a1, a2, a3 = np.array([shape for shape, _ in self.shapes[1:]], dtype=np.int64).T
+        one = np.ones(len(a1), dtype=mask_dtype(d))
+        self._masks = np.zeros((len(counts), 2), dtype=mask_dtype(d))
+        self._masks[0, 0] = (1 << d) - 1
+        self._masks[1:, 0] = ((one << (a2 + a3)) - one) << a1
+        self._masks[1:, 1] = ((one << a1) - one) | (((one << a3) - one) << (a1 + a2))
+        row = np.arange(d)
+        self._bits = np.zeros((len(counts), d, 2), dtype=np.int64)
+        self._bits[0, :, 0] = 1
+        self._bits[1:, :, 0] = row >= a1[:, None]
+        self._bits[1:, :, 1] = (row < a1[:, None]) | (row >= (a1 + a2)[:, None])
 
     def gamma_counts(self) -> list[Fraction]:
         """counts[j] = mean number of size-j subsets in a member's gamma set,
@@ -277,16 +289,25 @@ class StockFamily(_MemberSampler):
         solved by the C(k-r, j-r) size-j subsets of the k = d-1 others that
         contain A.  With two routes A and B whose union is all k others, the
         subsets containing A or B number C(k-|A|, j-|A|) + C(k-|B|, j-|B|) - [j = k].
+        So the arrangements are summed per route size r, each sum adds one
+        row C(k-r, .) from j = r on, and the two-route targets' arrangements
+        come off at j = k.
         """
         d = self.degree
         k = d - 1
-        weighted = [0] * d
+        by_size = [0] * d
+        overlap = 0
         for _, _, arrangements, routes in _target_routes(d):
-            for j in range(d):
-                solved = sum(comb(k - r, j - r) for r in routes if r <= j) - (len(routes) - 1) * (j == k)
-                weighted[j] += arrangements * solved
-        g = Fraction(1, self.size)
-        return [g * w for w in weighted]
+            for r in routes:
+                by_size[r] += arrangements
+            overlap += (len(routes) - 1) * arrangements
+        weighted = [0] * d
+        for r, total in enumerate(by_size):
+            if total:
+                for i in range(k - r + 1):
+                    weighted[r + i] += total * comb(k - r, i)
+        weighted[k] -= overlap
+        return [Fraction(w, self.size) for w in weighted]
 
     def __iter__(self) -> Iterator[tuple[BitMatrix, float]]:
         return iter(example_family(self.degree))
@@ -423,17 +444,23 @@ class GammaPoly:
 
 
 def _counts_to_coeffs(k: int, counts: Sequence) -> tuple[float, ...]:
-    """Expand sum_j counts[j] * x^j * (1-x)^(k-j) into monomial coefficients."""
-    coeffs = [Fraction(0)] * (k + 1)
-    for j, n in enumerate(counts):
+    """Expand sum_j counts[j] * x^j * (1-x)^(k-j) into monomial coefficients.
+
+    The counts (exact: Fractions, ints or floats) are written over their
+    common denominator and expanded in integers, so each coefficient is one
+    correctly rounded division, the float of the exact sum."""
+    exact = [Fraction(n) for n in counts]
+    den = lcm(*(n.denominator for n in exact))
+    coeffs = [0] * (k + 1)
+    for j, n in enumerate(exact):
         if not n:
             continue
-        n = Fraction(n)
+        numerator = n.numerator * (den // n.denominator)
         for m in range(k - j + 1):
-            coeffs[j + m] += n * comb(k - j, m) * (-1) ** m
+            coeffs[j + m] += numerator * comb(k - j, m) * (-1) ** m
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(float(c) for c in coeffs)
+    return tuple(c / den for c in coeffs)
 
 
 class PncModel:

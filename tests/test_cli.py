@@ -135,7 +135,7 @@ GAMMA_TEST_MODEL = {
             ["optimize", "--lam", "1.0", "--cap", "10"],
             "f00ab6ef064ecaf877652fb6afee4a720061a33cfe4ef92a732fa6444a84d9a2",
         ),
-        (["sweep", "--cap", "10"], "ba0710af76ee1b05da9c8e0d4e80a52dd11496f22864b5cceb9f5ac7bb911533"),
+        (["sweep", "--cap", "10"], "835d55fb52c701e624b31a507e031d297ec31ca63588014fc42160a61e2738c8"),
     ],
     ids=["evolve-stock", "gamma-stock", "gamma-custom", "evolve-custom", "optimize-stock", "sweep-stock"],
 )
@@ -270,6 +270,9 @@ def test_sweep_default_grid(tmp_path):
     for r in rows:
         if r["feasible"] == "false":
             assert r["rate"] == ""
+    # the LP telemetry, summed over the loads: each load's first round
+    # starts from the last load's
+    assert (meta["lp_solves"], meta["lp_pivots"]) == ("60", "93")
 
 
 def test_gamma_table(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ def reference_linprog(c, a, b):
 
 def capture_lps(run):
     """`run()`'s result and every LP `optimize` solved meanwhile, as
-    (c, A, b, start, result): `start` is the optimum a refinement round
-    warm-starts from, None for a cold solve."""
+    (c, A, b, start, result): `start` is the result the solve was offered
+    as a warm start, None for a cold solve."""
     lps = []
     solve = optimize_module.linprog
 
@@ -237,13 +238,20 @@ def _vertex(a, b, x):
     return tuple(np.flatnonzero(x > 1e-9)), tuple(np.flatnonzero(b - a @ x < 1e-9))
 
 
+def _first_rounds(lps):
+    """Each load's first LP of a sweep with the load: the only one with the
+    design grid's 100 rows alone."""
+    return [(lam, lp) for lam, lp in zip(SWEEP_LOADS, (lp for lp in lps if len(lp[2]) == 100), strict=True)]
+
+
 def _refinements(lps):
-    """Each warm-started LP of a sweep with the LP before it, which is the
-    round it starts from, and the load both belong to."""
+    """Each refinement round of a sweep with the LP before it, which is the
+    round it starts from, and the load both belong to.  A load's first round
+    starts from an earlier load's first round instead (or cold)."""
     loads = iter(SWEEP_LOADS)
     for before, lp in zip([None, *lps], lps):
-        if lp[3] is None:
-            lam = next(loads)  # every load's first round is cold
+        if len(lp[2]) == 100:
+            lam = next(loads)
         else:
             yield lam, before, lp
 
@@ -278,6 +286,68 @@ def test_warm_refinements_reach_the_cold_vertex(sweeps, cap):
     designs = [p.result for p in points if p.result is not None]
     assert sum(r.lp_solves for r in designs) == len(lps)
     assert sum(r.lp_pivots for r in designs) == sum(lp[4].pivots for lp in lps)
+
+
+@pytest.mark.parametrize("cap", (10, 12, 20))
+def test_warm_first_rounds_reach_the_cold_vertex(sweeps, cap):
+    # Each load's first round starts from the last load's first-round
+    # optimum: the same grid, objective and right-hand side with every
+    # coefficient moved.  It must end at a cold solve's vertex, with the
+    # objective to 1e-13, and the infeasible load must fail as a cold solve
+    # does, with the same message.
+    _, lps = sweeps[cap]
+    firsts = _first_rounds(lps)
+    warm_pivots = cold_pivots = 0
+    start = None
+    for lam, (c, a, b, given, warm) in firsts:
+        assert given is start, lam
+        cold = linprog(c, a, b)
+        assert warm.success == cold.success, lam
+        if not warm.success:
+            assert warm.message == cold.message and "infeasible" in warm.message
+            continue
+        start = warm
+        assert _vertex(a, b, warm.x) == _vertex(a, b, cold.x), lam
+        assert c @ warm.x == pytest.approx(c @ cold.x, rel=1e-13)
+        warm_pivots, cold_pivots = warm_pivots + warm.pivots, cold_pivots + cold.pivots
+    assert [lam for lam, lp in firsts if not lp[4].success] == [10.0]
+    assert 3 * warm_pivots <= cold_pivots
+
+
+@pytest.mark.parametrize("cap", (10, 12, 20))
+def test_warm_starts_reach_the_cold_vertex_under_blands_rule(monkeypatch, cap):
+    # with Bland's rule from the first pivot of every phase, the dual pivots
+    # from arbitrary bases included, each warm solve still ends at the
+    # vertex of a cold solve with the default rules
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "DEGENERATE_RUN", 0)
+        points, lps = capture_lps(lambda: sweep(SWEEP_LOADS, PncModel.example(cap)))
+    assert [p.lam for p in points if not p.feasible] == [10.0]
+    warm = [(c, a, b, res) for c, a, b, start, res in lps if start is not None and res.success]
+    assert len(warm) == len(lps) - 2  # all but the first load's first round and the infeasible load
+    for c, a, b, res in warm:
+        cold = linprog(c, a, b)
+        assert _vertex(a, b, res.x) == _vertex(a, b, cold.x)
+        assert c @ res.x == pytest.approx(c @ cold.x, rel=1e-12)
+
+
+def test_sweep_equals_standalone_designs():
+    # a sweep's warm first rounds change no design: each point is its load's
+    # standalone `optimize`, the infeasible load's error text included
+    model = PncModel.example(12)
+    points = sweep([3.0, 1.0, 3.0, 10.0, 2.0], model)
+    for p in points:
+        alone = optimize(p.lam, model)
+        assert p.feasible == alone.feasible, p.lam
+        if not alone.feasible:
+            assert p.error == alone.status and "infeasible" in p.error
+            continue
+        assert p.error is None
+        assert p.rate == pytest.approx(alone.rate, rel=1e-12)
+        assert p.rate_star == pytest.approx(alone.rate_star, rel=1e-12)
+    assert [p.feasible for p in points] == [True, True, True, False, True]
+    # every load after the first starts warm
+    assert all(p.result.lp_pivots < optimize(p.lam, model).lp_pivots for p in points[1:3])
 
 
 def test_refinement_rows_are_the_mixture_at_the_cuts(sweeps):
@@ -424,13 +494,18 @@ def test_warm_start_matches_highs_on_small_random_lps():
 
 
 def test_warm_start_needs_the_earlier_rows():
-    # a start whose rows are not a prefix of the new program is ignored
+    # a start with another objective or more rows than the new program is
+    # ignored
     a, b, c = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.75, 0.75]), np.array([1.0, 2.0])
     first = linprog(c, a, b)
     assert first.success and first.x.tolist() == [0.25, 0.75]
-    for other in ((c, a[::-1], b[::-1]), (-c, a, b), (c, a[:1], b[:1])):
+    for other in ((-c, a, b), (c, a[:1], b[:1])):
         warm, cold = linprog(*other, first), linprog(*other)
         assert (warm.x.tolist(), warm.pivots) == (cold.x.tolist(), cold.pivots) and cold.pivots > 0
+    # one with the same objective and as many rows is used, whatever the
+    # rows hold: here its basis needs one primal pivot
+    warm, cold = linprog(c, a[::-1], b[::-1], first), linprog(c, a[::-1], b[::-1])
+    assert warm.x.tolist() == cold.x.tolist() and 0 < warm.pivots < cold.pivots
     # appending no row returns the same optimum without a pivot
     again = linprog(c, a, b, first)
     assert again.pivots == 0 and again.x.tolist() == first.x.tolist()
@@ -438,6 +513,54 @@ def test_warm_start_needs_the_earlier_rows():
     cut = linprog(c, np.vstack([a, [[-1.0, 1.0]]]), np.append(b, 0.0), first)
     assert cut.success and cut.pivots >= 1
     np.testing.assert_allclose(cut.x, [0.5, 0.5], atol=1e-15)
+
+
+def test_warm_restart_matches_highs_on_small_random_lps(monkeypatch):
+    # A start's basis rebuilt for a program of its shape with new rows is
+    # primal feasible (the primal pass alone), dual feasible only (the dual
+    # simplex), or neither (cost shifting, then both), or singular (a cold
+    # solve).  Each must give HiGHS's answer, and an infeasible program the
+    # cold solve's message.
+    entries = []
+    rebase = lp._Optimum.rebase
+
+    def recording(self, c, a, b):
+        tab = rebase(self, c, a, b)
+        if tab is None:
+            entries.append("singular")
+        elif tab.tab[:-1, -1].min() >= -lp.TOL:
+            entries.append("primal")
+        else:
+            entries.append("shifted" if tab.tab[-1, :-1].min() < -lp.TOL else "dual")
+        return tab
+
+    monkeypatch.setattr(lp._Optimum, "rebase", recording)
+    rng = np.random.default_rng(17)
+    outcomes = Counter()
+    while sum(outcomes.values()) < 300:
+        m, n = rng.integers(1, 6), rng.integers(2, 5)
+        a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        b = rng.integers(-1, 3, size=m).astype(float)
+        c = rng.integers(-3, 4, size=n).astype(float)
+        first = linprog(c, a, b)
+        if not first.success:
+            continue
+        # a new right-hand side keeps the reduced costs, new rows move them
+        b = rng.integers(-2, 3, size=m).astype(float)
+        if rng.random() < 0.75:
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+        ours, ref, cold = linprog(c, a, b, first), reference_linprog(c, a, b), linprog(c, a, b)
+        assert ours.success == (ref.status == 0), (a, b, c, ours.message)
+        outcomes[ours.success] += 1
+        if ours.success:
+            assert c @ ours.x == pytest.approx(-ref.fun, abs=1e-9)
+            assert np.max(a @ ours.x - b) <= 1e-9 and abs(ours.x.sum() - 1.0) <= 1e-12
+            assert ours.x.min() >= -1e-12
+        else:
+            assert ours.message == cold.message and "infeasible" in ours.message
+    assert min(outcomes.values()) >= 10, outcomes
+    counts = Counter(entries)
+    assert min(counts[e] for e in ("primal", "dual", "shifted", "singular")) >= 10, counts
 
 
 def test_pivot_cap_stops_a_warm_start(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -12,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncsa.cli import main
-from ncsa.gf2 import BitMatrix, rank
+from ncsa.gf2 import BitMatrix, mask_dtype, rank
 from ncsa.pnc import (
     GAMMA_CACHE_GRIDS,
     PncModel,
     StockFamily,
     WeightedMatrixFamily,
     _counts_to_coeffs,
+    _shape_rows,
     example_family,
     family_size,
     gamma_closed_form,
@@ -189,8 +191,71 @@ def test_counted_family_matches_enumeration():
         # the shapes partition the members: group the listed members by
         # their multiset of rows and compare with the representatives
         by_shape = Counter(tuple(sorted(map(tuple, m.to_rows()))) for m, _ in listed)
-        shapes = {tuple(sorted(map(tuple, rep.to_rows()))): count for rep, count in counted.shapes}
+        shapes = {tuple(sorted(map(tuple, rep.to_rows()))): count
+                  for rep, (_, count) in zip(representatives(counted), counted.shapes, strict=True)}
         assert shapes == dict(by_shape)
+
+
+def representatives(fam):
+    """A stock family's shape representatives, from its column masks."""
+    return [BitMatrix(fam.degree, c, m[:c]) for c, m in zip(fam._cols.tolist(), fam._masks.tolist())]
+
+
+def test_closed_form_tables_equal_the_listed_representatives():
+    # each shape's column masks are runs of ones; they must be the masks of
+    # the representative built row by row, and the 0/1 table must hold
+    # their bits, up to the object masks past 63 rows
+    for d in range(2, 91):
+        fam = StockFamily(d)
+        want = [BitMatrix.from_rows(_shape_rows(d, shape)) for shape, _ in fam.shapes]
+        assert representatives(fam) == want, d
+        assert fam._masks.dtype == mask_dtype(d)
+        bits = (fam._masks[:, None, :] >> np.arange(d)[:, None]) & 1
+        assert np.array_equal(fam._bits, bits.astype(np.int64)), d
+
+
+def test_stock_members_have_full_column_rank():
+    for d in range(2, 91):
+        fam = StockFamily(d)
+        assert all(rank(m) == m.cols for m in representatives(fam)), d
+        assert fam.expected_rank == Fraction(sum(m.cols * count for m, (_, count) in
+                                                 zip(representatives(fam), fam.shapes)), fam.size)
+
+
+def listed_gamma_counts(d):
+    """The stock family's mean gamma-set size counts, exactly, over every
+    listed member with its last row as the target (the family is closed
+    under row permutations, so every target row gives the same mean).  A
+    known set V solves the target when some nonzero combination of the
+    columns, with V's rows cleared, is the target's unit vector."""
+    target = 1 << (d - 1)
+    counts = [0] * d
+    listed = example_family(d)
+    for matrix, _ in listed:
+        masks = matrix.column_masks()
+        for known in range(target):
+            cleared = [m & ~known for m in masks]
+            combos = {0}
+            for m in cleared:
+                combos |= {m ^ x for x in combos}
+            counts[known.bit_count()] += target in combos
+    return [Fraction(n, listed.size) for n in counts]
+
+
+def test_counted_tables_equal_the_listed_ones_exactly():
+    for d in range(2, 9):
+        fam = StockFamily(d)
+        assert fam.gamma_counts() == listed_gamma_counts(d), d
+        listed = example_family(d)
+        assert fam.expected_rank == Fraction(sum(rank(m) for m, _ in listed), listed.size)
+
+
+def test_stock_gamma_coefficients_are_pinned():
+    # the Gamma_k coefficients of the stock families at d = 2..90, byte for
+    # byte as the Fraction expansion of the enumerated-shape tables gave them
+    model = PncModel.example(90)
+    coeffs = b"".join(np.array(model.gamma_poly(d - 1).coeffs).tobytes() for d in range(2, 91))
+    assert hashlib.sha256(coeffs).hexdigest() == "1f85f6a5162a3351f3da4601764a0fd9feb9f8a622a15859657718420efc8525"
 
 
 def as_matrices(fam, drawn):

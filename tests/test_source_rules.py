@@ -53,7 +53,8 @@ def test_cli_import_loads_no_network_modules():
 
 def test_gated_calls_load_no_numpy_ma():
     # numpy 2.4's np.unique imports all of numpy.ma (over 10 ms) on first
-    # use; neither a design sweep nor a simulate that peels may pay for it
+    # use; neither a design sweep nor a simulate that peels may pay for it,
+    # nor load any scipy module
     code = (
         "import os, sys\n"
         "import ncsa.decoders\n"
@@ -63,11 +64,12 @@ def test_gated_calls_load_no_numpy_ma():
         "main(['sweep', '--cap', '12', '--out', os.devnull])\n"
         "main(['simulate', '--users', '2000', '--rate', '0.5', '--dist', '3:1', '--cap', '10',\n"
         "      '--decoder', 'all', '--seed', '5', '--out', os.devnull])\n"
-        "print('numpy.ma' in sys.modules, len(peels) > 0)\n"
+        "print('numpy.ma' in sys.modules, len(peels) > 0,\n"
+        "      any(name.split('.')[0] == 'scipy' for name in sys.modules))\n"
     )
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=path),
     )
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "True", "False"]
