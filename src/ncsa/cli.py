@@ -466,10 +466,20 @@ def _looks_numeric(rows: list[dict[str, str]], col: str) -> bool:
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The `ncsa` parser.  Every subcommand is listed, but only the one that
+    `argv` names (its first argument that is not an option) gets its
+    options, as a call runs one subcommand; with no `argv`, all do."""
     parser = argparse.ArgumentParser(prog="ncsa", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="cmd", required=True)
+    named = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+
+    def command(name: str, help: str, func) -> argparse.ArgumentParser | None:
+        """Add subcommand `name`; its parser, or None when `argv` names another."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p if named in (None, name) else None
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON file with option values; flags override")
@@ -486,68 +496,63 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", dest="max_degree", type=int)
         p.add_argument("--grid", type=int, help="constraint grid resolution")
 
-    p = sub.add_parser("simulate", help="Monte Carlo frame decoding")
-    p.add_argument("--users", type=int)
-    p.add_argument("--slots", type=int)
-    p.add_argument("--rate", type=float, help="users per slot; alternative to --slots")
-    p.add_argument("--dist", help="degree distribution as d:p pairs, e.g. 2:0.5,3:0.5")
-    p.add_argument("--payload-bytes", dest="payload_bytes", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--decoder", choices=["batched", "ordinary", "oracle", "all"])
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--omit-times", dest="omit_times", action="store_true", default=None,
-                   help="write 0.0 in the seconds column for byte-reproducible output")
-    model_opts(p)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    if p := command("simulate", "Monte Carlo frame decoding", cmd_simulate):
+        p.add_argument("--users", type=int)
+        p.add_argument("--slots", type=int)
+        p.add_argument("--rate", type=float, help="users per slot; alternative to --slots")
+        p.add_argument("--dist", help="degree distribution as d:p pairs, e.g. 2:0.5,3:0.5")
+        p.add_argument("--payload-bytes", dest="payload_bytes", type=int)
+        p.add_argument("--trials", type=int)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--decoder", choices=["batched", "ordinary", "oracle", "all"])
+        p.add_argument("--max-iters", dest="max_iters", type=int)
+        p.add_argument("--omit-times", dest="omit_times", action="store_true", default=None,
+                       help="write 0.0 in the seconds column for byte-reproducible output")
+        model_opts(p)
+        common(p)
 
-    p = sub.add_parser("evolve", help="asymptotic iteration trajectory")
-    p.add_argument("--dist")
-    p.add_argument("--lam", type=float, help="decodable-load parameter")
-    p.add_argument("--rate", type=float, help="users per slot; alternative to --lam")
-    p.add_argument("--iters", type=int)
-    model_opts(p)
-    common(p)
-    p.set_defaults(func=cmd_evolve)
+    if p := command("evolve", "asymptotic iteration trajectory", cmd_evolve):
+        p.add_argument("--dist")
+        p.add_argument("--lam", type=float, help="decodable-load parameter")
+        p.add_argument("--rate", type=float, help="users per slot; alternative to --lam")
+        p.add_argument("--iters", type=int)
+        model_opts(p)
+        common(p)
 
-    p = sub.add_parser("optimize", help="LP degree-distribution design")
-    p.add_argument("--lam", type=float)
-    design_opts(p)
-    model_opts(p)
-    common(p)
-    p.set_defaults(func=cmd_optimize)
+    if p := command("optimize", "LP degree-distribution design", cmd_optimize):
+        p.add_argument("--lam", type=float)
+        design_opts(p)
+        model_opts(p)
+        common(p)
 
-    p = sub.add_parser("sweep", help="optimize across a grid of loads")
-    p.add_argument("--lam-grid", dest="lam_grid",
-                   help="start:stop:step or comma list (default 0.25:10:0.25)")
-    design_opts(p)
-    model_opts(p)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    if p := command("sweep", "optimize across a grid of loads", cmd_sweep):
+        p.add_argument("--lam-grid", dest="lam_grid",
+                       help="start:stop:step or comma list (default 0.25:10:0.25)")
+        design_opts(p)
+        model_opts(p)
+        common(p)
 
-    p = sub.add_parser("gamma", help="per-degree resolution polynomials")
-    p.add_argument("--enum-limit", dest="enum_limit", type=int,
-                   help="largest degree cross-checked by brute enumeration (default 6)")
-    p.add_argument("--grid-step", dest="grid_step", type=float)
-    model_opts(p)
-    common(p)
-    p.set_defaults(func=cmd_gamma)
+    if p := command("gamma", "per-degree resolution polynomials", cmd_gamma):
+        p.add_argument("--enum-limit", dest="enum_limit", type=int,
+                       help="largest degree cross-checked by brute enumeration (default 6)")
+        p.add_argument("--grid-step", dest="grid_step", type=float)
+        model_opts(p)
+        common(p)
 
-    p = sub.add_parser("plot", help="render a result CSV as an SVG line chart")
-    p.add_argument("input", nargs="?", help="CSV produced by another subcommand")
-    p.add_argument("--x", help="x column (default: first column)")
-    p.add_argument("--y", help="comma separated y columns (default: numeric columns)")
-    p.add_argument("--title")
-    p.add_argument("--config", help="JSON file with option values; flags override")
-    p.add_argument("--out", help="output SVG path (default: input with .svg)")
-    p.set_defaults(func=cmd_plot)
+    if p := command("plot", "render a result CSV as an SVG line chart", cmd_plot):
+        p.add_argument("input", nargs="?", help="CSV produced by another subcommand")
+        p.add_argument("--x", help="x column (default: first column)")
+        p.add_argument("--y", help="comma separated y columns (default: numeric columns)")
+        p.add_argument("--title")
+        p.add_argument("--config", help="JSON file with option values; flags override")
+        p.add_argument("--out", help="output SVG path (default: input with .svg)")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

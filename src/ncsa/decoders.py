@@ -44,7 +44,7 @@ from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
-from .frames import Frame, offsets, segments, xor_segments
+from .frames import Frame, as_words, offsets, segments, xor_gather
 from .gf2 import BitMatrix, mask_dtype, rcef, select_rows, span_basis, units_in_span
 
 # a rule key holds the shape id in its low bits and the unknown mask above
@@ -371,6 +371,14 @@ def _scatter_rows(buf: np.ndarray, dest: np.ndarray, value: np.ndarray) -> None:
         buf[dest] = value
 
 
+def _differing_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The indices of the rows in which two C-contiguous 2-D uint8 arrays of
+    one shape differ, compared through word views (`as_words`) without
+    copying either; the rows are found only when some word differs."""
+    differ = as_words(a) != as_words(b)
+    return differ.any(axis=1).nonzero()[0] if differ.any() else np.empty(0, np.int64)
+
+
 def _stable_order(values: np.ndarray, bound: int) -> np.ndarray:
     """``values.argsort(kind="stable")`` for values in [0, bound): below
     2**32 as two stable sorts of 16-bit digits, which numpy radix-sorts."""
@@ -422,7 +430,7 @@ def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) ->
     re-encoding from the frame's own, which the frame did when it was built:
     only its `mismatched_outputs` can fail.
     """
-    if values.tobytes() != np.take(frame.payload_rows, users, axis=0).tobytes():
+    if len(_differing_rows(values, np.take(frame.payload_rows, users, axis=0))):
         raise FrameInconsistencyError("a recovered packet differs from the one its user sent")
     known = np.zeros(frame.users, bool)
     known[users] = True
@@ -468,14 +476,16 @@ def _peel(
     no part.  A unit's key is its unknown-row mask above its shape id.  A
     pass looks up the rule of every woken unit's key (a key new to the
     table is one elimination).  One buffer holds the outputs, then one row
-    per user, so one gather and one `xor_segments` compute every packet the
-    pass releases; the packets are scattered to their users and read back
-    to find conflicts.  Recoveries are merged only after the pass, so every
-    unit of a pass sees the knowledge of its start: their rows' bits are
-    cleared over the user-to-edge CSR, which wakes each touched unit whose
-    mask is still nonzero, or with `counter` exactly one bit (the only
-    masks on which a single-column unit releases anything).  A pass with
-    recoveries is always followed by one more.
+    per user, so one `xor_gather` computes every packet the pass releases
+    in a bounded working set; the packets are scattered to their users and
+    read back to find conflicts.  Recoveries are merged only after the
+    pass, so every unit of a pass sees the knowledge of its start: their
+    rows' bits are cleared over the user-to-edge CSR, which wakes each
+    touched unit whose mask is still nonzero, or with `counter` exactly one
+    bit (the only masks on which a single-column unit releases anything).
+    A pass with recoveries is always followed by one more.  The set-up
+    arrays that only build the keys, edges and unit rows are dropped before
+    the passes, and the buffer before the check against the frame.
 
     Raises FrameInconsistencyError when two resolutions of one pass
     disagree about a packet, or when the result disagrees with the frame
@@ -504,6 +514,7 @@ def _peel(
     local = np.empty(outputs + len(row_users), np.int64)
     local[np.arange(outputs) + row_ptr[:-1].repeat(cols)] = np.arange(outputs)
     local[np.arange(len(row_users)) + column_ptr[1:][owner]] = outputs + row_users
+    del full, owner, pos, order  # dropped once the keys, edges and `local` are built
     buf = np.zeros((outputs + frame.users, size), np.uint8)
     buf[:outputs] = frame.outputs
 
@@ -523,6 +534,33 @@ def _peel(
         unknowns = np.bitwise_count(key[units] >> _SHAPE_BITS)
         return units[unknowns == 1 if counter else unknowns > 0]
 
+    def release(units: np.ndarray) -> tuple[int, int, np.ndarray | None]:
+        """Look up the rules of `units`; the rules new to the table, the
+        field operations spent, and the users released, distinct and
+        ascending (None when nothing is).  The packets are XORed from the
+        buffer by `xor_gather`, scattered to their users' rows and read
+        back to find conflicts; the pass's arrays are freed by the time
+        this returns."""
+        rule, new = rules.lookup(key[units])
+        spec = np.take(rules.rule, rule, axis=0)
+        spent = int(spec[:, 0].sum())
+        term = np.take(rules.term, _ranges(spec[:, 1], spec[:, 2]), axis=0)
+        if not len(term):
+            return new, spent, None
+        where = base[units].repeat(spec[:, 2])
+        del rule, spec
+        opens = term[:, 1].nonzero()[0]
+        dest = local[where[opens] + term[opens, 1]]
+        where += term[:, 0]  # each term's buffer row, in place
+        del term
+        value = xor_gather(buf, local[where], np.append(opens, len(where)))
+        del where
+        _scatter_rows(buf, dest, value)
+        clash = _differing_rows(np.take(buf, dest, axis=0), value)
+        if len(clash):
+            raise FrameInconsistencyError(f"user {dest[clash[0]] - outputs} resolved to two different payloads")
+        return new, spent, distinct(dest - outputs, frame.users)
+
     pre = np.fromiter(known, np.int64, len(known))
     if len(pre):
         buf[outputs + pre] = np.frombuffer(b"".join(known.values()), np.uint8).reshape(len(pre), size)
@@ -535,32 +573,21 @@ def _peel(
     per_iteration: list[int] = []
     while iterations < passes:
         iterations += 1
-        rule, new = rules.lookup(key[woken])
-        spec = np.take(rules.rule, rule, axis=0)
-        visits += len(rule)
+        new, spent, fresh = release(woken)
+        visits += len(woken)
         eliminations += new
-        ops += int(spec[:, 0].sum())
-        at = _ranges(spec[:, 1], spec[:, 2])
-        if not len(at):
+        ops += spent
+        if fresh is None:
             per_iteration.append(0)
             break
-        where = base[woken].repeat(spec[:, 2])
-        term = np.take(rules.term, at, axis=0)
-        opens = term[:, 1].nonzero()[0]
-        dest = local[where[opens] + term[opens, 1]]
-        value = xor_segments(np.take(buf, local[where + term[:, 0]], axis=0), np.append(opens, len(at)))
-        _scatter_rows(buf, dest, value)
-        if np.take(buf, dest, axis=0).tobytes() != value.tobytes():
-            clash = dest[(buf[dest] != value).any(axis=1)][0] - outputs
-            raise FrameInconsistencyError(f"user {clash} resolved to two different payloads")
-        fresh = distinct(dest - outputs, frame.users)
         per_iteration.append(len(fresh))
         found.append(fresh)
         woken = distinct(wake(clear(fresh)), len(key))
 
     users = np.concatenate(found)
-    return _report(frame, users, np.take(buf, outputs + users, axis=0), preknown,
-                   iterations, per_iteration, ops, visits, eliminations)
+    values = np.take(buf, outputs + users, axis=0)
+    del buf  # freed before the check against the frame
+    return _report(frame, users, values, preknown, iterations, per_iteration, ops, visits, eliminations)
 
 
 def _peel_scalar(

@@ -8,7 +8,8 @@ for its collision size and exposes the decoded combinations.
 A frame is a record of CSR arrays (`Frame`): per occupied slot (batch) its
 users and transfer column masks, per output column its member users, and
 the payloads and outputs as ``uint8`` row arrays.  The outputs are encoded
-with one XOR-reduce over member payload rows.  `Batch` objects and
+by `xor_gather`, an XOR-reduce over member payload rows gathered a block
+at a time, so the gathered rows are never held whole.  `Batch` objects and
 ``bytes`` payloads are built only when asked for, for tests and demos.
 
 A frame comes from one generator seeded with the config seed, drawn in
@@ -33,6 +34,13 @@ from .pnc import PncModel
 # from one `choice` without replacement instead of resampling repeats.
 _MIN_DISTINCT_PROB = 0.1
 
+# `xor_gather` gathers rows of at most this many bytes at a time (4,096
+# rows of 32 bytes).  On a 2-vCPU x86-64 VM, encoding a 20k-user frame took
+# 3.2-3.5 ms with it, 3.3-3.7 ms with 96 KiB, 4.3-4.4 ms with 32 KiB and
+# 4.8 ms unblocked; 512 KiB blocks raised the peak RSS of drawing and
+# peeling that frame by 1 MiB
+_GATHER_BYTES = 1 << 17
+
 # `sample_frame` sorts transmissions by the int64 key slot * users + user,
 # which stays below users * slots
 _MAX_CELLS = int(np.iinfo(np.int64).max) + 1
@@ -42,7 +50,8 @@ class DegreeDistribution:
     """Probabilities over user repetition degrees 1..max_degree."""
 
     def __init__(self, probs):
-        """`probs` maps degree -> probability (dict) or lists Λ_1.. in order."""
+        """`probs` maps degree -> probability (dict) or lists Λ_1.. in order,
+        as a sequence or an array; trailing zeros are dropped."""
         if isinstance(probs, dict):
             if not probs:
                 raise ValueError("empty distribution")
@@ -52,13 +61,14 @@ class DegreeDistribution:
                 if not isinstance(deg, int) or deg < 1:
                     raise ValueError(f"bad degree {deg!r}")
                 arr[deg - 1] = float(p)
-        else:
-            arr = [float(p) for p in probs]
-        while len(arr) > 1 and arr[-1] == 0.0:
-            arr.pop()
-        if not arr:
+            probs = arr
+        p = np.array(probs, dtype=float)
+        if p.ndim != 1:
+            raise ValueError("probabilities must form one sequence")
+        if not len(p):
             raise ValueError("empty distribution")
-        self.p = np.asarray(arr, dtype=float)
+        held = p.nonzero()[0]
+        self.p = p[:held[-1] + 1 if len(held) else 1]
         if np.any(self.p < 0):
             raise ValueError("negative probability")
         if abs(float(self.p.sum()) - 1.0) > 1e-9:
@@ -85,10 +95,12 @@ class DegreeDistribution:
         return acc
 
     def node_deriv(self, y: float):
-        """sum_i i Λ_i y^(i-1)."""
-        acc = 0.0
+        """sum_i i Λ_i y^(i-1); for an array `y`, accumulated in place in the
+        same order of operations."""
+        acc = np.zeros(y.shape) if isinstance(y, np.ndarray) else 0.0
         for i in range(len(self.p), 0, -1):
-            acc = acc * y + i * self.p[i - 1]
+            acc *= y
+            acc += i * self.p[i - 1]
         return acc
 
     def edge_weights(self) -> np.ndarray:
@@ -200,6 +212,13 @@ def offsets(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def as_words(rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous 2-D uint8 array viewed as the widest unsigned words
+    that divide its row length, without a copy."""
+    width = rows.shape[1]
+    return rows.view(f"u{next(w for w in (8, 4, 2, 1) if width % w == 0)}")
+
+
 def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     """XOR of each CSR segment ``rows[ptr[i]:ptr[i + 1]]`` of a C-contiguous
     2-D uint8 array, one row per segment; an empty segment gives a zero row.
@@ -208,9 +227,7 @@ def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
     which makes the reduction several times faster than byte by byte.
     Single-row segments are copied, and one `reduceat` runs over the others.
     """
-    width = rows.shape[1]
-    word = next(w for w in (8, 4, 2, 1) if width % w == 0)
-    words = rows.view(f"u{word}")
+    words = as_words(rows)
     out = np.zeros((len(ptr) - 1, words.shape[1]), dtype=words.dtype)
     count = ptr[1:] - ptr[:-1]
     single = (count == 1).nonzero()[0]
@@ -223,6 +240,33 @@ def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
         bounds = ptr[(many[:, None] + (0, 1)).ravel()]
         out[many] = np.bitwise_xor.reduceat(words, bounds[:-1] if bounds[-1] == len(words) else bounds, axis=0)[::2]
     return out.view(np.uint8)
+
+
+def xor_gather(src: np.ndarray, index: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """``xor_segments(np.take(src, index, axis=0), ptr)`` in a bounded
+    working set.
+
+    The rows of `index` are gathered and reduced in blocks of at most
+    `_GATHER_BYTES`, so the whole gather is never held.  A segment that
+    begins in one block and ends in a later one gets the XOR of its part in
+    each block, so no block needs to end at a segment boundary.
+    """
+    width = src.shape[1]
+    out = np.zeros((len(ptr) - 1, width), np.uint8)
+    if not width:
+        return out
+    step, end = max(1, _GATHER_BYTES // width), int(ptr[-1])
+    for start in range(int(ptr[0]), end, step):
+        stop = min(start + step, end)
+        # the segments that hold rows of this block are a through b - 1
+        a = int(np.searchsorted(ptr, start, "right")) - 1
+        b = int(np.searchsorted(ptr, stop, "left"))
+        bounds = ptr[a:b + 1] - start
+        bounds[0], bounds[-1] = 0, stop - start
+        carry = out[a].copy()  # the part of segment a in earlier blocks
+        out[a:b] = xor_segments(np.take(src, index[start:stop], axis=0), bounds)
+        out[a] ^= carry
+    return out
 
 
 class Frame:
@@ -307,13 +351,8 @@ class Frame:
         self.batch_users = batch_users
         self.column_ptr = column_ptr
         self.column_masks = column_masks
-        # one (column, row) pair per transfer entry; the set ones are members
-        col_batch = np.repeat(np.arange(len(batch_slot)), column_ptr[1:] - column_ptr[:-1])
-        pair_col, pair_row = segments((batch_ptr[1:] - batch_ptr[:-1])[col_batch])
-        hit = ((column_masks[pair_col] >> pair_row) & 1).astype(bool)
-        self.members = batch_users[batch_ptr[col_batch[pair_col[hit]]] + pair_row[hit]]
-        self.member_ptr = offsets(np.bincount(pair_col[hit], minlength=len(column_masks)))
-        encoded = xor_segments(np.take(payload_rows, self.members, axis=0), self.member_ptr)
+        self.members, self.member_ptr = _members(batch_ptr, batch_users, column_ptr, column_masks)
+        encoded = xor_gather(payload_rows, self.members, self.member_ptr)
         # output columns that differ from the XOR of their members' payloads:
         # none when the frame encodes its own outputs, and in a hand-built frame only if it is corrupt
         if outputs is None:
@@ -378,6 +417,23 @@ class Frame:
                 f"batches={len(self.batch_slot)}, outputs={len(self.outputs)})")
 
 
+def _members(batch_ptr, batch_users, column_ptr, column_masks) -> tuple[np.ndarray, np.ndarray]:
+    """Each output column's member users, in row order, as CSR arrays
+    ``(members, member_ptr)``.
+
+    The column masks are unpacked one byte per row, as wide as the widest
+    mask, and the set bits come out in C order: by column, then by row.
+    """
+    width = (int(column_masks.max(initial=0)).bit_length() + 7) // 8
+    if column_masks.dtype == object:
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in column_masks.tolist()), np.uint8)
+    else:
+        raw = column_masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
+    column, row = np.unpackbits(raw.reshape(len(column_masks), width), axis=1, bitorder="little").nonzero()
+    row += np.repeat(batch_ptr[:-1], column_ptr[1:] - column_ptr[:-1])[column]  # the member's batch row
+    return np.take(batch_users, row), offsets(np.bincount(column, minlength=len(column_masks)))
+
+
 def _distinct_rows(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
     """`count` independent uniform d-subsets of range(n), one ascending row each.
 
@@ -413,25 +469,34 @@ def sample_frame(config: SystemConfig) -> Frame:
         flat[(ends[who] - d)[:, None] + np.arange(d)] = _distinct_rows(rng, len(who), d, n)
     payload_rows = np.frombuffer(rng.bytes(users * payload_len), dtype=np.uint8).reshape(users, payload_len)
 
-    # occupancy: sorting by (slot, user) keeps each slot's users ascending;
-    # the keys are distinct, so any sort gives this order
-    owner = np.repeat(np.arange(users, dtype=np.int64), degrees)
-    order = np.argsort(flat * users + owner)
-    by_slot = flat[order]
+    # occupancy: sorting the distinct keys slot * users + user, made in
+    # place, keeps each slot's users ascending
+    flat *= users
+    flat += np.repeat(np.arange(users, dtype=np.int64), degrees)
+    del degrees, ends  # dropped once used, which keeps the peak memory of a draw low
+    flat.sort()
+    by_slot, batch_users = np.divmod(flat, users)
+    del flat
     first = np.flatnonzero(np.diff(by_slot, prepend=-1))
-    sizes = np.diff(first, append=len(by_slot))
     batch_slot = by_slot[first]
-    batch_users = owner[order]
-    del flat, owner, order, by_slot  # dropped once used, which keeps the peak memory of a draw low
+    sizes = np.diff(first, append=len(by_slot))
+    del by_slot, first
+    column_ptr, column_masks = _draw_transfers(config.model, rng, sizes)
+    return Frame._from_arrays(
+        n, payload_len, payload_rows, batch_slot, offsets(sizes), batch_users, column_ptr, column_masks,
+    )
 
-    # transfer matrices, one block per collision size, then scattered back
-    # to batch order as column counts and column masks
-    n_cols = np.zeros(len(first), dtype=np.int64)
+
+def _draw_transfers(model: PncModel, rng: np.random.Generator, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column offsets and column masks of a transfer matrix for each
+    batch, given the batches' collision sizes: drawn one block per size,
+    then scattered back to batch order."""
+    n_cols = np.zeros(len(sizes), dtype=np.int64)
     drawn = []
     # the collision sizes present, ascending; np.unique would import numpy.ma (numpy 2.4)
     for c in np.bincount(sizes).nonzero()[0].tolist():
         at = np.flatnonzero(sizes == c)
-        n_cols[at], masks = config.model.family(c).sample(rng, len(at))
+        n_cols[at], masks = model.family(c).sample(rng, len(at))
         drawn.append((at, masks))
     column_ptr = offsets(n_cols)
     column_masks = np.zeros(int(column_ptr[-1]), dtype=mask_dtype(int(sizes[n_cols > 0].max(initial=0))))
@@ -439,10 +504,7 @@ def sample_frame(config: SystemConfig) -> Frame:
         pos = np.arange(masks.shape[1])
         held = pos < n_cols[at][:, None]  # the zero padding is not stored
         column_masks[(column_ptr[at][:, None] + pos)[held]] = masks[held]
-
-    return Frame._from_arrays(
-        n, payload_len, payload_rows, batch_slot, offsets(sizes), batch_users, column_ptr, column_masks,
-    )
+    return column_ptr, column_masks
 
 
 def slot_degree_histogram(frame: Frame) -> np.ndarray:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ncsa
-from ncsa.cli import main, read_csv
+from ncsa.cli import _build_parser, main, read_csv
 from ncsa.frames import DegreeDistribution, sample_frame
 from ncsa.pnc import family_size
 from ncsa.svg import render_line_chart
@@ -535,6 +537,43 @@ def run_python(*args):
 
 def run_cli_process(*argv):
     return run_python("-m", "ncsa", *argv)
+
+
+def parser_call(parse, argv):
+    """Exit code, standard output and standard error of `parse(argv)`,
+    which exits for help and for errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# SHA-256 of "code\n--\nstdout--\nstderr" at 80 columns, as argparse of
+# Python 3.11 lays it out; the parser builds only the options of the
+# subcommand that it is given, and none of these texts may move
+PARSER_OUTPUT_PINS = {
+    ("--help",): "9ae35f6687064db9ca7d8345986159184d58eac62cb28012bb0e7ba1cd7e2bce",
+    (): "d63302d081cc166f61bc3fdd4cf80c76075404e68799e6208d06d14b77fc6fd0",
+    ("bogus",): "e2398c176144cbac4d2aef739355982e1efb5b1a910fc463887427ce3ddca200",
+    ("simulate", "--help"): "f8efbb91374f8c84e873eceb5a5c5861786705e16cfc74af637fda51a034e0ec",
+    ("evolve", "--help"): "8497ad533ac167f82ca65b98fef1fe798e12dd2cf0085932bd716a319d827c84",
+    ("optimize", "--help"): "876d52a27ad1e25de88643da78942231e77e37529458a6987aba06861954bfea",
+    ("sweep", "--help"): "90773ff687e2d60759bd20a4cb50d1716489c170bc245fefe4fe443f5c73a7d3",
+    ("gamma", "--help"): "fe318abe13719c20274dd5f4e0563b7832172a7d975a458d4754e34467ef1e7d",
+    ("plot", "--help"): "093676d74edaec45eb82586cc773bf043f2277a02db0598ce367706ef62faef5",
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSER_OUTPUT_PINS), ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_errors_are_pinned(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = got = parser_call(main, list(argv))
+    assert hashlib.sha256(f"{code}\n--\n{out}--\n{err}".encode()).hexdigest() == PARSER_OUTPUT_PINS[argv]
+    # the same as with every subcommand's options built
+    assert got == parser_call(_build_parser().parse_args, list(argv))
 
 
 def test_cli_starts_without_scipy():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ncsa.cli
 import ncsa.decoders
+import ncsa.frames
 from ncsa.cli import main
 from ncsa.decoders import (
     DecodeReport,
@@ -973,6 +974,42 @@ def test_simulate_starts_a_new_rule_table_past_its_limit(tmp_path, monkeypatch):
     assert main([*argv, str(tmp_path / "bounded.csv")]) == 0
     assert len(keys) > len(set(keys))
     assert (tmp_path / "bounded.csv").read_bytes() == (tmp_path / "shared.csv").read_bytes()
+
+
+@pytest.mark.parametrize("path", PEEL_PATHS)
+def test_a_tiny_gather_block_leaves_every_report_unchanged(path, monkeypatch):
+    """Frames drawn and peeled with gather blocks of one row and of a few
+    rows report what the default block reports, counters included, with
+    and without side information; corrupt frames raise as they do with it."""
+    sized = [(800, 4, PncModel.example(10)), (600, 3, PncModel.example(10)), (50, 8, PncModel.example(5)),
+             (50, 0, PncModel.example(5))]
+    configs = [SystemConfig(users=users, slots=users * 6 // 5, dist=DegreeDistribution({1: 0.15, 2: 0.35, 3: 0.5}),
+                            model=model, seed=seed, payload_len=width)
+               for seed, (users, width, model) in enumerate(sized)]
+
+    def reports():
+        out = []
+        for cfg in configs:
+            frame = sample_frame(cfg)
+            pre = {u: frame.payloads[u] for u in range(0, cfg.users, 7)}
+            out += [peel(frame, given) for peel in (batched_bp, ordinary_bp) for given in (None, pre)]
+        return out
+
+    with peel_path(path):
+        want = reports()
+        for budget in (1, 24):
+            monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", budget)
+            for got, expected in zip(reports(), want, strict=True):
+                assert got == expected
+                assert (got.per_iteration, got.field_ops, got.visits, got.eliminations) == (
+                    expected.per_iteration, expected.field_ops, expected.visits, expected.eliminations)
+            for decode in (batched_bp, ordinary_bp):
+                with pytest.raises(FrameInconsistencyError, match="user 0 resolved to two different payloads"):
+                    decode(corrupted_two_slot_frame())
+            for corrupted in (cross_pass_corrupted_frame(), unused_corrupt_output_frame()):
+                for decode in (batched_bp, ordinary_bp, ge_oracle):
+                    with pytest.raises(FrameInconsistencyError):
+                        decode(corrupted)
 
 
 @pytest.mark.parametrize("payload_len", [0, 1, 2, 3, 4, 8, 32])

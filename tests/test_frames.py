@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ncsa.frames
 from ncsa.frames import (
     Batch,
     DegreeDistribution,
@@ -15,6 +16,7 @@ from ncsa.frames import (
     global_matrix,
     sample_frame,
     slot_degree_histogram,
+    xor_gather,
     xor_segments,
 )
 from ncsa.gf2 import BitMatrix, combine, rank
@@ -111,6 +113,65 @@ def test_distribution_from_sequence_trims_zeros():
     d = DegreeDistribution([0.0, 1.0, 0.0, 0.0])
     assert d.max_degree == 2
     assert d.prob(2) == 1.0
+
+
+def reference_probabilities(probs):
+    """The probabilities as the list form builds them: one float at a
+    time, trailing zeros popped."""
+    arr = [float(p) for p in probs]
+    while len(arr) > 1 and arr[-1] == 0.0:
+        arr.pop()
+    return np.asarray(arr, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        [1.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.25, 0.0, 0.75, 0.0],
+        [0.1, 0.2, 0.3, 0.4],
+        [*np.random.default_rng(3).dirichlet(np.ones(30)).tolist(), 0.0, 0.0, 0.0],
+    ],
+)
+def test_distribution_from_an_array_equals_the_list_form(probs):
+    # a list, a tuple, an array and a strided view of one
+    for given in (list(probs), tuple(probs), np.array(probs), np.repeat(np.array(probs), 2)[::2]):
+        d = DegreeDistribution(given)
+        reference = reference_probabilities(given)
+        assert d.p.tobytes() == reference.tobytes()
+        cum = np.cumsum(reference)
+        cum[-1] = 1.0
+        assert d._cum.tobytes() == cum.tobytes()
+
+
+def test_distribution_validates_an_array_as_a_list():
+    for bad in ([], [0.0, 0.0], [-0.1, 1.1], [0.7], [[0.5, 0.5]]):
+        for given in (bad, np.array(bad)):
+            with pytest.raises(ValueError):
+                DegreeDistribution(given)
+
+
+def reference_node_deriv(dist, y):
+    """Horner's rule with a new value per step, on a scalar or an array."""
+    acc = 0.0
+    for i in range(len(dist.p), 0, -1):
+        acc = acc * y + i * dist.p[i - 1]
+    return acc
+
+
+def test_node_deriv_of_an_array_equals_the_scalar_form_bit_for_bit():
+    rng = np.random.default_rng(4)
+    y = np.concatenate([rng.random(300), [0.0, 1.0, -0.5, 2.0]])
+    given = y.copy()
+    for dist in (DegreeDistribution({3: 1.0}), DegreeDistribution({1: 0.25, 2: 0.25, 4: 0.5}),
+                 DegreeDistribution(rng.dirichlet(np.ones(30)))):
+        got = dist.node_deriv(y)
+        scalars = np.array([dist.node_deriv(float(v)) for v in y])
+        assert got.tobytes() == scalars.tobytes() == reference_node_deriv(dist, y).tobytes()
+        assert scalars.tobytes() == np.array([reference_node_deriv(dist, float(v)) for v in y]).tobytes()
+        assert dist.node_deriv(y.reshape(4, -1)).tobytes() == got.tobytes()
+    assert y.tobytes() == given.tobytes()  # the argument is left as it was
 
 
 def test_distribution_validation():
@@ -523,6 +584,63 @@ def test_xor_segments_matches_a_byte_by_byte_reference(counts, width):
     got = xor_segments(rows, ptr)
     assert got.dtype == np.uint8 and got.shape == (len(counts), width)
     assert got.tolist() == reference_xor_segments(rows, ptr).tolist()
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, None])
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 8, 12, 32])
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [],
+        [0, 0],
+        [1, 1, 1],
+        [3],
+        [2, 0, 1],
+        [0, 4, 1, 0, 1, 1],
+        [1, 3, 2, 1, 0, 5, 1],
+        # segments longer than a block, between empty and single-row ones
+        [0, 17, 0, 1, 9, 0],
+    ],
+)
+def test_xor_gather_equals_xor_segments_of_the_gather(monkeypatch, counts, width, block_rows):
+    """Any block size gives the unblocked result: segments that straddle
+    blocks, empty, single-row and longer than a block, each word width."""
+    if block_rows is not None:
+        monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", block_rows * width)
+    rng = np.random.default_rng(len(counts) * 100 + width)
+    ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64)
+    src = rng.integers(0, 256, (11, width), dtype=np.uint8)
+    index = rng.integers(0, len(src), int(ptr[-1]))
+    got = xor_gather(src, index, ptr)
+    want = xor_segments(np.take(src, index, axis=0), ptr)
+    assert got.dtype == np.uint8 and got.shape == (len(counts), width)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_xor_gather_equals_xor_segments_of_the_gather_on_random_segments(monkeypatch):
+    rng = np.random.default_rng(6)
+    for width in (1, 2, 4, 6, 8, 16):
+        for _ in range(30):
+            monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", int(rng.integers(1, 40)) * width)
+            counts = rng.choice([0, 1, 1, 1, 2, 3, 7, 50], size=rng.integers(1, 40))
+            ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+            src = rng.integers(0, 256, (int(rng.integers(1, 30)), width), dtype=np.uint8)
+            index = rng.integers(0, len(src), int(ptr[-1]))
+            want = xor_segments(np.take(src, index, axis=0), ptr)
+            assert xor_gather(src, index, ptr).tobytes() == want.tobytes()
+
+
+def test_a_tiny_gather_block_draws_the_same_frames(monkeypatch):
+    model = small_model()
+    dist = DegreeDistribution({1: 0.15, 2: 0.35, 3: 0.3, 4: 0.2})
+    configs = [SystemConfig(users=300, slots=200, dist=dist, model=model, seed=seed, payload_len=width)
+               for seed, width in ((0, 2), (1, 3), (2, 8), (3, 32))]
+    want = [sample_frame(config) for config in configs]
+    monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", 1)
+    for config, frame in zip(configs, want):
+        got = sample_frame(config)
+        assert got == frame and got.members.tobytes() == frame.members.tobytes()
+        assert got.member_ptr.tobytes() == frame.member_ptr.tobytes()
 
 
 def test_xor_segments_matches_the_reference_on_random_segments():
