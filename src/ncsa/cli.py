@@ -253,7 +253,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             fractions[name].append(frac)
 
     meta = {
-        "schema": "ncsa-simulate-v4",
+        "schema": "ncsa-simulate-v5",
         "command": "simulate", "users": users, "slots": slots,
         "rate": users / slots, "lam": lam, "dist": dist.to_pairs(),
         "model": _model_label(cfg, model),

@@ -12,12 +12,12 @@ by `xor_gather`, an XOR-reduce over member payload rows gathered a block
 at a time, so the gathered rows are never held whole.  `Batch` objects and
 ``bytes`` payloads are built only when asked for, for tests and demos.
 
-A frame comes from one generator seeded with the config seed, drawn in
-numpy blocks and always in the same order: every user's degree, every
-user's slots (one block per degree), every payload, then the transfer
-matrices (one block per collision size, as column counts and padded column
-masks).  The same seed and config give the same frame; a single user or
-slot cannot be redrawn on its own.
+A frame comes from one `Stream` keyed by the config seed, drawn in numpy
+blocks and always in the same order: every user's degree, every user's
+slots (one block per degree), every payload, then the transfer matrices
+(one block per collision size, as column counts and padded column masks).
+The same seed and config give the same frame, on every numpy version; a
+single user or slot cannot be redrawn on its own.
 """
 from __future__ import annotations
 
@@ -30,9 +30,20 @@ import numpy as np
 from .gf2 import BitMatrix, combine, mask_dtype  # noqa: F401
 from .pnc import PncModel
 
-# Below this chance that d uniform slots are distinct, a user's slots come
-# from one `choice` without replacement instead of resampling repeats.
+# Below this chance that d uniform slots are distinct, a user's slots are
+# the d smallest of n random sort keys instead of resampled repeats
 _MIN_DISTINCT_PROB = 0.1
+
+# the sort keys of `_distinct_rows`' dense draw are made at most this many
+# at a time (1 MiB of float64)
+_KEY_BLOCK = 1 << 17
+
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014; Vigna's splitmix64.c):
+# the state's increment and the finaliser's two multipliers
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
 # `xor_gather` gathers rows of at most this many bytes at a time (4,096
 # rows of 32 bytes).  On a 2-vCPU x86-64 VM, encoding a 20k-user frame took
@@ -41,9 +52,88 @@ _MIN_DISTINCT_PROB = 0.1
 # peeling that frame by 1 MiB
 _GATHER_BYTES = 1 << 17
 
-# `sample_frame` sorts transmissions by the int64 key slot * users + user,
-# which stays below users * slots
-_MAX_CELLS = int(np.iinfo(np.int64).max) + 1
+# the end of the non-negative int64 range, 2**63: `sample_frame` sorts
+# transmissions by the int64 key slot * users + user, which stays below
+# users * slots, and `Stream.integers` returns int64 values
+_INT64_END = int(np.iinfo(np.int64).max) + 1
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on a ``uint64`` array (which wraps
+    modulo 2**64)."""
+    t = z >> 30
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, 31, out=t)
+    z ^= t
+    return z
+
+
+class Stream:
+    """A counter-based SplitMix64 stream: draw i is
+    ``mix64(key + (i + 1) * 0x9E3779B97F4A7C15)`` modulo 2**64, which is
+    Vigna's sequential splitmix64 started at state `key`, computed over a
+    counter array.
+
+    The key is the seed folded through ``mix64`` 64 bits at a time, the most
+    significant word first, so every non-negative int is a seed and seeds
+    below 2**64 have distinct keys.  The methods are the part of
+    `numpy.random.Generator` that the samplers use, so they accept either.
+    A draw of k values and then one of m uses the same 64-bit words as one
+    draw of k + m, except where `integers` rejects a word and draws again.
+    """
+
+    __slots__ = ("key", "drawn")
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        key = 0
+        for word in reversed(range(max(1, -(-seed.bit_length() // 64)))):
+            key = int(_mix64(np.array([key ^ ((seed >> 64 * word) & _MASK64)], dtype=np.uint64))[0])
+        self.key = key  # splitmix64.c's state before the first draw
+        self.drawn = 0  # 64-bit words used so far
+
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` draws as a ``uint64`` array."""
+        z = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self.key
+        self.drawn += count
+        return _mix64(z)
+
+    def random(self, size) -> np.ndarray:
+        """Uniform doubles in [0, 1) of shape `size`: each word's top 53
+        bits times 2**-53."""
+        z = self.words(int(np.prod(size)))
+        z >>= 11
+        return (z * 2.0 ** -53).reshape(size)
+
+    def integers(self, low: int, high: int, size) -> np.ndarray:
+        """Uniform ``int64`` values in [0, high) of shape `size`, for low 0
+        and high at most 2**63: each word masked to the bit length of
+        high - 1, and the values past the range drawn again, so no value is
+        favoured."""
+        if low != 0 or not 0 < high <= _INT64_END:
+            raise ValueError(f"integers draws from [0, high) with 0 < high <= 2**63, got [{low}, {high})")
+        mask = (1 << (high - 1).bit_length()) - 1
+        out = self.words(int(np.prod(size)))
+        out &= mask
+        redo = np.flatnonzero(out >= high)
+        while len(redo):
+            fresh = self.words(len(redo))
+            fresh &= mask
+            out[redo] = fresh
+            redo = redo[fresh >= high]
+        return out.view(np.int64).reshape(size)
+
+    def bytes(self, length: int) -> bytes:
+        """`length` random bytes: the next words, little-endian, cut to length."""
+        words = self.words(-(-length // 8)).astype("<u8", copy=False)
+        return words.view(np.uint8)[:length].tobytes()
 
 
 class DegreeDistribution:
@@ -69,6 +159,8 @@ class DegreeDistribution:
             raise ValueError("empty distribution")
         held = p.nonzero()[0]
         self.p = p[:held[-1] + 1 if len(held) else 1]
+        if not np.isfinite(self.p).all():
+            raise ValueError(f"probabilities must be finite, got {self.p.tolist()}")
         if np.any(self.p < 0):
             raise ValueError("negative probability")
         if abs(float(self.p.sum()) - 1.0) > 1e-9:
@@ -110,6 +202,8 @@ class DegreeDistribution:
     @classmethod
     def from_edge_weights(cls, weights) -> "DegreeDistribution":
         w = np.asarray(weights, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError(f"edge weights must be finite, got {w.tolist()}")
         if np.any(w < 0):
             raise ValueError("negative edge weight")
         node = w / np.arange(1, len(w) + 1)
@@ -164,10 +258,10 @@ class SystemConfig:
             raise ValueError("slots must be >= the maximum repetition degree")
         if self.payload_len < 0:
             raise ValueError("negative payload length")
-        if self.users * self.slots > _MAX_CELLS:
+        if self.users * self.slots > _INT64_END:
             raise ValueError(
                 f"users * slots must be at most 2**63, the int64 range of the (slot, user) sort key; "
-                f"{self.users} users allow at most {_MAX_CELLS // self.users} slots"
+                f"{self.users} users allow at most {_INT64_END // self.users} slots"
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -434,16 +528,24 @@ def _members(batch_ptr, batch_users, column_ptr, column_masks) -> tuple[np.ndarr
     return np.take(batch_users, row), offsets(np.bincount(column, minlength=len(column_masks)))
 
 
-def _distinct_rows(rng: np.random.Generator, count: int, d: int, n: int) -> np.ndarray:
-    """`count` independent uniform d-subsets of range(n), one ascending row each.
+def _distinct_rows(rng: Stream, count: int, d: int, n: int) -> np.ndarray:
+    """`count` independent uniform d-subsets of range(n), one row each.
 
-    Rows of d uniform slots are drawn in one block and only the rows that
-    repeat a slot are drawn again, which keeps every accepted row uniform
-    over the subsets.  When repeats are likely (d close to n) each row is
-    one `choice` without replacement instead, so the loop always ends.
+    Rows of d uniform slots are drawn in one block, sorted, and only the
+    rows that repeat a slot are drawn again, which keeps every accepted row
+    uniform over the subsets.  When repeats are likely (d close to n) each
+    row is instead the positions of the d smallest of n random sort keys,
+    unsorted, so the draw always ends; the keys are made `_KEY_BLOCK` at a
+    time.  `sample_frame` sorts all (slot, user) keys, so no caller needs a
+    row in order.
     """
     if math.prod((n - j) / n for j in range(d)) < _MIN_DISTINCT_PROB:
-        return np.sort([rng.choice(n, d, replace=False) for _ in range(count)], axis=1)
+        rows = np.empty((count, d), dtype=np.int64)
+        step = max(1, _KEY_BLOCK // n)
+        for start in range(0, count, step):
+            keys = rng.random((min(step, count - start), n))
+            rows[start:start + len(keys)] = np.argsort(keys, axis=1)[:, :d]
+        return rows
     rows = np.sort(rng.integers(0, n, size=(count, d)), axis=1)
     redo = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
     while len(redo):
@@ -454,11 +556,13 @@ def _distinct_rows(rng: np.random.Generator, count: int, d: int, n: int) -> np.n
 
 
 def sample_frame(config: SystemConfig) -> Frame:
-    """Draw one frame deterministically from the config seed."""
+    """Draw one frame deterministically from the config seed, through one
+    `Stream` keyed by it (the seed-to-frame mapping of ``ncsa-simulate-v5``),
+    so a seed gives the same frame on every numpy version."""
     n = config.slots
     users = config.users
     payload_len = config.payload_len
-    rng = np.random.default_rng(config.seed)
+    rng = Stream(config.seed)
 
     degrees = config.dist.degree_from_uniform(rng.random(users))
     ends = np.cumsum(degrees)
@@ -487,7 +591,7 @@ def sample_frame(config: SystemConfig) -> Frame:
     )
 
 
-def _draw_transfers(model: PncModel, rng: np.random.Generator, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _draw_transfers(model: PncModel, rng: Stream, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column offsets and column masks of a transfer matrix for each
     batch, given the batches' collision sizes: drawn one block per size,
     then scattered back to batch order."""

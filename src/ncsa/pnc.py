@@ -169,7 +169,9 @@ class _MemberSampler:
         a uniform arrangement of its rows (member row r lands in row pos[r]
         for a uniform permutation pos), as their column counts and their
         column masks padded with zeros (a ``(count, width)`` array).  With
-        one row or no columns there is nothing to arrange or draw."""
+        one row or no columns there is nothing to arrange or draw.  `rng`
+        needs only ``random(size)``: `frames.Stream` gives it, and so does
+        numpy's `Generator`."""
         picks = np.searchsorted(self._cum, rng.random(count))
         if self.degree == 1 or not self._masks.shape[1]:
             return self._cols[picks], np.take(self._masks, picks, axis=0)

@@ -35,7 +35,7 @@ def test_simulate_reproducible_bytes(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     meta, header, rows = read_csv(str(a))
-    assert meta["schema"] == "ncsa-simulate-v4"
+    assert meta["schema"] == "ncsa-simulate-v5"
     assert len(rows) == 3
     assert all(row["seconds"] == "0.0" for row in rows)
     assert "predicted_fraction" in meta
@@ -69,20 +69,20 @@ SIMULATE_TEST_MODEL = {
         (   # the `small-frames` benchmark call, 50 trials
             ["--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
              "--payload-bytes", "2", "--trials", "50"],
-            "f346be4c5092d1a187cad75ade3d57468e4ce6c44f5442e126a60069d658987b",
+            "e91fb56b09321d004708b806445d0298e8da8432fef126b4137a2230165d60b3",
         ),
         (   # peeling recovers every user
             ["--users", "2000", "--rate", "0.5", "--dist", "3:1", "--cap", "10", "--trials", "2"],
-            "e02dc802461431533a6dd69cdefc5e5995290ba32d550b398591e55824f18581",
+            "81bc8983575ede42e88a87422ff151fbc16895164baaa1f540738e9b19025e8e",
         ),
         (   # past the peeling threshold: the oracle eliminates a non-empty core
             ["--users", "1000", "--rate", "1.75", "--dist", "3:1", "--cap", "10", "--trials", "2"],
-            "2eab5fd557a3f98ce066351d14a6da5f0b213a44c0b50fe81aaca781f20e5165",
+            "f022db10790dded5fe01f8120c1256690405f7503a105a537d79cb64fa3cccf9",
         ),
         (   # the custom model of SIMULATE_TEST_MODEL
             ["--users", "300", "--rate", "1.0", "--dist", "2:0.3,3:0.7", "--model", "model.json",
              "--payload-bytes", "4", "--trials", "3"],
-            "ff95e43cb834c33c3d30d86d414ab41676168b08d6747e8e9480e79f443c5f8b",
+            "17844258db832546ac94187915f26f95565c5a5c87f9db0c36b60573c72e35be",
         ),
     ],
     ids=["small-frames", "peeled", "core", "custom"],
@@ -103,7 +103,7 @@ def test_simulate_output_is_pinned(tmp_path, monkeypatch, argv, digest):
     code, out = run(tmp_path, "simulate", *argv, "--decoder", "all", "--omit-times")
     assert code == 0
     lines = out.read_bytes().splitlines(keepends=True)
-    assert [line for line in lines if line.startswith(b"# schema=")] == [b"# schema=ncsa-simulate-v4\n"]
+    assert [line for line in lines if line.startswith(b"# schema=")] == [b"# schema=ncsa-simulate-v5\n"]
     rest = b"".join(line for line in lines if not line.startswith(b"# schema="))
     assert hashlib.sha256(rest).hexdigest() == digest
 
@@ -514,6 +514,22 @@ def test_non_finite_load_exits_2_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "positive finite" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--dist", "1:0.5,2:nan", "--lam", "1"],
+        ["simulate", "--dist", "1:0.5,2:nan", "--users", "20", "--slots", "10"],
+        ["simulate", "--dist", "1:inf", "--users", "20", "--slots", "10"],
+    ],
+)
+def test_non_finite_degree_probability_exits_2_with_one_line(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv, "--cap", "4")
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: probabilities must be finite")
 
 
 def test_sweep_records_a_non_finite_load_in_one_cell(tmp_path):

@@ -913,8 +913,8 @@ def test_peel_counters_are_pinned(path):
     ))
     with peel_path(path):
         batched, plain = batched_bp(frame), ordinary_bp(frame)
-    assert (batched.visits, batched.eliminations, batched.field_ops) == (37_326, 1_331, 33_059)
-    assert (plain.visits, plain.eliminations, plain.field_ops) == (35_495, 20, 9_187)
+    assert (batched.visits, batched.eliminations, batched.field_ops) == (37_077, 1_355, 33_003)
+    assert (plain.visits, plain.eliminations, plain.field_ops) == (35_346, 21, 8_981)
     assert len(batched.recovered) == len(plain.recovered) == 20_000
 
 

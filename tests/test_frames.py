@@ -12,6 +12,7 @@ from ncsa.frames import (
     Batch,
     DegreeDistribution,
     Frame,
+    Stream,
     SystemConfig,
     global_matrix,
     sample_frame,
@@ -183,6 +184,17 @@ def test_distribution_validation():
         DegreeDistribution({1: 0.7})
     with pytest.raises(ValueError):
         DegreeDistribution({0: 1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_distribution_rejects_non_finite_probabilities(bad):
+    for given in ([0.5, bad], {1: 0.5, 2: bad}, np.array([bad, 0.5, 0.0])):
+        with pytest.raises(ValueError, match="probabilities must be finite"):
+            DegreeDistribution(given)
+    with pytest.raises(ValueError, match="probabilities must be finite"):
+        DegreeDistribution.from_pairs(f"1:0.5,2:{bad}")
+    with pytest.raises(ValueError, match="edge weights must be finite"):
+        DegreeDistribution.from_edge_weights([0.5, bad])
 
 
 def test_distribution_pairs_round_trip():
@@ -382,7 +394,7 @@ def test_slot_histogram_near_poisson_smoke():
 @pytest.mark.parametrize("degree", [3, 5])
 def test_slot_subsets_are_uniform(degree):
     # n = 6: three distinct slots come from resampling rows that repeat a
-    # slot, five (distinct with chance 0.09) from `choice` per row
+    # slot, five (distinct with chance 0.09) from random sort keys per row
     n, users = 6, 24_000
     cfg = SystemConfig(users=users, slots=n, dist=DegreeDistribution({degree: 1.0}), model=small_model(),
                        seed=5, payload_len=0)
@@ -390,6 +402,27 @@ def test_slot_subsets_are_uniform(degree):
     subsets = list(combinations(range(n), degree))
     assert set(seen) == set(subsets)  # 20 subsets of size 3, 6 of size 5
     assert stats.chisquare([seen[s] for s in subsets]).pvalue > 0.01
+
+
+@pytest.mark.parametrize("d, n", [(3, 40), (5, 6), (12, 12)])
+def test_distinct_rows_are_subsets_of_the_slots(d, n):
+    # (3, 40) resamples rows that repeat a slot; (5, 6) and (12, 12) take the
+    # d smallest of n sort keys
+    rows = ncsa.frames._distinct_rows(Stream(1), 700, d, n)
+    assert rows.shape == (700, d) and rows.dtype == np.int64
+    assert rows.min() >= 0 and rows.max() < n
+    assert all(len(set(row)) == d for row in rows.tolist())
+
+
+def test_a_small_key_block_draws_the_same_dense_rows(monkeypatch):
+    # the dense draw makes its sort keys a block of rows at a time, and the
+    # stream is counter-based, so the block size cannot change a frame
+    cfg = SystemConfig(users=500, slots=9, dist=DegreeDistribution({2: 0.5, 8: 0.5}), model=small_model(),
+                       seed=2, payload_len=4)
+    want = sample_frame(cfg)
+    for block in (1, 9, 50):
+        monkeypatch.setattr(ncsa.frames, "_KEY_BLOCK", block)
+        assert sample_frame(cfg) == want
 
 
 def test_every_slot_taken_when_degree_equals_slots():
@@ -483,11 +516,11 @@ def test_sample_frame_builds_no_bitmatrix(monkeypatch, custom):
     [
         (   # the `small-frames` benchmark frames
             "1:0.15,2:0.35,3:0.3,4:0.2", 5, 50, 60, 2, range(50),
-            "3c6de24b3e582ca815d0e8002178876800a2d012fc1b536780c38f60e2dfc3f7",
+            "cc496b6b9883fbe4642c182af36459785f080eb6c059d93c8d8ef3b96e68cb68",
         ),
-        (   # slots of 57 to 83 users, whose column masks outgrow int64
+        (   # slots of 60 to 80 users, whose column masks outgrow int64
             "1:1", 90, 140, 2, 4, range(2),
-            "6899140ee68b89753ccd7fa9df526d1551f29c86311cf6407c4d447d52ecb535",
+            "70cdf72ec5c9f22c55d85ade4cfa84f65a696c02b9c6af27d598b3248d3e07ab",
         ),
     ],
     ids=["small-frames", "wide-masks"],
@@ -651,3 +684,136 @@ def test_xor_segments_matches_the_reference_on_random_segments():
             ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
             rows = rng.integers(0, 256, (int(ptr[-1]), width), dtype=np.uint8)
             assert xor_segments(rows, ptr).tolist() == reference_xor_segments(rows, ptr).tolist()
+
+
+# --- the counter-based stream ---------------------------------------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def reference_mix64(z):
+    """The output function of splitmix64.c."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_splitmix64(state, count):
+    """Vigna's sequential splitmix64.c, transcribed: `count` outputs of
+    ``next()`` from `state`.  The test-only reference of `Stream`."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        out.append(reference_mix64(state))
+    return out
+
+
+def stream_at(key):
+    """A stream whose splitmix64 state before the first draw is `key`."""
+    stream = Stream(0)
+    stream.key = key
+    return stream
+
+
+def test_stream_is_splitmix64():
+    known = [6457827717110365317, 3203168211198807973, 9817491932198370423, 4593380528125082431,
+             16408922859458223821]
+    assert reference_splitmix64(1234567, 5) == known
+    assert stream_at(1234567).words(5).tolist() == known
+    for key in (0, 1, 1234567, 2**63, MASK64, Stream(31).key):
+        assert stream_at(key).words(2000).tolist() == reference_splitmix64(key, 2000)
+
+
+def test_stream_key_is_the_mixed_seed():
+    for seed in (0, 1, 2, 31, 10**6, 2**63, MASK64):
+        assert Stream(seed).key == reference_mix64(seed)
+    # past 64 bits the words are folded in from the most significant
+    assert Stream(2**64 + 5).key == reference_mix64(reference_mix64(1) ^ 5)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        Stream(-1)
+
+
+def test_stream_seeds_past_64_bits_give_distinct_streams():
+    seeds = [0, 1, 2, MASK64, 2**64, 2**64 + 1, 2**65, 2**64 * 3 + 7, 2**128, 2**128 + 1, 10**26, 10**40]
+    assert len({Stream(seed).key for seed in seeds}) == len(seeds)
+    assert len({tuple(Stream(seed).words(4).tolist()) for seed in seeds}) == len(seeds)
+    small = {Stream(seed).key for seed in range(10_000)}
+    assert len(small) == 10_000 and not small & {Stream(seed).key for seed in seeds[3:]}
+
+
+def test_two_stream_draws_equal_one_draw_of_both():
+    for k in (0, 1, 5, 64):
+        one, two = Stream(9), Stream(9)
+        assert np.concatenate([one.words(k), one.words(k)]).tolist() == two.words(2 * k).tolist()
+        both = two.random(2 * k)
+        assert np.concatenate([one.random(k), one.random(k)]).tobytes() == both.tobytes()
+        assert one.bytes(8 * k) + one.bytes(8 * k) == two.bytes(16 * k)
+        assert one.drawn == two.drawn == 2 * k + 2 * k + 2 * k
+
+
+def test_stream_random_is_on_the_53_bit_grid_of_the_unit_interval():
+    words = stream_at(77).words(50_000).tolist()
+    got = stream_at(77).random((250, 200))
+    assert got.shape == (250, 200) and got.dtype == np.float64
+    assert got.ravel().tolist() == [(w >> 11) * 2.0 ** -53 for w in words]
+    scaled = got * 2.0 ** 53
+    assert np.all(scaled == np.floor(scaled)) and got.min() >= 0.0 and got.max() < 1.0
+
+    class Extremes(Stream):
+        __slots__ = ()
+
+        def words(self, count):
+            return np.array([MASK64, 0] * (count // 2), dtype=np.uint64)
+
+    # the largest word gives the largest double below 1
+    assert Extremes(0).random(2).tolist() == [1.0 - 2.0 ** -53, 0.0]
+
+
+def reference_integers(key, n, count):
+    """`Stream.integers(0, n, count)` in plain Python: each word masked to
+    the bit length of n - 1, and the rejected positions drawn again in
+    order, from the following words."""
+    mask = (1 << (n - 1).bit_length()) - 1
+    words = iter(reference_splitmix64(key, 4 * count + 64))
+    vals = [next(words) & mask for _ in range(count)]
+    redo = [i for i, v in enumerate(vals) if v >= n]
+    rounds = 0
+    while redo:
+        rounds += 1
+        for i in redo:
+            vals[i] = next(words) & mask
+        redo = [i for i in redo if vals[i] >= n]
+    return vals, rounds
+
+
+@pytest.mark.parametrize("n", [1, 2**32 + 1, 3 * 2**61])
+def test_stream_integers_are_in_range_and_redrawn_past_it(n):
+    stream = Stream(4)
+    got = stream.integers(0, n, (40, 50))
+    assert got.shape == (40, 50) and got.dtype == np.int64
+    want, rounds = reference_integers(Stream(4).key, n, 2000)
+    assert got.ravel().tolist() == want
+    assert got.min() >= 0 and got.max() < n
+    # values past n were rejected and drawn again, except where none can be
+    assert (rounds > 0) == (n > 1) and (stream.drawn > 2000) == (n > 1)
+    if n > 1:
+        # thirds of the range are equally likely (fixed seed)
+        thirds = np.bincount((got.ravel().astype(object) * 3 // n).astype(np.int64), minlength=3)
+        assert stats.chisquare(thirds).pvalue > 0.01
+
+
+def test_stream_integers_bounds():
+    for low, high in ((0, 0), (0, -3), (1, 4), (-1, 3), (0, 2**63 + 1)):
+        with pytest.raises(ValueError, match="integers draws from"):
+            Stream(0).integers(low, high, 3)
+    assert Stream(0).integers(0, 2**63, 1000).min() >= 0
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 640])
+def test_stream_bytes_are_little_endian_words(length):
+    stream = stream_at(1234567)
+    got = stream.bytes(length)
+    assert type(got) is bytes and len(got) == length
+    words = reference_splitmix64(1234567, -(-length // 8))
+    assert got == b"".join(w.to_bytes(8, "little") for w in words)[:length]
+    assert stream.drawn == len(words)

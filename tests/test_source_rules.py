@@ -73,3 +73,30 @@ def test_gated_calls_load_no_numpy_ma():
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert done.stdout.split() == ["False", "True", "False"]
+
+
+def test_gated_calls_load_no_random_or_hash_modules():
+    # frames come from the package's own counter-based stream, so neither a
+    # simulate nor a sweep loads numpy.random, whose first use imports
+    # `secrets` and with it hashlib and OpenSSL's _hashlib
+    code = (
+        "import os, sys\n"
+        "from ncsa.cli import main\n"
+        "main(['simulate', '--users', '2000', '--rate', '0.5', '--dist', '3:1', '--cap', '10',\n"
+        "      '--decoder', 'all', '--seed', '5', '--out', os.devnull])\n"
+        "main(['sweep', '--cap', '12', '--out', os.devnull])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split()
+    banned = ("numpy.random", "secrets", "hashlib", "_hashlib")
+    found = [name for name in loaded if name in banned or name.startswith("numpy.random.")]
+    assert not found, f"simulate and sweep load {', '.join(found)}"
+
+
+def test_package_source_names_no_numpy_random():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py")) if "np.random" in path.read_text(encoding="utf-8")]
+    assert not found, f"np.random used in {', '.join(found)}"
