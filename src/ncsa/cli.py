@@ -52,8 +52,9 @@ class ConfigError(ValueError):
 
 def _merged(args: argparse.Namespace) -> dict:
     """The subcommand's options: config-file values, overridden by the flags
-    given.  The file may hold only option names of the subcommand."""
-    flags = {key: val for key, val in vars(args).items() if key not in ("cmd", "func", "config")}
+    given.  The file may hold only option names of the subcommand, each with
+    its option's JSON type (`_check_config_value`)."""
+    flags = {key: val for key, val in vars(args).items() if key not in ("cmd", "func", "kinds", "config")}
     cfg: dict = {}
     if args.config:
         try:
@@ -68,9 +69,36 @@ def _merged(args: argparse.Namespace) -> dict:
         unknown = sorted(set(loaded) - set(flags))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        for key, val in loaded.items():
+            _check_config_value(key, val, args.kinds[key])
         cfg.update(loaded)
     cfg.update((key, val) for key, val in flags.items() if val is not None)
     return cfg
+
+
+def _option_kind(action: argparse.Action) -> str:
+    """What a config file must give for an option: ``flag`` (a boolean),
+    ``int`` (an integer, not a boolean), ``float`` (a number) or ``str``."""
+    if action.nargs == 0:
+        return "flag"
+    return {int: "int", float: "float"}.get(action.type, "str")
+
+
+def _check_config_value(key: str, val, kind: str) -> None:
+    """Raise ConfigError unless a config-file value has the JSON type its
+    option's `kind` asks for; `dist` may also be an object."""
+    if kind == "flag":
+        ok, want = isinstance(val, bool), "true or false"
+    elif kind == "int":
+        ok, want = isinstance(val, int) and not isinstance(val, bool), "an integer"
+    elif kind == "float":
+        ok, want = isinstance(val, (int, float)) and not isinstance(val, bool), "a number"
+    elif key == "dist":
+        ok, want = isinstance(val, (str, dict)), "a string or an object"
+    else:
+        ok, want = isinstance(val, str), "a string"
+    if not ok:
+        raise ConfigError(f"config key {key} must be {want}, got {json.dumps(val)}")
 
 
 def _load_model(cfg: dict) -> PncModel:
@@ -108,6 +136,8 @@ def _load_dist(cfg: dict) -> DegreeDistribution:
     if isinstance(spec, dict):  # config-file form {"2": 0.5, ...}
         try:
             return DegreeDistribution({int(k): float(v) for k, v in spec.items()})
+        except TypeError:  # e.g. a list as a probability
+            raise ConfigError(f"config key dist must map degrees to numbers, got {json.dumps(spec)}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     try:
@@ -547,6 +577,8 @@ def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with option values; flags override")
         p.add_argument("--out", help="output SVG path (default: input with .svg)")
 
+    for p in sub.choices.values():  # each option's config-file type, for `_merged`
+        p.set_defaults(kinds={action.dest: _option_kind(action) for action in p._actions})
     return parser
 
 

@@ -19,16 +19,18 @@ arrays: a unit is a slot for `batched_bp` and one output equation for
 counter peel of invertible Bloom lookup tables).  What a unit releases is a
 pure function of its transfer columns and its unknown-row mask, kept in a
 `RuleTable` that one decode or many share.  `_peel` runs each generation as
-one pass of array operations over the woken units.  It names batch shapes
-by one lexsort over their masks, groups a pass's keys and the edges by user
-with 16-bit radix sorts, so the table is probed once per distinct key,
-evaluates the new int64 keys of at most two columns (every stock and every
-`ordinary_bp` unit) together in closed form (`_pair_rules`), and gathers
-rows with `np.take`; `_slot_rule`, which runs `rcef`, is the reference of
-the closed form and serves wider units.  Frames of at most `_SCALAR_ROWS`
-unit rows go through `_peel_scalar` instead, unit by unit with Python ints
-and `_slot_rule`, since a pass costs some fifty numpy calls whatever its
-size.  The two give the same report, whose `RecoveredPackets` keep the
+one pass of array operations over the woken units.  It packs each batch's
+shape (row count, column count, column masks) into one int64 key and groups
+those keys, a pass's keys and the edges by user with the same 16-bit radix
+sorts (`frames.stable_order`), so each shape is named and the table probed
+once per distinct key; it splits off the new int64 keys of at most two
+columns (every stock and every `ordinary_bp` unit) by the shape table's
+column counts, evaluates them together in closed form (`_pair_rules`),
+and gathers rows with `np.take`; `_slot_rule`, which runs `rcef`, is the
+reference of the closed form and serves wider units.  Frames of at most
+`_SCALAR_ROWS` unit rows go through `_peel_scalar` instead, unit by unit
+with Python ints and `_slot_rule`, since a pass costs some fifty numpy
+calls whatever its size.  The two give the same report, whose `RecoveredPackets` keep the
 recovered users and packets as arrays.  An iteration sees only the
 knowledge available when it started, which is the schedule the asymptotic
 recursion counts, so results do not depend on the order units are visited.
@@ -44,7 +46,7 @@ from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
-from .frames import Frame, as_words, offsets, segments, xor_gather
+from .frames import Frame, as_words, offsets, segments, stable_order, xor_gather
 from .gf2 import BitMatrix, mask_dtype, rcef, select_rows, span_basis, units_in_span
 
 # a rule key holds the shape id in its low bits and the unknown mask above
@@ -234,12 +236,15 @@ class RuleTable:
     the others hold 0.  Both arrays grow by doubling, so their rows past
     those in use are spare.  ``entries[k]`` keeps rule k as `_slot_rule`
     returns it, for `_peel_scalar`; `entry` fills it on first use when
-    `_pair_rules` made the rule.
+    `_pair_rules` made the rule.  ``_shape[i]`` is shape i's `_shape_row`,
+    written when the shape is named, from which `add` splits off and
+    gathers the keys that `_pair_rules` evaluates, as arrays.
     """
 
     def __init__(self):
         self.shapes: dict[tuple[int, tuple[int, ...]], int] = {}
         self._named: list[tuple[int, tuple[int, ...]]] = []
+        self._shape = np.zeros((16, 4), np.int64)  # per named shape: `_shape_row`
         self._rules: dict[int, int] = {}  # key: the unknown mask above the shape id
         self._terms = 0
         self.entries: list[tuple[tuple, int] | None] = []
@@ -260,7 +265,9 @@ class RuleTable:
         ids, named = self.shapes, self._named
         out = np.fromiter((ids.setdefault(shape, len(ids)) for shape in shapes), np.int64)
         if len(named) < len(ids):
-            named.extend(islice(ids, len(named), None))
+            fresh = list(islice(ids, len(named), None))
+            self._shape = _put(self._shape, len(named), [_shape_row(*shape) for shape in fresh])
+            named.extend(fresh)
         return out
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
@@ -270,32 +277,39 @@ class RuleTable:
         named, so the table is probed once per distinct key; the new keys
         are added (`add`) in order of first appearance."""
         compact = (keys >> _SHAPE_BITS) << (len(self.shapes) - 1).bit_length() | keys & _SHAPE_MASK
-        order = _stable_order(compact, int(compact.max(initial=0)) + 1)
+        order = stable_order(compact, int(compact.max(initial=0)) + 1)
         ordered = compact[order]
         opens = np.ones(len(keys), bool)
         opens[1:] = ordered[1:] != ordered[:-1]
         first = order[opens]  # each distinct key's first position, as the sort is stable
-        distinct = keys[first].tolist()
         found = self._rules
-        ids = np.fromiter((found.get(key, -1) for key in distinct), np.int64, len(distinct))
+        ids = np.fromiter((found.get(key, -1) for key in keys[first].tolist()), np.int64, len(first))
         new = (ids < 0).nonzero()[0]
         if len(new):
             new = new[first[new].argsort()]
-            ids[new] = self.add([distinct[i] for i in new.tolist()], pairs=keys.dtype != object)
+            ids[new] = self.add(keys[first[new]], pairs=keys.dtype != object)
         rule = np.empty(len(keys), np.int64)
         rule[order] = ids[opens.cumsum() - 1]
         return rule, len(new)
 
-    def add(self, keys: list[int], pairs: bool) -> np.ndarray:
-        """Evaluate and number `keys`, none of them held yet; their rule
-        ids.  With `pairs` (keys that fit in int64) those of at most two
-        columns are evaluated together by `_pair_rules` and numbered first;
-        the others go one by one through `_slot_rule`."""
-        wide = [not pairs or len(self._named[key & _SHAPE_MASK][1]) > 2 for key in keys]
-        self._add_pair_rules([key for key, w in zip(keys, wide) if not w])
-        self._add_slot_rules([key for key, w in zip(keys, wide) if w])
+    def add(self, keys, pairs: bool) -> np.ndarray:
+        """Evaluate and number `keys` (a sequence or an array), none of them
+        held yet; their rule ids.  With `pairs` (keys that fit in int64)
+        those of at most two columns, split off by the column counts of
+        their shapes' `_shape` rows, are evaluated together by `_pair_rules`
+        and numbered first; the others go one by one through `_slot_rule`."""
+        held = len(self._rules)
+        if not pairs:
+            self._add_slot_rules(list(keys))
+            return np.arange(held, held + len(keys))
+        keys = np.asarray(keys, np.int64)
+        shape = np.take(self._shape, keys & _SHAPE_MASK, axis=0)
+        pair = shape[:, 1] <= 2
+        narrow, wide = pair.nonzero()[0], (~pair).nonzero()[0]
+        self._add_pair_rules(keys[narrow], shape[narrow])
+        self._add_slot_rules(keys[wide].tolist())
         ids = np.empty(len(keys), np.int64)
-        ids[np.argsort(wide, kind="stable")] = np.arange(len(self._rules) - len(keys), len(self._rules))
+        ids[np.concatenate([narrow, wide])] = np.arange(held, held + len(keys))
         return ids
 
     def entry(self, key: int) -> tuple[tuple, int]:
@@ -320,16 +334,15 @@ class RuleTable:
             rules.append((spent, first, self._terms + len(terms) - first))
         self._add(keys, entries, rules, terms)
 
-    def _add_pair_rules(self, keys: list[int]) -> None:
-        """Number `keys`, int64 keys of at most two columns, as the next
-        rules, evaluated together by `_pair_rules`."""
-        if not keys:
+    def _add_pair_rules(self, keys: np.ndarray, shape: np.ndarray) -> None:
+        """Number `keys`, int64 keys of at most two columns whose shapes
+        have the `_shape` rows `shape`, as the next rules, evaluated
+        together by `_pair_rules`."""
+        if not len(keys):
             return
-        shapes = (self._named[key & _SHAPE_MASK] for key in keys)
-        table = np.array([(rows, len(masks), *masks, 0)[:4] for rows, masks in shapes], np.int64)
-        spent, sizes, terms = _pair_rules(*table.T, np.array(keys, np.int64) >> _SHAPE_BITS)
+        spent, sizes, terms = _pair_rules(*shape.T, keys >> _SHAPE_BITS)
         first = self._terms + sizes.cumsum() - sizes
-        self._add(keys, [None] * len(keys), np.stack([spent, first, sizes], axis=1), terms)
+        self._add(keys.tolist(), [None] * len(keys), np.stack([spent, first, sizes], axis=1), terms)
 
     def _add(self, keys: list[int], entries: list, rules, terms) -> None:
         """Number `keys` as the next rules, with their `entries` and their
@@ -340,6 +353,15 @@ class RuleTable:
         self.rule = _put(self.rule, used, rules)
         self.term = _put(self.term, self._terms, terms)
         self._terms += len(terms)
+
+
+def _shape_row(rows: int, masks: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """A shape's row of `RuleTable._shape`: its row count, its column count
+    and its first two column masks (0 where it has fewer).  Past int64 masks
+    the masks are stored as 0: such a shape's keys do not fit int64 either,
+    so `_pair_rules` never reads them."""
+    first = masks[:2] if mask_dtype(rows) is np.int64 else ()
+    return (rows, len(masks), *first, *(0,) * (2 - len(first)))
 
 
 def _put(table: np.ndarray, used: int, rows) -> np.ndarray:
@@ -379,42 +401,49 @@ def _differing_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return differ.any(axis=1).nonzero()[0] if differ.any() else np.empty(0, np.int64)
 
 
-def _stable_order(values: np.ndarray, bound: int) -> np.ndarray:
-    """``values.argsort(kind="stable")`` for values in [0, bound): below
-    2**32 as two stable sorts of 16-bit digits, which numpy radix-sorts."""
-    if bound > 1 << 32:
-        return values.argsort(kind="stable")
-    order = (values & 0xFFFF).astype(np.uint16).argsort(kind="stable")
-    if bound > 1 << 16:
-        order = order[(values[order] >> 16).astype(np.uint16).argsort(kind="stable")]
-    return order
-
-
 def _batch_shape_ids(frame: Frame, rules: RuleTable, arrays: bool) -> np.ndarray:
-    """The shape id of each batch of `frame`.  With `arrays` (int64 masks),
-    the batches' (rows, column count, masks padded with 0) rows are grouped
-    by one lexsort, and only the distinct shapes are named, in order of
-    first appearance as the tuple path names them."""
+    """The shape id of each batch of `frame`.
+
+    With `arrays` (int64 masks), each batch's row count, column count and
+    column masks are packed into one int64 key, in fields as wide as the
+    frame's largest values; the keys are grouped by `stable_order`, and
+    only the distinct shapes are named, in order of first appearance as the
+    tuple path names them.  Without `arrays`, or when the fields need more
+    than int64's bits (`mask_dtype`), the batches are named one by one as
+    tuples.
+    """
     rows = frame.batch_ptr[1:] - frame.batch_ptr[:-1]
-    if not arrays:
+    cols = frame.column_ptr[1:] - frame.column_ptr[:-1]
+    top = int(cols.max(initial=0))
+    row_bits, col_bits = int(rows.max(initial=0)).bit_length(), top.bit_length()
+    mask_bits = int(frame.column_masks.max(initial=0)).bit_length() if arrays else 0
+    shift = row_bits + col_bits  # column j's mask starts at bit shift + j * mask_bits
+    bits = shift + top * mask_bits
+    if not arrays or mask_dtype(bits) is object:
         column_ptr, masks = frame.column_ptr.tolist(), frame.column_masks.tolist()
         return rules.shape_ids(
             (r, tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b, r in enumerate(rows.tolist())
         )
-    cols = frame.column_ptr[1:] - frame.column_ptr[:-1]
-    owner, pos = segments(cols)
-    table = np.zeros((len(rows), 2 + int(cols.max(initial=0))), np.int64)
-    table[:, 0], table[:, 1] = rows, cols
-    table[owner, 2 + pos] = frame.column_masks
-    order = np.lexsort(table.T)
-    ordered = np.take(table, order, axis=0)
+    key = cols << row_bits
+    key |= rows
+    for j in range(top):
+        at = (cols > j).nonzero()[0]
+        key[at] |= frame.column_masks[frame.column_ptr[at] + j] << (shift + j * mask_bits)
+    order = stable_order(key, 1 << bits)
+    ordered = key[order]
+    del key
     opens = np.ones(len(order), bool)
-    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    first = order[opens]  # each shape's first batch, as lexsort is stable
+    opens[1:] = ordered[1:] != ordered[:-1]
+    first = order[opens]  # each shape's first batch, as the sort is stable
     by_first = first.argsort()
+    row_field, col_field, field = (1 << row_bits) - 1, (1 << col_bits) - 1, (1 << mask_bits) - 1
+    shapes = []
+    for k in ordered[opens][by_first].tolist():  # each distinct key, unpacked
+        masks = (k >> (shift + j * mask_bits) & field for j in range(k >> row_bits & col_field))
+        shapes.append((k & row_field, tuple(masks)))
+    del ordered
     ids = np.empty(len(first), np.int64)
-    distinct = np.take(table, first[by_first], axis=0).tolist()
-    ids[by_first] = rules.shape_ids((r, tuple(m[:c])) for r, c, *m in distinct)
+    ids[by_first] = rules.shape_ids(shapes)
     shape_id = np.empty(len(rows), np.int64)
     shape_id[order] = ids[opens.cumsum() - 1]
     return shape_id
@@ -473,7 +502,8 @@ def _peel(
     Unit i holds the rows ``row_users[row_ptr[i]:row_ptr[i + 1]]`` and the
     transfer columns of shape ``shape_id[i]``, whose outputs are frame
     outputs ``column_ptr[i]:column_ptr[i + 1]``; units without columns take
-    no part.  A unit's key is its unknown-row mask above its shape id.  A
+    no part.  A unit's key is its unknown-row mask above its shape id; int64
+    keys are built in place over `shape_id`, which the caller hands over.  A
     pass looks up the rule of every woken unit's key (a key new to the
     table is one elimination).  One buffer holds the outputs, then one row
     per user, so one `xor_gather` computes every packet the pass releases
@@ -498,23 +528,38 @@ def _peel(
     cols = column_ptr[1:] - column_ptr[:-1]
     live = cols > 0
     dtype = mask_dtype(int(rows[live].max(initial=0)) + _SHAPE_BITS)
-    full = live.astype(dtype) << _SHAPE_BITS
-    key = (full << rows) - full + shape_id
+    full = live.astype(dtype)
+    full <<= _SHAPE_BITS
+    mask = full << rows
+    mask -= full
+    if dtype is np.int64:
+        shape_id += mask  # the keys take over the shape ids' array
+        key = shape_id
+    else:
+        key = mask + shape_id
+    del mask
     # every row is an edge, whose key bit is 0 unless its unit is live;
     # grouped by user, a recovery finds the bits it clears
     owner, pos = segments(rows)
-    order = _stable_order(row_users, frame.users)
+    order = stable_order(row_users, frame.users)
     edge_unit = owner[order]
-    edge_bit = full[edge_unit] << pos[order]
+    edge_bit = full[edge_unit]
+    edge_bit <<= pos[order]
     degree = np.bincount(row_users, minlength=frame.users)
     by_user = offsets(degree)
     # local index t of unit i is buffer row local[base[i] + t]: its columns'
     # outputs, then its rows' users
     base = row_ptr[:-1] + column_ptr[:-1]
     local = np.empty(outputs + len(row_users), np.int64)
-    local[np.arange(outputs) + row_ptr[:-1].repeat(cols)] = np.arange(outputs)
-    local[np.arange(len(row_users)) + column_ptr[1:][owner]] = outputs + row_users
-    del full, owner, pos, order  # dropped once the keys, edges and `local` are built
+    at = row_ptr[:-1].repeat(cols)
+    at += np.arange(outputs)
+    local[at] = np.arange(outputs)
+    at = column_ptr[1:][owner]
+    at += np.arange(len(row_users))
+    local[at] = outputs + row_users
+    woken = live.nonzero()[0]
+    # dropped once the keys, edges and `local` are built
+    del rows, cols, live, full, owner, pos, order, at
     buf = np.zeros((outputs + frame.users, size), np.uint8)
     buf[:outputs] = frame.outputs
 
@@ -565,7 +610,6 @@ def _peel(
     if len(pre):
         buf[outputs + pre] = np.frombuffer(b"".join(known.values()), np.uint8).reshape(len(pre), size)
         clear(pre)
-    woken = live.nonzero()[0]
     passes = max_iters if len(woken) else 0
     woken = wake(woken)
     found = [pre]
@@ -725,9 +769,10 @@ def ordinary_bp(
     sizes = frame.member_ptr[1:] - frame.member_ptr[:-1]
     top = int(sizes.max()) if len(sizes) else 0
     shape_id = rules.shape_ids((n, ((1 << n) - 1,)) for n in range(top + 1))[sizes]
+    del sizes  # not held during the peel
     peel = _peel if len(frame.members) > _SCALAR_ROWS else _peel_scalar
     return peel(
-        frame, frame.member_ptr, frame.members, np.arange(len(sizes) + 1), shape_id, rules,
+        frame, frame.member_ptr, frame.members, np.arange(len(shape_id) + 1), shape_id, rules,
         preknown, max_iters, counter=True,
     )
 

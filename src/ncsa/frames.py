@@ -306,6 +306,17 @@ def offsets(counts: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def stable_order(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values.argsort(kind="stable")`` for values in [0, bound): below
+    2**32 as two stable sorts of 16-bit digits, which numpy radix-sorts."""
+    if bound > 1 << 32:
+        return values.argsort(kind="stable")
+    order = (values & 0xFFFF).astype(np.uint16).argsort(kind="stable")
+    if bound > 1 << 16:
+        order = order[(values[order] >> 16).astype(np.uint16).argsort(kind="stable")]
+    return order
+
+
 def as_words(rows: np.ndarray) -> np.ndarray:
     """A C-contiguous 2-D uint8 array viewed as the widest unsigned words
     that divide its row length, without a copy."""
@@ -516,16 +527,31 @@ def _members(batch_ptr, batch_users, column_ptr, column_masks) -> tuple[np.ndarr
     ``(members, member_ptr)``.
 
     The column masks are unpacked one byte per row, as wide as the widest
-    mask, and the set bits come out in C order: by column, then by row.
+    mask, and the set bits are found in the flat unpacked array, which
+    gives them in C order: by column, then by row.  A set bit's flat index
+    less its column's start is its row, and the batch's first row places
+    it among the batch users.
     """
     width = (int(column_masks.max(initial=0)).bit_length() + 7) // 8
     if column_masks.dtype == object:
-        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in column_masks.tolist()), np.uint8)
+        masks = column_masks.tolist()
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+        count = np.fromiter((m.bit_count() for m in masks), np.int64, len(masks))
     else:
         raw = column_masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
-    column, row = np.unpackbits(raw.reshape(len(column_masks), width), axis=1, bitorder="little").nonzero()
-    row += np.repeat(batch_ptr[:-1], column_ptr[1:] - column_ptr[:-1])[column]  # the member's batch row
-    return np.take(batch_users, row), offsets(np.bincount(column, minlength=len(column_masks)))
+        count = np.bitwise_count(column_masks).astype(np.int64)
+    # the outputs first, below the temporaries in the heap
+    member_ptr = offsets(count)
+    members = np.empty(int(member_ptr[-1]), np.int64)
+    row = np.flatnonzero(np.unpackbits(raw.reshape(len(column_masks), width), axis=1, bitorder="little"))
+    # each column's first batch row, less its start in the unpacked array
+    start = np.repeat(batch_ptr[:-1], column_ptr[1:] - column_ptr[:-1])
+    step = np.arange(len(column_masks))
+    step *= 8 * width
+    start -= step
+    del step
+    row += np.repeat(start, count)
+    return np.take(batch_users, row, out=members), member_ptr
 
 
 def _distinct_rows(rng: Stream, count: int, d: int, n: int) -> np.ndarray:
@@ -547,12 +573,21 @@ def _distinct_rows(rng: Stream, count: int, d: int, n: int) -> np.ndarray:
             rows[start:start + len(keys)] = np.argsort(keys, axis=1)[:, :d]
         return rows
     rows = np.sort(rng.integers(0, n, size=(count, d)), axis=1)
-    redo = np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1))
+    redo = np.flatnonzero(_repeats(rows))
     while len(redo):
         fresh = np.sort(rng.integers(0, n, size=(len(redo), d)), axis=1)
         rows[redo] = fresh
-        redo = redo[(fresh[:, 1:] == fresh[:, :-1]).any(axis=1)]
+        redo = redo[_repeats(fresh)]
     return rows
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Whether each sorted row repeats a value: the d - 1 compares of
+    adjacent columns ORed as 1-D arrays, not reduced along the short rows."""
+    out = np.zeros(len(rows), bool)
+    for j in range(1, rows.shape[1]):
+        out |= rows[:, j] == rows[:, j - 1]
+    return out
 
 
 def sample_frame(config: SystemConfig) -> Frame:
@@ -581,7 +616,11 @@ def sample_frame(config: SystemConfig) -> Frame:
     flat.sort()
     by_slot, batch_users = np.divmod(flat, users)
     del flat
-    first = np.flatnonzero(np.diff(by_slot, prepend=-1))
+    opens = np.empty(len(by_slot), bool)  # where a slot's run of keys begins
+    opens[:1] = True
+    np.not_equal(by_slot[1:], by_slot[:-1], out=opens[1:])
+    first = np.flatnonzero(opens)
+    del opens
     batch_slot = by_slot[first]
     sizes = np.diff(first, append=len(by_slot))
     del by_slot, first
@@ -593,21 +632,27 @@ def sample_frame(config: SystemConfig) -> Frame:
 
 def _draw_transfers(model: PncModel, rng: Stream, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The column offsets and column masks of a transfer matrix for each
-    batch, given the batches' collision sizes: drawn one block per size,
-    then scattered back to batch order."""
+    batch, given the batches' collision sizes: drawn one block per size, in
+    ascending size and batch order (the batches grouped by one stable
+    sort), then scattered back to batch order one column position at a
+    time."""
     n_cols = np.zeros(len(sizes), dtype=np.int64)
+    count = np.bincount(sizes)
+    order = stable_order(sizes, len(count))
     drawn = []
     # the collision sizes present, ascending; np.unique would import numpy.ma (numpy 2.4)
-    for c in np.bincount(sizes).nonzero()[0].tolist():
-        at = np.flatnonzero(sizes == c)
+    ends = np.cumsum(count)
+    for c in count.nonzero()[0].tolist():
+        at = order[ends[c] - count[c]:ends[c]]
         n_cols[at], masks = model.family(c).sample(rng, len(at))
         drawn.append((at, masks))
     column_ptr = offsets(n_cols)
     column_masks = np.zeros(int(column_ptr[-1]), dtype=mask_dtype(int(sizes[n_cols > 0].max(initial=0))))
     for at, masks in drawn:
-        pos = np.arange(masks.shape[1])
-        held = pos < n_cols[at][:, None]  # the zero padding is not stored
-        column_masks[(column_ptr[at][:, None] + pos)[held]] = masks[held]
+        first, cols = column_ptr[at], n_cols[at]
+        for j in range(masks.shape[1]):
+            held = (cols > j).nonzero()[0]  # the zero padding is not stored
+            column_masks[first[held] + j] = masks[held, j]
     return column_ptr, column_masks
 
 

@@ -168,17 +168,21 @@ class _MemberSampler:
         """`count` independent members, each drawn by its weight and placed at
         a uniform arrangement of its rows (member row r lands in row pos[r]
         for a uniform permutation pos), as their column counts and their
-        column masks padded with zeros (a ``(count, width)`` array).  With
-        one row or no columns there is nothing to arrange or draw.  `rng`
-        needs only ``random(size)``: `frames.Stream` gives it, and so does
-        numpy's `Generator`."""
+        column masks padded with zeros (a ``(count, width)`` array).  A
+        member's arranged mask of column w is the sum over its rows r of
+        ``_bits[r, w] << pos[r]``: the row vector of the ``1 << pos`` values
+        times its row x column entries, one batched `np.matmul` for the
+        block, which reduces over the contiguous row axis and also runs on
+        Python-int (``object``) masks.  With one row or no columns there is
+        nothing to arrange or draw.  `rng` needs only ``random(size)``:
+        `frames.Stream` gives it, and so does numpy's `Generator`."""
         picks = np.searchsorted(self._cum, rng.random(count))
         if self.degree == 1 or not self._masks.shape[1]:
             return self._cols[picks], np.take(self._masks, picks, axis=0)
         pos = np.argsort(rng.random((count, self.degree)), axis=1)
-        ones = np.ones(pos.shape, dtype=mask_dtype(self.degree))
-        masks = (np.left_shift(ones, pos)[:, :, None] * np.take(self._bits, picks, axis=0)).sum(axis=1)
-        return self._cols[picks], masks
+        ones = np.ones((count, 1, self.degree), dtype=mask_dtype(self.degree))
+        masks = np.matmul(np.left_shift(ones, pos[:, None, :]), np.take(self._bits, picks, axis=0))
+        return self._cols[picks], masks[:, 0, :]
 
 
 class WeightedMatrixFamily(_MemberSampler):

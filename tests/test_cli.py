@@ -443,6 +443,47 @@ def test_config_rejects_another_subcommands_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown config keys: lam_grid\n"
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"users": [1]}, "config key users must be an integer, got [1]"),
+    ({"out": 5}, "config key out must be a string, got 5"),
+    ({"users": 20.7}, "config key users must be an integer, got 20.7"),
+    ({"seed": 1.9}, "config key seed must be an integer, got 1.9"),
+    ({"max_iters": 2.9}, "config key max_iters must be an integer, got 2.9"),
+    ({"trials": True}, "config key trials must be an integer, got true"),
+    ({"omit_times": "no"}, "config key omit_times must be true or false, got \"no\""),
+    ({"rate": "0.5"}, "config key rate must be a number, got \"0.5\""),
+    ({"rate": False}, "config key rate must be a number, got false"),
+    ({"users": None}, "config key users must be an integer, got null"),
+    ({"dist": 3}, "config key dist must be a string or an object, got 3"),
+    ({"dist": {"3": [1]}}, "config key dist must map degrees to numbers, got {\"3\": [1]}"),
+])
+def test_config_value_of_the_wrong_json_type_exits_2_with_one_line(tmp_path, capsys, values, message):
+    # no --out flag, so a config `out` that named a file descriptor would be used
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"users": 40, "rate": 0.5, "dist": "3:1", "cap": 4, **values}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_config_values_of_each_accepted_json_type(tmp_path):
+    # an integer for a float option, a boolean flag, an object distribution
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "users": 40, "rate": 1, "dist": {"3": 1}, "cap": 4, "seed": 2, "trials": 2, "max_iters": 50,
+        "omit_times": True, "decoder": "all", "payload_bytes": 4,
+    }))
+    code, out = run(tmp_path, "simulate", "--config", str(cfg))
+    assert code == 0
+    meta, _, rows = read_csv(str(out))
+    assert (meta["users"], meta["slots"], meta["seed"], meta["trials"], meta["max_iters"]) == ("40", "40", "2", "2", "50")
+    assert {row["seconds"] for row in rows} == {"0.0"}
+    cfg.write_text(json.dumps({"lam": 1.5, "iters": 5, "dist": "3:1", "cap": 4, "out": str(tmp_path / "e.csv")}))
+    assert main(["evolve", "--config", str(cfg)]) == 0
+    assert read_csv(str(tmp_path / "e.csv"))[0]["iters"] == "5"
+
+
 def test_exit_codes_for_bad_input(tmp_path):
     # probabilities must sum to one
     code, _ = run(tmp_path, "evolve", "--dist", "2:1.5", "--lam", "1", "--cap", "3")

@@ -28,6 +28,7 @@ from ncsa.frames import Batch, DegreeDistribution, Frame, SystemConfig, global_m
 from ncsa.gf2 import BitMatrix, combine, rcef, select_rows
 from ncsa.pnc import PncModel, example_family, gamma_set
 from test_cli import SIMULATE_TEST_MODEL
+from test_frames import DIFFERENTIAL_CASES, WIDE_MODEL, differential_frame
 
 
 def xor(a, b):
@@ -627,20 +628,6 @@ def test_peelers_match_references_on_a_sampled_frame_wider_than_int64():
 
 # a custom model with three-column members, whose rules `_peel` evaluates
 # by `_slot_rule` next to the closed form of the narrower ones
-WIDE_MODEL = {
-    "max_decodable": 3,
-    "families": {
-        "1": [{"matrix": [[1]], "prob": 1.0}],
-        "2": [{"matrix": [[1, 0], [0, 1]], "prob": 0.5}, {"matrix": [[1], [1]], "prob": 0.5}],
-        "3": [
-            {"matrix": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], "prob": 0.5},
-            {"matrix": [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "prob": 0.3},
-            {"matrix": [[1, 0], [0, 1], [1, 1]], "prob": 0.2},
-        ],
-    },
-}
-
-
 def wide_frames(count):
     model = PncModel.from_dict(WIDE_MODEL)
     dist = DegreeDistribution({1: 0.2, 2: 0.3, 3: 0.5})
@@ -736,19 +723,40 @@ def test_a_peel_pass_probes_the_rule_table_once_per_distinct_key(peel, monkeypat
     assert rules._rules.probes == sum(distinct) < report.visits
 
 
+def reference_add(rules, keys, pairs):
+    """`RuleTable.add` key by key: each key's shape is read from the named
+    tuples, the keys of at most two columns are evaluated by `_pair_rules`
+    over a table built one key at a time and numbered first, the others by
+    `_slot_rule`."""
+    mask = ncsa.decoders._SHAPE_MASK
+    wide = [not pairs or len(rules._named[key & mask][1]) > 2 for key in keys]
+    narrow = [key for key, w in zip(keys, wide) if not w]
+    if narrow:
+        shapes = (rules._named[key & mask] for key in narrow)
+        table = np.array([(rows, len(masks), *masks, 0)[:4] for rows, masks in shapes], np.int64)
+        spent, sizes, terms = ncsa.decoders._pair_rules(
+            *table.T, np.array(narrow, np.int64) >> ncsa.decoders._SHAPE_BITS,
+        )
+        first = rules._terms + sizes.cumsum() - sizes
+        rules._add(narrow, [None] * len(narrow), np.stack([spent, first, sizes], axis=1), terms)
+    rules._add_slot_rules([key for key, w in zip(keys, wide) if w])
+
+
 def reference_lookup(rules, keys, pairs):
     """`RuleTable.lookup` one key at a time: the keys not held are added in
-    order of first appearance, then every key is read from the table."""
+    order of first appearance (`reference_add`), then every key is read
+    from the table."""
     found = rules._rules
     new = [key for key in dict.fromkeys(keys) if key not in found]
-    rules.add(new, pairs)
+    reference_add(rules, new, pairs)
     return [found[key] for key in keys], len(new)
 
 
 def assert_lookups_match_the_reference(shapes, batches, dtype):
     """Look up each batch of keys in two tables naming the same shapes, by
-    `RuleTable.lookup` and by `reference_lookup`: the rule ids, the new-key
-    counts and the rules held are equal."""
+    `RuleTable.lookup` (whose `add` splits and gathers the new keys as
+    arrays) and by `reference_lookup`: the rule ids, the new-key counts and
+    the rules held are equal."""
     grouped, reference = RuleTable(), RuleTable()
     grouped.shape_ids(shapes)
     reference.shape_ids(shapes)
@@ -849,7 +857,7 @@ def test_stable_order_is_a_stable_argsort(bound):
     for size in (0, 1, 5_000):
         values = rng.integers(0, bound, size)
         values[: size // 2] = values[size // 2: size // 2 * 2]  # ties, which stability orders
-        got = ncsa.decoders._stable_order(values, bound)
+        got = ncsa.frames.stable_order(values, bound)
         assert got.tolist() == values.argsort(kind="stable").tolist()
 
 
@@ -865,6 +873,59 @@ def test_row_scatter_equals_the_2d_scatter(payload_len):
         want[dest] = value
         ncsa.decoders._scatter_rows(buf, dest, value)
         assert buf.tobytes() == want.tobytes()
+
+
+def reference_batch_shape_ids(frame, rules):
+    """`_batch_shape_ids` on int64 masks by one `np.lexsort` over a table of
+    (rows, column count, masks padded with 0) rows."""
+    rows = frame.batch_ptr[1:] - frame.batch_ptr[:-1]
+    cols = frame.column_ptr[1:] - frame.column_ptr[:-1]
+    owner, pos = ncsa.frames.segments(cols)
+    table = np.zeros((len(rows), 2 + int(cols.max(initial=0))), np.int64)
+    table[:, 0], table[:, 1] = rows, cols
+    table[owner, 2 + pos] = frame.column_masks
+    order = np.lexsort(table.T)
+    ordered = np.take(table, order, axis=0)
+    opens = np.ones(len(order), bool)
+    opens[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[opens]
+    by_first = first.argsort()
+    ids = np.empty(len(first), np.int64)
+    distinct = np.take(table, first[by_first], axis=0).tolist()
+    ids[by_first] = rules.shape_ids((r, tuple(m[:c])) for r, c, *m in distinct)
+    shape_id = np.empty(len(rows), np.int64)
+    shape_id[order] = ids[opens.cumsum() - 1]
+    return shape_id
+
+
+def reference_shape_row(rows, masks):
+    """A named shape's `RuleTable._shape` row: rows, column count and the
+    first two masks, 0 where absent or past int64."""
+    first = masks[:2] if rows < 64 else ()
+    return [rows, len(masks), *first, *[0] * (2 - len(first))]
+
+
+def test_packed_batch_shape_ids_match_the_lexsort_reference():
+    # one pair of tables over every int64 case, so shapes named by earlier
+    # frames are found again; the cap-30 frame's shapes do not fit one
+    # packed word and take the tuple path
+    packed, reference = RuleTable(), RuleTable()
+    for name in DIFFERENTIAL_CASES:
+        _, frame = differential_frame(name)
+        if frame.column_masks.dtype == object:
+            continue  # such frames are named as tuples
+        got = ncsa.decoders._batch_shape_ids(frame, packed, True)
+        assert got.tolist() == reference_batch_shape_ids(frame, reference).tolist(), name
+    assert list(packed.shapes.items()) == list(reference.shapes.items())
+    assert packed._named == reference._named
+    assert packed._shape[:len(packed._named)].tolist() == [reference_shape_row(*s) for s in packed._named]
+
+
+def test_shape_rows_of_masks_past_int64_hold_zero():
+    rules = RuleTable()
+    shapes = [(3, (5, 6, 7)), (64, (2**63, 1)), (70, (2**69 + 1,)), (5, ()), (31, (2**30,))]
+    assert rules.shape_ids(shapes).tolist() == [0, 1, 2, 3, 4]
+    assert rules._shape[:5].tolist() == [reference_shape_row(*s) for s in shapes]
 
 
 def test_batch_shapes_are_named_alike_in_arrays_and_tuples():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from collections import Counter
@@ -15,12 +16,13 @@ from ncsa.frames import (
     Stream,
     SystemConfig,
     global_matrix,
+    offsets,
     sample_frame,
     slot_degree_histogram,
     xor_gather,
     xor_segments,
 )
-from ncsa.gf2 import BitMatrix, combine, rank
+from ncsa.gf2 import BitMatrix, combine, mask_dtype, rank
 from ncsa.pnc import PncModel, example_family
 
 
@@ -684,6 +686,148 @@ def test_xor_segments_matches_the_reference_on_random_segments():
             ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
             rows = rng.integers(0, 256, (int(ptr[-1]), width), dtype=np.uint8)
             assert xor_segments(rows, ptr).tolist() == reference_xor_segments(rows, ptr).tolist()
+
+
+# --- member lists, member masks and transfer draws against the replaced forms ----
+
+# a custom family whose size-3 members have up to three columns
+WIDE_MODEL = {
+    "max_decodable": 3,
+    "families": {
+        "1": [{"matrix": [[1]], "prob": 1.0}],
+        "2": [{"matrix": [[1, 0], [0, 1]], "prob": 0.5}, {"matrix": [[1], [1]], "prob": 0.5}],
+        "3": [
+            {"matrix": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], "prob": 0.5},
+            {"matrix": [[1, 1, 1], [0, 1, 1], [0, 0, 1]], "prob": 0.3},
+            {"matrix": [[1, 0], [0, 1], [1, 1]], "prob": 0.2},
+        ],
+    },
+}
+
+
+def packed_shape_bits(frame):
+    """The bits `decoders._batch_shape_ids` packs a batch shape of `frame`
+    into: the row count, the column count and one field per column."""
+    rows, cols = np.diff(frame.batch_ptr), np.diff(frame.column_ptr)
+    top = int(cols.max(initial=0))
+    mask_bits = int(max(frame.column_masks.tolist(), default=0)).bit_length()
+    return int(rows.max(initial=0)).bit_length() + top.bit_length() + top * mask_bits
+
+
+DIFFERENTIAL_CASES = [*(f"cap-{cap}" for cap in range(2, 13)), "cap-30", "object-masks", "three-columns", "empty"]
+
+
+@functools.cache
+def differential_frame(name):
+    """(model, frame) of a differential test case of the array paths that
+    replaced a multi-column numpy form: stock frames at caps 2 to 12, whose
+    larger slots are past the cap and have no columns; a cap-30 frame whose
+    packed batch shapes need more than 63 bits; a frame whose masks outgrow
+    int64; a custom family with three-column members; and the empty frame."""
+    if name == "empty":
+        return PncModel.example(4), Frame(n_slots=3, payload_len=1, payloads=(b"a", b"b"), batches=())
+    if name == "three-columns":
+        model = PncModel.from_dict(WIDE_MODEL)
+        dist = DegreeDistribution({1: 0.2, 2: 0.3, 3: 0.5})
+        frame = sample_frame(SystemConfig(users=400, slots=300, dist=dist, model=model, seed=0, payload_len=2))
+        assert np.diff(frame.column_ptr).max() == 3
+        return model, frame
+    if name == "cap-30":
+        model = PncModel.example(30)
+        frame = sample_frame(SystemConfig(users=330, slots=12, dist=DegreeDistribution({1: 1.0}), model=model,
+                                          seed=1, payload_len=2))
+        assert packed_shape_bits(frame) > 63 and frame.column_masks.dtype == np.int64
+        return model, frame
+    if name == "object-masks":
+        model = PncModel.example(90)
+        frame = sample_frame(SystemConfig(users=140, slots=2, dist=DegreeDistribution({1: 1.0}), model=model,
+                                          seed=0, payload_len=2))
+        assert frame.column_masks.dtype == object
+        return model, frame
+    cap = int(name.removeprefix("cap-"))
+    model = PncModel.example(cap)
+    dist = DegreeDistribution({1: 0.2, 2: 0.3, 4: 0.3, 6: 0.2})
+    frame = sample_frame(SystemConfig(users=300, slots=150, dist=dist, model=model, seed=cap, payload_len=2))
+    assert np.diff(frame.batch_ptr).max() > cap  # slots past the cap
+    return model, frame
+
+
+def reference_members(batch_ptr, batch_users, column_ptr, column_masks):
+    """`frames._members` by a 2-D `nonzero` of the unpacked masks."""
+    width = (int(column_masks.max(initial=0)).bit_length() + 7) // 8
+    if column_masks.dtype == object:
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in column_masks.tolist()), np.uint8)
+    else:
+        raw = column_masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
+    column, row = np.unpackbits(raw.reshape(len(column_masks), width), axis=1, bitorder="little").nonzero()
+    row += np.repeat(batch_ptr[:-1], column_ptr[1:] - column_ptr[:-1])[column]
+    return np.take(batch_users, row), offsets(np.bincount(column, minlength=len(column_masks)))
+
+
+def reference_member_sample(fam, rng, count):
+    """`_MemberSampler.sample` with the masks summed over the middle axis
+    of a (count, degree, width) product."""
+    picks = np.searchsorted(fam._cum, rng.random(count))
+    if fam.degree == 1 or not fam._masks.shape[1]:
+        return fam._cols[picks], np.take(fam._masks, picks, axis=0)
+    pos = np.argsort(rng.random((count, fam.degree)), axis=1)
+    ones = np.ones(pos.shape, dtype=mask_dtype(fam.degree))
+    masks = (np.left_shift(ones, pos)[:, :, None] * np.take(fam._bits, picks, axis=0)).sum(axis=1)
+    return fam._cols[picks], masks
+
+
+def reference_draw_transfers(model, rng, sizes):
+    """`frames._draw_transfers` with each size's batches found by a compare
+    over all sizes and the masks scattered by a 2-D boolean mask."""
+    n_cols = np.zeros(len(sizes), dtype=np.int64)
+    drawn = []
+    for c in np.bincount(sizes).nonzero()[0].tolist():
+        at = np.flatnonzero(sizes == c)
+        n_cols[at], masks = model.family(c).sample(rng, len(at))
+        drawn.append((at, masks))
+    column_ptr = offsets(n_cols)
+    column_masks = np.zeros(int(column_ptr[-1]), dtype=mask_dtype(int(sizes[n_cols > 0].max(initial=0))))
+    for at, masks in drawn:
+        pos = np.arange(masks.shape[1])
+        held = pos < n_cols[at][:, None]
+        column_masks[(column_ptr[at][:, None] + pos)[held]] = masks[held]
+    return column_ptr, column_masks
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_members_match_the_2d_nonzero_reference(name):
+    _, frame = differential_frame(name)
+    arrays = (frame.batch_ptr, frame.batch_users, frame.column_ptr, frame.column_masks)
+    assert_same_arrays(ncsa.frames._members(*arrays), reference_members(*arrays))
+    assert_same_arrays((frame.members, frame.member_ptr), reference_members(*arrays))
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_member_masks_match_the_middle_axis_sum_reference(name):
+    model, frame = differential_frame(name)
+    # every family the frame draws from, and one past its largest slot
+    top = int(np.diff(frame.batch_ptr).max(initial=0))
+    for d in range(1, top + 2):
+        fam = model.family(d)
+        for count in (0, 1, 257):
+            got, want = Stream(d), Stream(d)
+            assert_same_arrays(fam.sample(got, count), reference_member_sample(fam, want, count))
+            assert got.drawn == want.drawn
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_CASES)
+def test_transfer_draws_match_the_per_size_reference(name):
+    model, frame = differential_frame(name)
+    sizes = np.diff(frame.batch_ptr)
+    got, want = Stream(7), Stream(7)
+    assert_same_arrays(ncsa.frames._draw_transfers(model, got, sizes), reference_draw_transfers(model, want, sizes))
+    assert got.drawn == want.drawn
 
 
 # --- the counter-based stream ---------------------------------------------------
