@@ -245,6 +245,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError("--decoder must be batched, ordinary, oracle or all")
     decoders = ("batched", "ordinary", "oracle") if which == "all" else (which,)
     max_iters = int(cfg.get("max_iters", 200))
+    if max_iters < 1:
+        raise ConfigError(f"--max-iters must be positive, got {max_iters}")
     omit_times = bool(cfg.get("omit_times", False))
     payload = int(cfg.get("payload_bytes", 32))
     config = SystemConfig(users=users, slots=slots, dist=dist, model=model, payload_len=payload, seed=seed)

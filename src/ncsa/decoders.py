@@ -19,15 +19,15 @@ arrays: a unit is a slot for `batched_bp` and one output equation for
 counter peel of invertible Bloom lookup tables).  What a unit releases is a
 pure function of its transfer columns and its unknown-row mask, kept in a
 `RuleTable` that one decode or many share.  `_peel` runs each generation as
-one pass of array operations over the woken units.  It packs each batch's
-shape (row count, column count, column masks) into one int64 key and groups
-those keys, a pass's keys and the edges by user with the same 16-bit radix
-sorts (`frames.stable_order`), so each shape is named and the table probed
-once per distinct key; it splits off the new int64 keys of at most two
-columns (every stock and every `ordinary_bp` unit) by the shape table's
-column counts, evaluates them together in closed form (`_pair_rules`),
-and gathers rows with `np.take`; `_slot_rule`, which runs `rcef`, is the
-reference of the closed form and serves wider units.  Frames of at most
+one pass of array operations over the woken units.  Each batch's shape (row
+count, column count, column masks) is packed into one int64 key, or a Python
+int past 63 bits; the shape keys, a pass's keys and the edges by user are
+grouped by the same 16-bit radix sorts (`frames.stable_order`), so each
+shape is named and the table probed once per distinct key.  New int64 keys
+of at most two columns are split off by the shape table's column counts and
+evaluated together in closed form (`_pair_rules`), and rows are gathered
+with `np.take`; `_slot_rule`, which runs `rcef`, is the reference of the
+closed form and serves the other keys.  Frames of at most
 `_SCALAR_ROWS` unit rows go through `_peel_scalar` instead, unit by unit
 with Python ints and `_slot_rule`, since a pass costs some fifty numpy
 calls whatever its size.  The two give the same report, whose `RecoveredPackets` keep the
@@ -46,7 +46,7 @@ from typing import AbstractSet, Iterator, Mapping
 
 import numpy as np
 
-from .frames import Frame, as_words, offsets, segments, stable_order, xor_gather
+from .frames import Frame, as_words, first_seen, offsets, segments, stable_order, xor_gather
 from .gf2 import BitMatrix, mask_dtype, rcef, select_rows, span_basis, units_in_span
 
 # a rule key holds the shape id in its low bits and the unknown mask above
@@ -272,39 +272,28 @@ class RuleTable:
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
         """The rule of each key of an int64 or object array, and how many
-        distinct keys were new.  The keys are grouped by a stable sort of
+        distinct keys were new.  The keys are grouped (`first_seen`) by
         their unknown mask above a shape id only as wide as the shapes
         named, so the table is probed once per distinct key; the new keys
         are added (`add`) in order of first appearance."""
         compact = (keys >> _SHAPE_BITS) << (len(self.shapes) - 1).bit_length() | keys & _SHAPE_MASK
-        order = stable_order(compact, int(compact.max(initial=0)) + 1)
-        ordered = compact[order]
-        opens = np.ones(len(keys), bool)
-        opens[1:] = ordered[1:] != ordered[:-1]
-        first = order[opens]  # each distinct key's first position, as the sort is stable
+        first, index = first_seen(compact, int(compact.max(initial=0)) + 1)
         found = self._rules
         ids = np.fromiter((found.get(key, -1) for key in keys[first].tolist()), np.int64, len(first))
         new = (ids < 0).nonzero()[0]
         if len(new):
-            new = new[first[new].argsort()]
-            ids[new] = self.add(keys[first[new]], pairs=keys.dtype != object)
-        rule = np.empty(len(keys), np.int64)
-        rule[order] = ids[opens.cumsum() - 1]
-        return rule, len(new)
+            ids[new] = self.add(keys[first[new]])
+        return ids[index], len(new)
 
-    def add(self, keys, pairs: bool) -> np.ndarray:
-        """Evaluate and number `keys` (a sequence or an array), none of them
-        held yet; their rule ids.  With `pairs` (keys that fit in int64)
-        those of at most two columns, split off by the column counts of
-        their shapes' `_shape` rows, are evaluated together by `_pair_rules`
-        and numbered first; the others go one by one through `_slot_rule`."""
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Evaluate and number `keys`, an int64 or object array of keys not
+        held yet; their rule ids.  Int64 keys of at most two columns, split
+        off by the column counts of their shapes' `_shape` rows, are
+        evaluated together by `_pair_rules` and numbered first; the others
+        go one by one through `_slot_rule`."""
         held = len(self._rules)
-        if not pairs:
-            self._add_slot_rules(list(keys))
-            return np.arange(held, held + len(keys))
-        keys = np.asarray(keys, np.int64)
-        shape = np.take(self._shape, keys & _SHAPE_MASK, axis=0)
-        pair = shape[:, 1] <= 2
+        shape = np.take(self._shape, (keys & _SHAPE_MASK).astype(np.int64), axis=0)
+        pair = (shape[:, 1] <= 2) & (keys.dtype == np.int64)
         narrow, wide = pair.nonzero()[0], (~pair).nonzero()[0]
         self._add_pair_rules(keys[narrow], shape[narrow])
         self._add_slot_rules(keys[wide].tolist())
@@ -401,52 +390,34 @@ def _differing_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return differ.any(axis=1).nonzero()[0] if differ.any() else np.empty(0, np.int64)
 
 
-def _batch_shape_ids(frame: Frame, rules: RuleTable, arrays: bool) -> np.ndarray:
+def _batch_shape_ids(frame: Frame, rules: RuleTable) -> np.ndarray:
     """The shape id of each batch of `frame`.
 
-    With `arrays` (int64 masks), each batch's row count, column count and
-    column masks are packed into one int64 key, in fields as wide as the
-    frame's largest values; the keys are grouped by `stable_order`, and
-    only the distinct shapes are named, in order of first appearance as the
-    tuple path names them.  Without `arrays`, or when the fields need more
-    than int64's bits (`mask_dtype`), the batches are named one by one as
-    tuples.
+    Each batch's row count, column count and column masks are packed into
+    one key, in fields as wide as the frame's largest values: int64, or
+    Python ints (`mask_dtype`) when the fields need more bits.  The keys are
+    grouped (`first_seen`), and only the distinct shapes are unpacked and
+    named, in order of first appearance.
     """
     rows = frame.batch_ptr[1:] - frame.batch_ptr[:-1]
     cols = frame.column_ptr[1:] - frame.column_ptr[:-1]
     top = int(cols.max(initial=0))
     row_bits, col_bits = int(rows.max(initial=0)).bit_length(), top.bit_length()
-    mask_bits = int(frame.column_masks.max(initial=0)).bit_length() if arrays else 0
+    mask_bits = int(frame.column_masks.max(initial=0)).bit_length()
     shift = row_bits + col_bits  # column j's mask starts at bit shift + j * mask_bits
     bits = shift + top * mask_bits
-    if not arrays or mask_dtype(bits) is object:
-        column_ptr, masks = frame.column_ptr.tolist(), frame.column_masks.tolist()
-        return rules.shape_ids(
-            (r, tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b, r in enumerate(rows.tolist())
-        )
-    key = cols << row_bits
+    key = cols.astype(mask_dtype(bits)) << row_bits
     key |= rows
     for j in range(top):
         at = (cols > j).nonzero()[0]
-        key[at] |= frame.column_masks[frame.column_ptr[at] + j] << (shift + j * mask_bits)
-    order = stable_order(key, 1 << bits)
-    ordered = key[order]
-    del key
-    opens = np.ones(len(order), bool)
-    opens[1:] = ordered[1:] != ordered[:-1]
-    first = order[opens]  # each shape's first batch, as the sort is stable
-    by_first = first.argsort()
+        key[at] |= frame.column_masks[frame.column_ptr[at] + j].astype(key.dtype) << (shift + j * mask_bits)
+    first, index = first_seen(key, 1 << bits)
     row_field, col_field, field = (1 << row_bits) - 1, (1 << col_bits) - 1, (1 << mask_bits) - 1
     shapes = []
-    for k in ordered[opens][by_first].tolist():  # each distinct key, unpacked
+    for k in key[first].tolist():  # each distinct key, unpacked
         masks = (k >> (shift + j * mask_bits) & field for j in range(k >> row_bits & col_field))
         shapes.append((k & row_field, tuple(masks)))
-    del ordered
-    ids = np.empty(len(first), np.int64)
-    ids[by_first] = rules.shape_ids(shapes)
-    shape_id = np.empty(len(rows), np.int64)
-    shape_id[order] = ids[opens.cumsum() - 1]
-    return shape_id
+    return rules.shape_ids(shapes)[index]
 
 
 def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) -> None:
@@ -502,20 +473,21 @@ def _peel(
     Unit i holds the rows ``row_users[row_ptr[i]:row_ptr[i + 1]]`` and the
     transfer columns of shape ``shape_id[i]``, whose outputs are frame
     outputs ``column_ptr[i]:column_ptr[i + 1]``; units without columns take
-    no part.  A unit's key is its unknown-row mask above its shape id; int64
-    keys are built in place over `shape_id`, which the caller hands over.  A
-    pass looks up the rule of every woken unit's key (a key new to the
-    table is one elimination).  One buffer holds the outputs, then one row
-    per user, so one `xor_gather` computes every packet the pass releases
-    in a bounded working set; the packets are scattered to their users and
-    read back to find conflicts.  Recoveries are merged only after the
-    pass, so every unit of a pass sees the knowledge of its start: their
-    rows' bits are cleared over the user-to-edge CSR, which wakes each
-    touched unit whose mask is still nonzero, or with `counter` exactly one
-    bit (the only masks on which a single-column unit releases anything).
-    A pass with recoveries is always followed by one more.  The set-up
-    arrays that only build the keys, edges and unit rows are dropped before
-    the passes, and the buffer before the check against the frame.
+    no part.  A unit's key is its unknown-row mask above its shape id (a
+    Python int past 63 bits); the caller hands `shape_id` over, and it is
+    dropped once the keys are built.  A pass looks up the rule of every
+    woken unit's key (a key new to the table is one elimination).  One
+    buffer holds the outputs, then one row per user, so one `xor_gather`
+    computes every packet the pass releases in a bounded working set; the
+    packets are scattered to their users and read back to find conflicts.
+    Recoveries are merged only after the pass, so every unit of a pass sees
+    the knowledge of its start: their rows' bits are cleared over the
+    user-to-edge CSR, which wakes each touched unit whose mask is still
+    nonzero, or with `counter` exactly one bit (the only masks on which a
+    single-column unit releases anything).  A pass with recoveries is always
+    followed by one more.  The set-up arrays that only build the keys, edges
+    and unit rows are dropped before the passes, and the buffer before the
+    check against the frame.
 
     Raises FrameInconsistencyError when two resolutions of one pass
     disagree about a packet, or when the result disagrees with the frame
@@ -527,24 +499,18 @@ def _peel(
     rows = row_ptr[1:] - row_ptr[:-1]
     cols = column_ptr[1:] - column_ptr[:-1]
     live = cols > 0
-    dtype = mask_dtype(int(rows[live].max(initial=0)) + _SHAPE_BITS)
-    full = live.astype(dtype)
+    full = live.astype(mask_dtype(int(rows[live].max(initial=0)) + _SHAPE_BITS))
     full <<= _SHAPE_BITS
-    mask = full << rows
-    mask -= full
-    if dtype is np.int64:
-        shape_id += mask  # the keys take over the shape ids' array
-        key = shape_id
-    else:
-        key = mask + shape_id
-    del mask
-    # every row is an edge, whose key bit is 0 unless its unit is live;
-    # grouped by user, a recovery finds the bits it clears
+    key = full << rows
+    key -= full
+    key += shape_id
+    del shape_id  # freed here, as the callers pass it inline
+    # every row is an edge, kept as its unit and its key bit's position (a
+    # byte); grouped by user, a recovery finds the bits it clears
     owner, pos = segments(rows)
     order = stable_order(row_users, frame.users)
     edge_unit = owner[order]
-    edge_bit = full[edge_unit]
-    edge_bit <<= pos[order]
+    edge_shift = (pos[order] + _SHAPE_BITS).astype(np.min_scalar_type(int(rows.max(initial=0)) + _SHAPE_BITS))
     degree = np.bincount(row_users, minlength=frame.users)
     by_user = offsets(degree)
     # local index t of unit i is buffer row local[base[i] + t]: its columns'
@@ -559,7 +525,7 @@ def _peel(
     local[at] = outputs + row_users
     woken = live.nonzero()[0]
     # dropped once the keys, edges and `local` are built
-    del rows, cols, live, full, owner, pos, order, at
+    del rows, cols, full, owner, pos, order, at
     buf = np.zeros((outputs + frame.users, size), np.uint8)
     buf[:outputs] = frame.outputs
 
@@ -572,8 +538,9 @@ def _peel(
     def clear(users: np.ndarray) -> np.ndarray:
         """Clear the bits of newly known users; the units that held them."""
         at = _ranges(by_user[users], degree[users])
-        np.bitwise_xor.at(key, edge_unit[at], edge_bit[at])
-        return edge_unit[at]
+        units = edge_unit[at]
+        np.bitwise_xor.at(key, units, live[units].astype(key.dtype) << edge_shift[at])
+        return units
 
     def wake(units: np.ndarray) -> np.ndarray:
         unknowns = np.bitwise_count(key[units] >> _SHAPE_BITS)
@@ -692,7 +659,7 @@ def _peel_scalar(
         for i in woken:
             key = unknown[i] << _SHAPE_BITS | shapes[i]
             if key not in table:
-                rules.add([key], pairs=False)
+                rules._add_slot_rules([key])
                 eliminations += 1
             released, spent = entries[table[key]] or rules.entry(key)
             visits += 1
@@ -742,9 +709,8 @@ def batched_bp(
     """
     rules = RuleTable() if rules is None else rules
     peel = _peel if len(frame.batch_users) > _SCALAR_ROWS else _peel_scalar
-    shape_id = _batch_shape_ids(frame, rules, peel is _peel and frame.column_masks.dtype != object)
     return peel(
-        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, shape_id, rules,
+        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, _batch_shape_ids(frame, rules), rules,
         preknown, max_iters, counter=False,
     )
 
@@ -766,14 +732,13 @@ def ordinary_bp(
     invertible Bloom lookup tables.  `rules` is as for `batched_bp`.
     """
     rules = RuleTable() if rules is None else rules
-    sizes = frame.member_ptr[1:] - frame.member_ptr[:-1]
-    top = int(sizes.max()) if len(sizes) else 0
-    shape_id = rules.shape_ids((n, ((1 << n) - 1,)) for n in range(top + 1))[sizes]
-    del sizes  # not held during the peel
+    sizes = np.diff(frame.member_ptr)
+    ids = rules.shape_ids((n, ((1 << n) - 1,)) for n in range(int(sizes.max(initial=0)) + 1))
+    del sizes  # the peel holds neither the sizes nor the shape ids
     peel = _peel if len(frame.members) > _SCALAR_ROWS else _peel_scalar
     return peel(
-        frame, frame.member_ptr, frame.members, np.arange(len(shape_id) + 1), shape_id, rules,
-        preknown, max_iters, counter=True,
+        frame, frame.member_ptr, frame.members, np.arange(len(frame.member_ptr)), ids[np.diff(frame.member_ptr)],
+        rules, preknown, max_iters, counter=True,
     )
 
 

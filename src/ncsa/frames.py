@@ -317,6 +317,22 @@ def stable_order(values: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
+def first_seen(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """For values in [0, bound) of an int64 or object array: the first
+    position of each distinct value, in order of first appearance, and each
+    entry's index among them.  Grouped by one `stable_order`, so each
+    group's first position is its first entry."""
+    order = stable_order(values, bound)
+    ordered = values[order]
+    opens = np.ones(len(values), bool)
+    opens[1:] = ordered[1:] != ordered[:-1]
+    first = order[opens]
+    by_first = first.argsort()
+    index = np.empty(len(values), np.int64)
+    index[order] = by_first.argsort()[opens.cumsum() - 1]  # argsort inverts the permutation
+    return first[by_first], index
+
+
 def as_words(rows: np.ndarray) -> np.ndarray:
     """A C-contiguous 2-D uint8 array viewed as the widest unsigned words
     that divide its row length, without a copy."""
@@ -533,13 +549,11 @@ def _members(batch_ptr, batch_users, column_ptr, column_masks) -> tuple[np.ndarr
     it among the batch users.
     """
     width = (int(column_masks.max(initial=0)).bit_length() + 7) // 8
+    count = np.bitwise_count(column_masks).astype(np.int64)
     if column_masks.dtype == object:
-        masks = column_masks.tolist()
-        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
-        count = np.fromiter((m.bit_count() for m in masks), np.int64, len(masks))
+        raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in column_masks.tolist()), np.uint8)
     else:
         raw = column_masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[:, :width]
-        count = np.bitwise_count(column_masks).astype(np.int64)
     # the outputs first, below the temporaries in the heap
     member_ptr = offsets(count)
     members = np.empty(int(member_ptr[-1]), np.int64)

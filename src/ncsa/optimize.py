@@ -75,6 +75,16 @@ class OptimizationResult:
     _first_round: LPResult | None = field(default=None, repr=False, compare=False)
 
 
+def _check_design(eps: float = 1e-3, eta: float = 0.99, max_degree: int = 30, grid_points: int = 100) -> None:
+    """Raise ValueError unless `optimize`'s design keywords are valid."""
+    if not 0 < eta <= 1:
+        raise ValueError("eta must lie in (0, 1]")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+    if max_degree < 1 or grid_points < 1:
+        raise ValueError("max_degree and grid_points must be positive")
+
+
 def optimize(
     lam: float,
     model: PncModel,
@@ -101,12 +111,7 @@ def optimize(
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"offered load must be a positive finite number, got {lam!r}")
-    if not 0 < eta <= 1:
-        raise ValueError("eta must lie in (0, 1]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if max_degree < 1 or grid_points < 1:
-        raise ValueError("max_degree and grid_points must be positive")
+    _check_design(eps, eta, max_degree, grid_points)
 
     mix = PoissonMixture(lam, model)
     degrees = np.arange(1, max_degree + 1)
@@ -206,10 +211,11 @@ def sweep(lams: Sequence[float], model: PncModel, **design) -> list[SweepPoint]:
     """Optimize across a load grid; per-point failures are recorded, not raised.
 
     `design` holds `optimize`'s keywords (eps, eta, max_degree, grid_points)
-    and is passed on unchanged, so the defaults are `optimize`'s.  Each
-    load's first LP round starts from the last first round that reached an
-    optimum.
+    and is passed on unchanged, so the defaults are `optimize`'s; a bad
+    design raises ValueError before any load is solved.  Each load's first
+    LP round starts from the last first round that reached an optimum.
     """
+    _check_design(**design)
     points, start = [], None
     for lam in lams:
         try:

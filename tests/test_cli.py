@@ -484,7 +484,7 @@ def test_config_values_of_each_accepted_json_type(tmp_path):
     assert read_csv(str(tmp_path / "e.csv"))[0]["iters"] == "5"
 
 
-def test_exit_codes_for_bad_input(tmp_path):
+def test_exit_codes_for_bad_input(tmp_path, capsys):
     # probabilities must sum to one
     code, _ = run(tmp_path, "evolve", "--dist", "2:1.5", "--lam", "1", "--cap", "3")
     assert code == 2
@@ -494,6 +494,32 @@ def test_exit_codes_for_bad_input(tmp_path):
     # optimizer needs a load
     code, _ = run(tmp_path, "optimize", "--cap", "4")
     assert code == 2
+    capsys.readouterr()
+    # an iteration count below one, whichever decoders run
+    for decoder in ("batched", "ordinary", "oracle", "all"):
+        for max_iters in ("0", "-3"):
+            code, out = run(tmp_path, "simulate", "--users", "20", "--slots", "20", "--dist", "2:1", "--cap", "4",
+                            "--decoder", decoder, "--max-iters", max_iters)
+            assert code == 2 and not out.exists()
+            assert capsys.readouterr().err == f"error: --max-iters must be positive, got {max_iters}\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        (["optimize", "--lam", "2", "--eps", "nan"], "eps must be a positive finite number, got nan"),
+        (["optimize", "--lam", "2", "--eps", "inf"], "eps must be a positive finite number, got inf"),
+        (["sweep", "--lam-grid", "1,2", "--eps", "nan"], "eps must be a positive finite number, got nan"),
+        (["sweep", "--lam-grid", "1,2", "--eta", "nan"], "eta must lie in (0, 1]"),
+        (["sweep", "--lam-grid", "1,2", "--grid", "0"], "max_degree and grid_points must be positive"),
+    ],
+)
+def test_a_bad_design_exits_2_with_one_line(tmp_path, capsys, argv, named):
+    # a sweep checks its design once, before any load, and writes no CSV
+    code, out = run(tmp_path, *argv, "--cap", "4")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [f"error: {named}"]
 
 
 @pytest.mark.parametrize("rate", ["0", "-1", "nan"])

@@ -723,13 +723,14 @@ def test_a_peel_pass_probes_the_rule_table_once_per_distinct_key(peel, monkeypat
     assert rules._rules.probes == sum(distinct) < report.visits
 
 
-def reference_add(rules, keys, pairs):
+def reference_add(rules, keys):
     """`RuleTable.add` key by key: each key's shape is read from the named
-    tuples, the keys of at most two columns are evaluated by `_pair_rules`
-    over a table built one key at a time and numbered first, the others by
-    `_slot_rule`."""
+    tuples, the keys of at most two columns of an int64 array are evaluated
+    by `_pair_rules` over a table built one key at a time and numbered
+    first, the others by `_slot_rule`."""
     mask = ncsa.decoders._SHAPE_MASK
-    wide = [not pairs or len(rules._named[key & mask][1]) > 2 for key in keys]
+    keys, ints = keys.tolist(), keys.dtype == np.int64
+    wide = [not ints or len(rules._named[key & mask][1]) > 2 for key in keys]
     narrow = [key for key, w in zip(keys, wide) if not w]
     if narrow:
         shapes = (rules._named[key & mask] for key in narrow)
@@ -742,14 +743,14 @@ def reference_add(rules, keys, pairs):
     rules._add_slot_rules([key for key, w in zip(keys, wide) if w])
 
 
-def reference_lookup(rules, keys, pairs):
+def reference_lookup(rules, keys):
     """`RuleTable.lookup` one key at a time: the keys not held are added in
     order of first appearance (`reference_add`), then every key is read
     from the table."""
     found = rules._rules
-    new = [key for key in dict.fromkeys(keys) if key not in found]
-    reference_add(rules, new, pairs)
-    return [found[key] for key in keys], len(new)
+    new = [key for key in dict.fromkeys(keys.tolist()) if key not in found]
+    reference_add(rules, np.array(new, keys.dtype))
+    return [found[key] for key in keys.tolist()], len(new)
 
 
 def assert_lookups_match_the_reference(shapes, batches, dtype):
@@ -762,7 +763,7 @@ def assert_lookups_match_the_reference(shapes, batches, dtype):
     reference.shape_ids(shapes)
     for keys in batches:
         ids, new = grouped.lookup(np.array(keys, dtype))
-        assert (ids.tolist(), new) == reference_lookup(reference, keys, dtype != object)
+        assert (ids.tolist(), new) == reference_lookup(reference, np.array(keys, dtype))
     assert grouped._rules == reference._rules and grouped.entries == reference.entries
     assert np.array_equal(grouped.rule[:len(grouped)], reference.rule[:len(reference)])
     assert np.array_equal(grouped.term[:grouped._terms], reference.term[:reference._terms])
@@ -861,6 +862,22 @@ def test_stable_order_is_a_stable_argsort(bound):
         assert got.tolist() == values.argsort(kind="stable").tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_first_seen_matches_the_first_appearance_reference(dtype):
+    # empty, all equal, few distinct values and distinct values; object
+    # arrays hold Python ints past int64
+    rng = np.random.default_rng(5)
+    top = 1 << 70 if dtype is object else 1 << 40
+    cases = [[], [7], [3] * 9, [2, 2, 1, 2, 0, 1], rng.integers(0, 6, 500).tolist(),
+             rng.integers(0, 1 << 40, 300).tolist(), [top - 1, 0, top - 1, 1 << 33, 0]]
+    for values in cases:
+        # bounds at or below 2**16 and 2**32 take the radix sorts
+        first, index = ncsa.frames.first_seen(np.array(values, dtype), max(values, default=0) + 1)
+        distinct = list(dict.fromkeys(values))
+        assert first.tolist() == [values.index(v) for v in distinct]
+        assert index.tolist() == [distinct.index(v) for v in values]
+
+
 @pytest.mark.parametrize("payload_len", [0, 1, 2, 32])
 def test_row_scatter_equals_the_2d_scatter(payload_len):
     # 200 writes into 40 rows repeat destinations: the last write wins in both
@@ -906,15 +923,15 @@ def reference_shape_row(rows, masks):
 
 
 def test_packed_batch_shape_ids_match_the_lexsort_reference():
-    # one pair of tables over every int64 case, so shapes named by earlier
-    # frames are found again; the cap-30 frame's shapes do not fit one
-    # packed word and take the tuple path
+    # one pair of tables over every case with int64 masks, so shapes named
+    # by earlier frames are found again; the cap-30 frame's shapes need more
+    # than 63 bits and are packed as Python ints
     packed, reference = RuleTable(), RuleTable()
     for name in DIFFERENTIAL_CASES:
         _, frame = differential_frame(name)
         if frame.column_masks.dtype == object:
-            continue  # such frames are named as tuples
-        got = ncsa.decoders._batch_shape_ids(frame, packed, True)
+            continue  # the lexsort table holds int64 masks only
+        got = ncsa.decoders._batch_shape_ids(frame, packed)
         assert got.tolist() == reference_batch_shape_ids(frame, reference).tolist(), name
     assert list(packed.shapes.items()) == list(reference.shapes.items())
     assert packed._named == reference._named
@@ -928,15 +945,26 @@ def test_shape_rows_of_masks_past_int64_hold_zero():
     assert rules._shape[:5].tolist() == [reference_shape_row(*s) for s in shapes]
 
 
+def reference_tuple_shape_ids(frame, rules):
+    """`_batch_shape_ids` batch by batch, each shape named as a (rows,
+    column masks) tuple in batch order."""
+    column_ptr, masks = frame.column_ptr.tolist(), frame.column_masks.tolist()
+    rows = np.diff(frame.batch_ptr).tolist()
+    return rules.shape_ids((r, tuple(masks[column_ptr[b]:column_ptr[b + 1]])) for b, r in enumerate(rows))
+
+
 def test_batch_shapes_are_named_alike_in_arrays_and_tuples():
+    # the differential cases include shapes packed past 63 bits (cap-30) and
+    # masks past int64 (object-masks)
     stock = [sample_frame(SystemConfig(
         users=2_000, slots=1_500, dist=DegreeDistribution({1: 0.2, 3: 0.5, 6: 0.3}), model=PncModel.example(10),
         seed=seed,
     )) for seed in range(3)]
+    differential = [differential_frame(name)[1] for name in DIFFERENTIAL_CASES]
     arrays, tuples = RuleTable(), RuleTable()
-    for frame in [*stock, *wide_frames(2)]:
-        got = ncsa.decoders._batch_shape_ids(frame, arrays, True)
-        assert got.tolist() == ncsa.decoders._batch_shape_ids(frame, tuples, False).tolist()
+    for frame in [*stock, *wide_frames(2), *differential]:
+        got = ncsa.decoders._batch_shape_ids(frame, arrays)
+        assert got.tolist() == reference_tuple_shape_ids(frame, tuples).tolist()
     assert arrays.shapes == tuples.shapes
 
 

@@ -180,8 +180,9 @@ def test_validation():
         optimize(1.0, MODEL, eta=0.0)
     with pytest.raises(ValueError):
         optimize(1.0, MODEL, eta=1.2)
-    with pytest.raises(ValueError):
-        optimize(1.0, MODEL, eps=0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            optimize(1.0, MODEL, eps=eps)
 
 
 def test_verification_grid_is_finer_than_design_grid():
