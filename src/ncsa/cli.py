@@ -32,7 +32,7 @@ import numpy as np
 from .decoders import FrameInconsistencyError, RuleTable, batched_bp, ge_oracle, ordinary_bp
 from .evolution import InvariantError, evolve, rate_upper_bound
 from .frames import DegreeDistribution, SystemConfig, sample_frame
-from .optimize import optimize, sweep
+from .optimize import DESIGN_DEFAULTS, optimize, sweep
 from .pnc import PncModel, gamma_closed_form, gamma_k_enum
 from .svg import render_line_chart
 
@@ -122,10 +122,10 @@ def _model_label(cfg: dict, model: PncModel) -> str:
 def _design(cfg: dict) -> dict:
     """`optimize`'s design keywords from the merged options, with its defaults."""
     return {
-        "eps": float(cfg.get("eps", 1e-3)),
-        "eta": float(cfg.get("eta", 0.99)),
-        "max_degree": int(cfg.get("max_degree", 30)),
-        "grid_points": int(cfg.get("grid", 100)),
+        "eps": float(cfg.get("eps", DESIGN_DEFAULTS["eps"])),
+        "eta": float(cfg.get("eta", DESIGN_DEFAULTS["eta"])),
+        "max_degree": int(cfg.get("max_degree", DESIGN_DEFAULTS["max_degree"])),
+        "grid_points": int(cfg.get("grid", DESIGN_DEFAULTS["grid_points"])),
     }
 
 

@@ -1,43 +1,36 @@
-"""A small dense two-phase simplex for the degree-design LP.
+"""A small dense simplex for the degree-design LP.
 
 `linprog` solves
 
     maximize c.w   subject to   A w <= b,   sum(w) = 1,   w >= 0
 
-with one slack per inequality.  Phase 1 starts from the slack basis, with
-an artificial variable in place of the slack in every row with b < 0 and
-one for the equality row, and minimizes the artificials' sum; a positive
-minimum means the program is infeasible.  Phase 2 maximizes c.w from the
-feasible basis it leaves.
+with one slack per inequality, by one path: it rebuilds the tableau at a
+basis and pivots from there.  The basis is an earlier optimum (`start`)
+of a program with the same objective and at most as many rows, such as
+the last round of a cutting-plane loop (Kelley, J. SIAM 1960) or the same
+grid at another load.  Without one, or when it is singular for the new
+rows or the solve from it fails, it is the slack basis: every row's slack
+basic, the first weight carrying sum(w) = 1.  Rows past the basis's own keep their slacks basic, so only
+the binding rows and the equality row are solved for the basic weights.
+
+Negative reduced costs are raised to zero (cost shifting), which makes
+the basis dual feasible; for the design LP, whose first weight costs the
+most, the slack basis is dual feasible already.  Dual-simplex pivots
+(Lemke, Naval Res. Logist. Q. 1954) then take it to primal feasibility:
+the row of most negative right-hand side leaves, and the least ratio of
+reduced cost to the row's entry enters.  A negative row with no entry to
+enter proves the program infeasible.  Shifted costs are priced back to
+the true ones, and a primal pass finishes: the column of most negative
+reduced cost enters (Dantzig's rule), the row of least ratio leaves.
+From the slack basis this is the cost-shifting dual phase 1 (Koberstein
+and Suhl, Comput. Optim. Appl. 2007).  Ties go to the lowest variable
+index, and after `DEGENERATE_RUN` pivots in a row that leave the
+objective where it was, both passes choose as Bland's rule does (Bland,
+Math. Oper. Res. 1977) until a pivot moves it again, which rules out
+cycling.  `MAX_PIVOTS` bounds the pivots of each solve.
 
 The tableau is condensed: one row per basic variable and one column per
-nonbasic one, so a pivot updates about len(b) x len(c) entries, not the
-identity block of the slacks as well.  Each phase enters the column of most
-negative reduced cost (Dantzig's rule) and leaves the row of least ratio,
-ties going to the lowest variable index.  After `DEGENERATE_RUN` pivots in
-a row that leave the vertex where it was, both choices follow Bland's rule
-(lowest eligible index; Bland, Math. Oper. Res. 1977) until a pivot moves
-the vertex again, which rules out cycling.
-
-A solve can start from an earlier optimum (`start`) of a program with the
-same objective and at most as many rows, such as the last round of a
-cutting-plane loop (Kelley, J. SIAM 1960), which appends rows, or the
-same grid at another load, which changes the coefficients.  The tableau is
-rebuilt at the start's basis, each row past the start's with its slack
-basic: only the binding rows and the equality row are solved for the basic
-weights.  A primal feasible basis goes straight to the primal pass.
-Otherwise negative reduced costs are raised to zero (cost shifting), which
-makes the basis dual feasible, and dual-simplex pivots (Lemke, Naval Res.
-Logist. Q. 1954) take it to primal feasibility: the row of most negative
-right-hand side leaves, and the least ratio of reduced cost to the row's
-entry enters, ties going to the lowest variable index.  After
-`DEGENERATE_RUN` pivots in a row that leave the objective where it was,
-the leaving row is the negative one of lowest variable index, as in
-Bland's rule.  Shifted costs are then priced back to the true ones, and a
-primal pass finishes.  A singular basis is not used, and a warm solve that
-fails is repeated cold, so a failure always reports the cold solve's
-message.  `MAX_PIVOTS` bounds the pivots of each attempt, so it ends any
-cycle.
+nonbasic one, so a pivot updates about len(b) x len(c) entries.
 """
 from __future__ import annotations
 
@@ -45,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# One solve attempt takes at most this many pivots: both phases, or a warm
-# start's dual and primal pivots.
+# One solve from a basis takes at most this many pivots, dual and primal.
 MAX_PIVOTS = 5000
 # Bland's rule takes over after this many degenerate pivots in a row.
 DEGENERATE_RUN = 10
@@ -59,14 +51,16 @@ class LPResult:
     success: bool
     message: str
     x: np.ndarray | None = None
-    # every pivot of the call, a failed warm attempt's as well
+    # every pivot of the call, a failed solve from `start`'s as well
     pivots: int = 0
-    # the optimal basis and the program's objective and size, for a later warm start
+    # the optimal basis and the program's objective and size, a later `start`
     _optimum: _Optimum | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class _Optimum:
+    """A basis to solve from: an optimum, or the slack basis, whose `rows` is 0."""
+
     c: np.ndarray
     rows: int
     basis: np.ndarray
@@ -121,93 +115,39 @@ def linprog(c, A_ub, b_ub, start: LPResult | None = None) -> LPResult:
     """Maximize c.w over w >= 0 with sum(w) = 1 and A_ub w <= b_ub.
 
     When `start` is an optimum of a program with the same `c` and at most
-    as many rows, the solve starts from its basis (see the module
-    docstring); any other `start` is ignored and the solve is cold.  A
-    failed result names its cause in `message`, the cold solve's:
-    "infeasible" with the sum that phase 1 could not drive to zero, or the
-    pivot limit.
+    as many rows, the solve first starts from its basis; otherwise, or when
+    that try fails, it starts from the slack basis (see the module
+    docstring).  A failed result names its cause in `message`, the slack
+    basis try's: the pivot limit, or "infeasible" with the variable that no
+    pivot can make nonnegative.  As in `ncsa.optimize`, weight j is the
+    degree-(j+1) weight and row i of `A_ub` a grid row.
     """
     c = np.array(c, dtype=float)
     a = np.array(A_ub, dtype=float)
     b = np.array(b_ub, dtype=float)
     m, n = a.shape
-    prior = start._optimum if start is not None else None
-    lp = prior.rebase(c, a, b) if prior is not None else None
+    cost = np.append(-c, np.zeros(m))  # minimizing -c.w; the slacks cost nothing
     spent = 0
-    if lp is not None:
+    slack_basis = _Optimum(c, 0, np.array([0]), np.arange(1, n))
+    for prior in (start._optimum if start is not None else None, slack_basis):
+        lp = prior.rebase(c, a, b) if prior is not None else None
+        if lp is None:
+            continue
         try:
-            lp.warm(_costs(c, n + m))
-            return _optimal(c, a, lp, lp.pivots)
-        except _Stop:
-            spent = lp.pivots
-    lp = _phase_one(a, b)
-    try:
-        lp.run()
-        unmet = -lp.tab[-1, -1]
-        if unmet > TOL:
-            return LPResult(False, f"infeasible: phase 1 leaves {unmet:.3g} unmet "
-                                   f"after {lp.pivots} pivots", pivots=spent + lp.pivots)
-        _phase_two(lp, c, n + m)
-        lp.run()
-    except _Stop as stop:
-        return LPResult(False, str(stop), pivots=spent + lp.pivots)
-    return _optimal(c, a, lp, spent + lp.pivots)
-
-
-def _optimal(c: np.ndarray, a: np.ndarray, lp: _Tableau, pivots: int) -> LPResult:
-    m, n = a.shape
-    point = np.zeros(n + m)
-    point[lp.basis] = lp.tab[:-1, -1]
-    return LPResult(True, f"optimal after {pivots} pivots", point[:n], pivots,
-                    _Optimum(c, m, lp.basis, lp.nonbasic))
-
-
-def _costs(c: np.ndarray, variables: int) -> np.ndarray:
-    """The cost of each of the first `variables` variables when minimizing
-    -c.w: -c on the weights, zero on the slacks."""
-    cost = np.zeros(variables)
-    cost[:len(c)] = -c
-    return cost
-
-
-def _phase_one(a: np.ndarray, b: np.ndarray) -> _Tableau:
-    """The starting tableau, whose cost row is the artificials' sum."""
-    m, n = a.shape
-    neg = np.flatnonzero(b < 0)
-    sign = np.ones(m)
-    sign[neg] = -1.0
-    # Variables: weights 0..n-1, slacks n..n+m-1, artificials from n+m on.
-    # Rows with b < 0 are negated, and their slacks start nonbasic next to
-    # the weights, entering with -1.
-    nonbasic = np.append(np.arange(n), n + neg)
-    art = np.append(neg, m)
-    tab = np.zeros((m + 2, len(nonbasic) + 1))  # the equality row, then the cost row
-    tab[:m, :n] = a * sign[:, None]
-    tab[neg, n + np.arange(len(neg))] = -1.0
-    tab[m, :n] = 1.0
-    tab[:m, -1] = b * sign
-    tab[m, -1] = 1.0
-    tab[-1] = -tab[art].sum(axis=0)
-    basis = np.append(n + np.arange(m), 0)
-    basis[art] = n + m + np.arange(len(art))
-    return _Tableau(tab, basis, nonbasic)
-
-
-def _phase_two(lp: _Tableau, c: np.ndarray, artificial: int) -> None:
-    """Drop phase 1's artificials, the variables from `artificial` on, and
-    price the basis at -c."""
-    # An artificial still basic sits at zero.  Every inequality has its
-    # own slack, so the rows have full rank and its row has a nonzero
-    # entry outside the artificials' columns: pivot it out there.
-    for r in np.flatnonzero(lp.basis >= artificial):
-        lp.pivot(r, int(np.where(lp.nonbasic < artificial, np.abs(lp.tab[r, :-1]), 0.0).argmax()))
-    cols = np.append(lp.nonbasic < artificial, True)
-    lp.tab, lp.nonbasic = lp.tab[:, cols], lp.nonbasic[cols[:-1]]
-    lp.price(_costs(c, artificial))
+            lp.warm(cost)
+        except _Stop as stop:
+            spent, failure = spent + lp.pivots, str(stop)
+            continue
+        spent += lp.pivots
+        point = np.zeros(n + m)
+        point[lp.basis] = lp.tab[:-1, -1]
+        return LPResult(True, f"optimal after {spent} pivots", point[:n], spent,
+                        _Optimum(c, m, lp.basis, lp.nonbasic))
+    return LPResult(False, failure, pivots=spent)
 
 
 class _Stop(Exception):
-    """A phase ended without an optimum; the message says why."""
+    """A solve ended without an optimum; the message says why."""
 
 
 class _Tableau:
@@ -298,8 +238,11 @@ class _Tableau:
             row = tab[r, :-1]
             eligible = (row < -TOL).nonzero()[0]
             if not len(eligible):
-                raise _Stop(f"infeasible: no pivot makes variable {self.basis[r]} nonnegative "
-                            f"after {self.pivots} pivots")
+                # n + m variables, m + 1 basic: n - 1 nonbasic columns and b, one per weight
+                v, weights = self.basis[r], tab.shape[1]
+                unmet = (f"the constraints force the degree-{v + 1} weight below zero" if v < weights
+                         else f"grid row {v - weights} cannot be met with the others")
+                raise _Stop(f"infeasible: {unmet} (found after {self.pivots} pivots)")
             ratios = tab[-1, eligible] / -row[eligible]
             least = ratios.min()
             ties = eligible[ratios <= least + TOL]

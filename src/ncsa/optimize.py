@@ -16,8 +16,10 @@ w_i/i.  The open left endpoint contributes no row: P(0) >= e^(-lam) > 0,
 so the x -> 0 limit of the constraint holds strictly for every w.
 
 The program is small (max_degree weights, one equality, a row per grid
-point), so `ncsa.lp.linprog`, a dense two-phase simplex in numpy, solves it.
-Its point is an optimal vertex up to rounding, with no feasibility tolerance.
+point), so `ncsa.lp.linprog`, a dense simplex in numpy, solves it from the
+slack basis or from an earlier optimum.  Its point is an optimal vertex up
+to rounding, with no feasibility tolerance, and an infeasible status names
+the degree weight or grid row that no pivot can make nonnegative.
 
 Grid feasibility is necessary but not sufficient for the continuum, so a
 solution is re-verified a posteriori on a 10x finer grid, and a local
@@ -75,7 +77,12 @@ class OptimizationResult:
     _first_round: LPResult | None = field(default=None, repr=False, compare=False)
 
 
-def _check_design(eps: float = 1e-3, eta: float = 0.99, max_degree: int = 30, grid_points: int = 100) -> None:
+# `optimize`'s design keywords and their defaults, which `sweep` and the
+# CLI take from here as well
+DESIGN_DEFAULTS = {"eps": 1e-3, "eta": 0.99, "max_degree": 30, "grid_points": 100}
+
+
+def _check_design(eps: float, eta: float, max_degree: int, grid_points: int) -> None:
     """Raise ValueError unless `optimize`'s design keywords are valid."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
@@ -88,10 +95,10 @@ def _check_design(eps: float = 1e-3, eta: float = 0.99, max_degree: int = 30, gr
 def optimize(
     lam: float,
     model: PncModel,
-    eps: float = 1e-3,
-    eta: float = 0.99,
-    max_degree: int = 30,
-    grid_points: int = 100,
+    eps: float = DESIGN_DEFAULTS["eps"],
+    eta: float = DESIGN_DEFAULTS["eta"],
+    max_degree: int = DESIGN_DEFAULTS["max_degree"],
+    grid_points: int = DESIGN_DEFAULTS["grid_points"],
     *,
     start: LPResult | None = None,
 ) -> OptimizationResult:
@@ -210,11 +217,12 @@ class SweepPoint:
 def sweep(lams: Sequence[float], model: PncModel, **design) -> list[SweepPoint]:
     """Optimize across a load grid; per-point failures are recorded, not raised.
 
-    `design` holds `optimize`'s keywords (eps, eta, max_degree, grid_points)
-    and is passed on unchanged, so the defaults are `optimize`'s; a bad
-    design raises ValueError before any load is solved.  Each load's first
-    LP round starts from the last first round that reached an optimum.
+    `design` holds `optimize`'s keywords (eps, eta, max_degree, grid_points);
+    those it leaves out take `DESIGN_DEFAULTS`.  A bad design raises
+    ValueError before any load is solved.  Each load's first LP round starts
+    from the last first round that reached an optimum.
     """
+    design = {**DESIGN_DEFAULTS, **design}
     _check_design(**design)
     points, start = [], None
     for lam in lams:

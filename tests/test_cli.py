@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import ncsa
+import ncsa.optimize as optimize_module
 from ncsa.cli import _build_parser, main, read_csv
 from ncsa.frames import DegreeDistribution, sample_frame
-from ncsa.pnc import family_size
+from ncsa.pnc import PncModel, family_size
 from ncsa.svg import render_line_chart
 
 
@@ -135,9 +137,9 @@ GAMMA_TEST_MODEL = {
         ),
         (
             ["optimize", "--lam", "1.0", "--cap", "10"],
-            "f00ab6ef064ecaf877652fb6afee4a720061a33cfe4ef92a732fa6444a84d9a2",
+            "0d810d373da73ab1179a97178351e33f53dd3f261f874ab45d681079ca76b20b",
         ),
-        (["sweep", "--cap", "10"], "835d55fb52c701e624b31a507e031d297ec31ca63588014fc42160a61e2738c8"),
+        (["sweep", "--cap", "10"], "1377677cde1eaa3647558ce43483a823de819e8b802bd02ac5a8dfbc357ac528"),
     ],
     ids=["evolve-stock", "gamma-stock", "gamma-custom", "evolve-custom", "optimize-stock", "sweep-stock"],
 )
@@ -274,7 +276,31 @@ def test_sweep_default_grid(tmp_path):
             assert r["rate"] == ""
     # the LP telemetry, summed over the loads: each load's first round
     # starts from the last load's
-    assert (meta["lp_solves"], meta["lp_pivots"]) == ("60", "93")
+    assert (meta["lp_solves"], meta["lp_pivots"]) == ("60", "95")
+
+
+def test_design_defaults_agree(tmp_path, monkeypatch):
+    # `sweep`'s check, `optimize`'s run and the CLI's metadata all use the
+    # one set of design defaults
+    checked = []
+    check = optimize_module._check_design
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(check).bind(*args, **kwargs)
+        bound.apply_defaults()
+        checked.append(dict(bound.arguments))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(optimize_module, "_check_design", recording)
+    model, defaults = PncModel.example(4), optimize_module.DESIGN_DEFAULTS
+    (point,) = optimize_module.sweep([1.0], model)
+    ran = {key: getattr(optimize_module.optimize(1.0, model), key) for key in defaults}
+    assert checked[0] == {key: getattr(point.result, key) for key in defaults} == ran == defaults
+    for command in (["optimize", "--lam", "1.0"], ["sweep", "--lam-grid", "1"]):
+        code, out = run(tmp_path, *command, "--cap", "4")
+        assert code == 0
+        meta, _, _ = read_csv(str(out))
+        assert {key: type(value)(meta[key]) for key, value in ran.items()} == ran
 
 
 def test_gamma_table(tmp_path):

@@ -94,11 +94,23 @@ def test_full_coverage_is_infeasible():
     assert res.rate is None and res.dist is None and res.rate_star is None
     assert "infeasible" in res.status
     # the last row asks for 1 - P(1)^(i-1) coverage of 1.001: b < 0, so
-    # phase 1 needs an artificial there, and both solvers give up
+    # its slack starts negative, the dual simplex reaches no feasible
+    # basis, and both solvers give up
     ((c, a, b, start, _),) = lps
     assert start is None
     assert b[-1] < 0
     assert reference_linprog(c, a, b).status == 2  # HiGHS: infeasible
+
+
+def test_infeasible_design_names_the_blocking_variable():
+    # the dual simplex stops at a basic variable that no pivot can make
+    # nonnegative; the status names it as the design knows it
+    res = optimize(1.0, MODEL, eta=1.0)
+    assert res.status == "infeasible: the constraints force the degree-3 weight below zero (found after 3 pivots)"
+    assert res.lp_pivots == 3
+    # a row whose slack starts negative with no entry to raise it
+    res = linprog([1.0, 1.0], [[1.0, 1.0]], [-1.0])
+    assert res.message == "infeasible: grid row 0 cannot be met with the others (found after 0 pivots)"
 
 
 def test_tighter_margin_never_raises_the_rate():
@@ -445,8 +457,9 @@ def test_certificate_equals_the_pairwise_loop(recorded_sweeps, cap):
 
 
 def test_simplex_matches_highs_on_small_random_lps():
-    # rows with b < 0 and a sum(w) >= 1 row that duplicates the equality
-    # leave artificials basic at zero after phase 1, which must be pivoted out
+    # rows with b < 0 start with a negative slack, which the dual simplex
+    # must raise, and a sum(w) >= 1 row that duplicates the equality leaves
+    # a degenerate vertex
     rng = np.random.default_rng(5)
     outcomes = set()
     for _ in range(300):
@@ -519,14 +532,16 @@ def test_warm_start_needs_the_earlier_rows():
 def test_warm_restart_matches_highs_on_small_random_lps(monkeypatch):
     # A start's basis rebuilt for a program of its shape with new rows is
     # primal feasible (the primal pass alone), dual feasible only (the dual
-    # simplex), or neither (cost shifting, then both), or singular (a cold
-    # solve).  Each must give HiGHS's answer, and an infeasible program the
-    # cold solve's message.
+    # simplex), or neither (cost shifting, then both), or singular (a solve
+    # from the slack basis).  Each must give HiGHS's answer, and an
+    # infeasible program the message of a solve without a start.
     entries = []
     rebase = lp._Optimum.rebase
 
     def recording(self, c, a, b):
         tab = rebase(self, c, a, b)
+        if self.rows == 0:  # the slack basis, not a prior optimum
+            return tab
         if tab is None:
             entries.append("singular")
         elif tab.tab[:-1, -1].min() >= -lp.TOL:
