@@ -342,7 +342,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     }
     if not result.feasible:
         _write_csv(cfg.get("out"), meta, ["degree", "node_prob", "edge_weight"], [])
-        print(f"infeasible at lam={result.lam:g}: {result.status}", file=sys.stderr)
+        # the status names the cause: "infeasible: …", a pivot limit or an unbounded variable
+        print(f"no design at lam={result.lam:g}: {result.status}", file=sys.stderr)
         return 3
     meta.update(
         rate=result.rate, rate_star=result.rate_star,

@@ -8,9 +8,10 @@ for its collision size and exposes the decoded combinations.
 A frame is a record of CSR arrays (`Frame`): per occupied slot (batch) its
 users and transfer column masks, per output column its member users, and
 the payloads and outputs as ``uint8`` row arrays.  The outputs are encoded
-by `xor_gather`, an XOR-reduce over member payload rows gathered a block
-at a time, so the gathered rows are never held whole.  `Batch` objects and
-``bytes`` payloads are built only when asked for, for tests and demos.
+by `xor_gather`, which groups the output columns by member count and XORs
+each group as whole-row gathers of the member payloads, a block at a time,
+so the gathered rows are never held whole.  `Batch` objects and ``bytes``
+payloads are built only when asked for, for tests and demos.
 
 A frame comes from one `Stream` keyed by the config seed, drawn in numpy
 blocks and always in the same order: every user's degree, every user's
@@ -46,10 +47,11 @@ _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 # `xor_gather` gathers rows of at most this many bytes at a time (4,096
-# rows of 32 bytes).  On a 2-vCPU x86-64 VM, encoding a 20k-user frame took
-# 3.2-3.5 ms with it, 3.3-3.7 ms with 96 KiB, 4.3-4.4 ms with 32 KiB and
-# 4.8 ms unblocked; 512 KiB blocks raised the peak RSS of drawing and
-# peeling that frame by 1 MiB
+# rows of 32 bytes), and the peel reads back its conflicts in blocks of the
+# same size.  On a 2-vCPU x86-64 VM (numpy 2.4), encoding a 20k-user frame
+# took 1.0-1.1 ms with it (fastest of 40 warm calls), about as long with
+# blocks of 64 KiB to 16 MiB and 1.2-1.4 ms with 32 KiB; 512 KiB blocks
+# raised the tracemalloc peak of drawing that frame from 5.3 to 6.1 MiB
 _GATHER_BYTES = 1 << 17
 
 # the end of the non-negative int64 range, 2**63: `sample_frame` sorts
@@ -340,53 +342,38 @@ def as_words(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"u{next(w for w in (8, 4, 2, 1) if width % w == 0)}")
 
 
-def xor_segments(rows: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """XOR of each CSR segment ``rows[ptr[i]:ptr[i + 1]]`` of a C-contiguous
-    2-D uint8 array, one row per segment; an empty segment gives a zero row.
-
-    Rows are XORed as the widest unsigned words that divide their length,
-    which makes the reduction several times faster than byte by byte.
-    Single-row segments are copied, and one `reduceat` runs over the others.
-    """
-    words = as_words(rows)
-    out = np.zeros((len(ptr) - 1, words.shape[1]), dtype=words.dtype)
-    count = ptr[1:] - ptr[:-1]
-    single = (count == 1).nonzero()[0]
-    out[single] = np.take(words, ptr[single], axis=0)
-    many = (count > 1).nonzero()[0]
-    if len(many):
-        # each segment's start and end, so that the rows between two of
-        # them reduce into a row of their own, which is dropped; the last
-        # end is left out when it is the end of `rows`, as reduceat needs
-        bounds = ptr[(many[:, None] + (0, 1)).ravel()]
-        out[many] = np.bitwise_xor.reduceat(words, bounds[:-1] if bounds[-1] == len(words) else bounds, axis=0)[::2]
-    return out.view(np.uint8)
-
-
 def xor_gather(src: np.ndarray, index: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """``xor_segments(np.take(src, index, axis=0), ptr)`` in a bounded
-    working set.
+    """The XOR of the rows ``src[index[ptr[i]:ptr[i + 1]]]`` of a C-contiguous
+    2-D uint8 array, one row per CSR segment; an empty segment gives a zero
+    row.
 
-    The rows of `index` are gathered and reduced in blocks of at most
-    `_GATHER_BYTES`, so the whole gather is never held.  A segment that
-    begins in one block and ends in a later one gets the XOR of its part in
-    each block, so no block needs to end at a segment boundary.
+    The segments are grouped by length.  The segments of length L are XORed
+    as L gathers of whole rows (`np.take` of the `as_words` view), the j-th
+    taking row j of every segment, with at most `_GATHER_BYTES` of rows in
+    a gather, so the whole gather is never held.  Each block's result is
+    written through a ``V{width}`` view, one item per row.  There is one
+    Python step per block and row position, which suits short segments such
+    as a column's members or a released packet's terms.
     """
     width = src.shape[1]
     out = np.zeros((len(ptr) - 1, width), np.uint8)
     if not width:
         return out
-    step, end = max(1, _GATHER_BYTES // width), int(ptr[-1])
-    for start in range(int(ptr[0]), end, step):
-        stop = min(start + step, end)
-        # the segments that hold rows of this block are a through b - 1
-        a = int(np.searchsorted(ptr, start, "right")) - 1
-        b = int(np.searchsorted(ptr, stop, "left"))
-        bounds = ptr[a:b + 1] - start
-        bounds[0], bounds[-1] = 0, stop - start
-        carry = out[a].copy()  # the part of segment a in earlier blocks
-        out[a:b] = xor_segments(np.take(src, index[start:stop], axis=0), bounds)
-        out[a] ^= carry
+    words, rows = as_words(src), out.view(f"V{width}")[:, 0]
+    step = max(1, _GATHER_BYTES // width)
+    count = ptr[1:] - ptr[:-1]
+    lengths = np.bincount(count)
+    count = count.astype(np.min_scalar_type(len(lengths)))  # a byte each, for lengths below 255
+    for length in (lengths[1:].nonzero()[0] + 1).tolist():
+        ids = (count == length).nonzero()[0]
+        for start in range(0, len(ids), step):
+            block = ids[start:start + step]
+            at = ptr[block]  # row j of each segment's rows in `index`, from j = 0
+            acc = np.take(words, np.take(index, at), axis=0)
+            for _ in range(1, length):
+                at += 1
+                acc ^= np.take(words, np.take(index, at), axis=0)
+            rows[block] = acc.view(f"V{width}")[:, 0]
     return out
 
 

@@ -253,7 +253,8 @@ def test_optimize_infeasible_exit_code(tmp_path, capsys):
     code, out = run(tmp_path, "optimize", "--lam", "1.0", "--cap", "10",
                     "--eta", "1.0")
     assert code == 3
-    assert "infeasible" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "no design at lam=1: infeasible: the constraints force the degree-3 weight below zero (found after 3 pivots)\n")
     meta, header, rows = read_csv(str(out))
     assert meta["feasible"] == "false"
     assert meta["lp_solves"] == "1" and int(meta["lp_pivots"]) > 0

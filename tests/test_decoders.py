@@ -513,6 +513,108 @@ def test_conflicting_batches_raise():
                 ordinary_bp(corrupted)
 
 
+def one_and_three_term_conflict_frame():
+    """With users 0 and 1 known, one pass releases user 2 from its own slot
+    (one term: the output) and from the slot it shares with 0 and 1 (three
+    terms), and its own slot's output is wrong; it also releases user 3
+    twice, consistently, and user 4 once."""
+    payloads = [bytes([11 * (u + 1)] * 3) for u in range(5)]
+    frame = frame_from_batches(payloads, [(0, (2,), [[1]]), (1, (0, 1, 2), [[1], [1], [1]]), (2, (3,), [[1]]),
+                                          (3, (3,), [[1]]), (4, (4,), [[1]])])
+    bad = Batch(slot=0, users=(2,), transfer=frame.batches[0].transfer, outputs=(b"zzz",))
+    corrupted = Frame(n_slots=5, payload_len=3, payloads=payloads, batches=(bad, *frame.batches[1:]))
+    return corrupted, {u: payloads[u] for u in (0, 1)}
+
+
+def test_a_user_released_twice_in_one_pass_with_different_terms_raises():
+    frame, pre = one_and_three_term_conflict_frame()
+    for path in PEEL_PATHS:
+        with peel_path(path):
+            for decode in (batched_bp, ordinary_bp):
+                with pytest.raises(FrameInconsistencyError, match="^user 2 resolved to two different payloads$"):
+                    decode(frame, pre)
+
+
+def reference_write_packets(buf, offset, users, value, bound):
+    """The conflict rule `_write_packets` replaced: scatter every packet,
+    read every one back, and name the user of the first entry whose packet
+    differs from the one its row holds after the scatter."""
+    dest = offset + users
+    buf[dest] = value
+    clash = (buf[dest] != value).any(axis=1).nonzero()[0]
+    if len(clash):
+        raise FrameInconsistencyError(f"user {users[clash[0]]} resolved to two different payloads")
+    return np.unique(users)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_write_packets_matches_the_read_back_rule_on_random_entries(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", budget)
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for width in (0, 1, 3, 8):
+        for _ in range(200):
+            bound, offset = int(rng.integers(1, 12)), int(rng.integers(0, 4))
+            users = rng.integers(0, bound, int(rng.integers(0, 16)))
+            # the packets of one user agree, except where a few entries are redrawn
+            packets = rng.integers(0, 256, (bound, width), dtype=np.uint8)
+            value = packets[users]
+            redrawn = rng.random(len(users)) < 0.15
+            value[redrawn] = rng.integers(0, 256, (int(redrawn.sum()), width), dtype=np.uint8)
+            results = []
+            for write in (ncsa.decoders._write_packets, reference_write_packets):
+                buf = rng.integers(0, 256, (offset + bound, width), dtype=np.uint8)
+                try:
+                    results.append(write(buf, offset, users, value, bound).tolist())
+                except FrameInconsistencyError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1]
+            outcomes.add(isinstance(results[0], str))
+    assert outcomes == {True, False}
+
+
+def corrupt_small_frames(count, payload_len):
+    """The `small-frames` frames, each with a few outputs XORed with random
+    nonzero rows."""
+    rng = np.random.default_rng(payload_len)
+    for frame in small_frames(count, payload_len):
+        outputs = frame.outputs.copy()
+        hit = rng.choice(len(outputs), min(len(outputs), int(rng.integers(1, 4))), replace=False)
+        outputs[hit] ^= rng.integers(1, 256, (len(hit), payload_len), dtype=np.uint8)
+        corrupted = Frame.__new__(Frame)
+        corrupted._set(frame.n_slots, frame.payload_len, frame.payload_rows, frame.batch_slot, frame.batch_ptr,
+                       frame.batch_users, frame.column_ptr, frame.column_masks, outputs)
+        yield corrupted
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_corrupt_frames_raise_as_the_read_back_rule_does(monkeypatch, budget):
+    """On corrupt frames, the peel names the same error and user with the
+    repeated-user check as with reading every packet back."""
+    if budget is not None:
+        monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", budget)
+
+    def outcomes(frames):
+        out = []
+        for frame in frames:
+            for decode in (batched_bp, ordinary_bp):
+                try:
+                    report = decode(frame)
+                    out.append((report.recovered, report.per_iteration, report.field_ops))
+                except FrameInconsistencyError as exc:
+                    out.append(str(exc))
+        return out
+
+    frames = [frame for width in (1, 3, 8) for frame in corrupt_small_frames(40, width)]
+    with peel_path("arrays"):
+        got = outcomes(frames)
+        monkeypatch.setattr(ncsa.decoders, "_write_packets", reference_write_packets)
+        want = outcomes(frames)
+    assert got == want
+    assert sum("resolved to two different payloads" in str(o) for o in got) >= 20
+
+
 @pytest.mark.parametrize("corrupted", [cross_pass_corrupted_frame, unused_corrupt_output_frame])
 def test_corruption_found_after_the_peel_raises(corrupted):
     frame = corrupted()

@@ -15,12 +15,12 @@ from ncsa.frames import (
     Frame,
     Stream,
     SystemConfig,
+    as_words,
     global_matrix,
     offsets,
     sample_frame,
     slot_degree_histogram,
     xor_gather,
-    xor_segments,
 )
 from ncsa.gf2 import BitMatrix, combine, mask_dtype, rank
 from ncsa.pnc import PncModel, example_family
@@ -583,7 +583,30 @@ def test_global_matrix_empty_and_column_count():
     assert g.cols == sum(b.transfer.cols for b in frame.batches)
 
 
-# --- segment XOR against a byte-by-byte reference ---------------------------------
+# --- segment XOR: the gather-XOR against the reduceat kernel it replaced and a byte-by-byte reference
+
+
+def xor_segments(rows, ptr):
+    """XOR of each CSR segment ``rows[ptr[i]:ptr[i + 1]]`` of a C-contiguous
+    2-D uint8 array, one row per segment; an empty segment gives a zero row.
+
+    The kernel `xor_gather` ran on each gathered block before it grouped
+    segments by length: single-row segments are copied, and one
+    `np.bitwise_xor.reduceat` over word views runs over the others.
+    """
+    words = as_words(rows)
+    out = np.zeros((len(ptr) - 1, words.shape[1]), dtype=words.dtype)
+    count = ptr[1:] - ptr[:-1]
+    single = (count == 1).nonzero()[0]
+    out[single] = np.take(words, ptr[single], axis=0)
+    many = (count > 1).nonzero()[0]
+    if len(many):
+        # each segment's start and end, so that the rows between two of
+        # them reduce into a row of their own, which is dropped; the last
+        # end is left out when it is the end of `rows`, as reduceat needs
+        bounds = ptr[(many[:, None] + (0, 1)).ravel()]
+        out[many] = np.bitwise_xor.reduceat(words, bounds[:-1] if bounds[-1] == len(words) else bounds, axis=0)[::2]
+    return out.view(np.uint8)
 
 
 def reference_xor_segments(rows, ptr):
@@ -595,6 +618,14 @@ def reference_xor_segments(rows, ptr):
             acc = [a ^ b for a, b in zip(acc, row)]
         out.append(acc)
     return np.array(out, np.uint8).reshape(len(ptr) - 1, rows.shape[1])
+
+
+def assert_gather_matches_the_references(src, index, ptr):
+    got = xor_gather(src, index, ptr)
+    gathered = np.take(src, index, axis=0)
+    assert got.dtype == np.uint8 and got.shape == (len(ptr) - 1, src.shape[1])
+    assert got.tobytes() == xor_segments(gathered, ptr).tobytes()
+    assert got.tolist() == reference_xor_segments(gathered, ptr).tolist()
 
 
 @pytest.mark.parametrize("width", [0, 1, 2, 3, 5, 8, 12, 32])
@@ -635,34 +666,47 @@ def test_xor_segments_matches_a_byte_by_byte_reference(counts, width):
         [1, 3, 2, 1, 0, 5, 1],
         # segments longer than a block, between empty and single-row ones
         [0, 17, 0, 1, 9, 0],
+        # every length from 0 to 12, in two orders
+        list(range(13)),
+        [12, 0, 7, 3, 11, 1, 9, 5, 2, 10, 4, 8, 6],
+        # length groups of more segments than a block holds, interleaved
+        [2, 3] * 9 + [1] * 8,
+        # lengths past a byte's range
+        [255, 1, 256],
     ],
 )
 def test_xor_gather_equals_xor_segments_of_the_gather(monkeypatch, counts, width, block_rows):
-    """Any block size gives the unblocked result: segments that straddle
-    blocks, empty, single-row and longer than a block, each word width."""
+    """Any block size, one row included, gives the unblocked result: empty,
+    single-row and longer-than-a-block segments, length groups split across
+    blocks, each word width and zero-width rows."""
     if block_rows is not None:
         monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", block_rows * width)
     rng = np.random.default_rng(len(counts) * 100 + width)
     ptr = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)]).astype(np.int64)
     src = rng.integers(0, 256, (11, width), dtype=np.uint8)
-    index = rng.integers(0, len(src), int(ptr[-1]))
-    got = xor_gather(src, index, ptr)
-    want = xor_segments(np.take(src, index, axis=0), ptr)
-    assert got.dtype == np.uint8 and got.shape == (len(counts), width)
-    assert got.tobytes() == want.tobytes()
+    assert_gather_matches_the_references(src, rng.integers(0, len(src), int(ptr[-1])), ptr)
 
 
 def test_xor_gather_equals_xor_segments_of_the_gather_on_random_segments(monkeypatch):
     rng = np.random.default_rng(6)
-    for width in (1, 2, 4, 6, 8, 16):
+    for width in (0, 1, 2, 4, 6, 8, 16):
         for _ in range(30):
             monkeypatch.setattr(ncsa.frames, "_GATHER_BYTES", int(rng.integers(1, 40)) * width)
             counts = rng.choice([0, 1, 1, 1, 2, 3, 7, 50], size=rng.integers(1, 40))
             ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
             src = rng.integers(0, 256, (int(rng.integers(1, 30)), width), dtype=np.uint8)
-            index = rng.integers(0, len(src), int(ptr[-1]))
-            want = xor_segments(np.take(src, index, axis=0), ptr)
-            assert xor_gather(src, index, ptr).tobytes() == want.tobytes()
+            assert_gather_matches_the_references(src, rng.integers(0, len(src), int(ptr[-1])), ptr)
+
+
+def test_xor_gather_reads_segments_from_any_offset():
+    # CSR offsets that start past 0 and skip rows of `index`, as a slice of a larger CSR does
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 256, (9, 8), dtype=np.uint8)
+    index = rng.integers(0, 9, 30)
+    ptr = np.array([4, 4, 6, 7, 12, 15])
+    want = [reference_xor_segments(np.take(src, index[a:b], axis=0), [0, b - a])[0].tolist()
+            for a, b in zip(ptr[:-1], ptr[1:])]
+    assert xor_gather(src, index, ptr).tolist() == want
 
 
 def test_a_tiny_gather_block_draws_the_same_frames(monkeypatch):

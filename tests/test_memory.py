@@ -4,7 +4,10 @@ tracemalloc peaks of `sample_frame`, `batched_bp` and `ordinary_bp` on the
 benchmark's 20k-user frame (rate 0.5, degree 3, cap 10, seed 31), each the
 peak above the memory held when the phase starts.  The decodes share one
 rule table, as `simulate` does.  Before the blocked gather (`xor_gather`)
-and the early frees, the three peaks were 12.7, 12.9 and 14.3 MiB.
+and the early frees, the three peaks were 12.7, 12.9 and 14.3 MiB.  With
+the `reduceat` kernel and a full read-back of each pass's packets they
+were 5.11, 6.89 and 7.45 MiB; the length-grouped gather and the
+repeated-user check read 5.32, 6.94 and 7.51 MiB.
 """
 import tracemalloc
 
@@ -13,7 +16,7 @@ from ncsa.frames import DegreeDistribution, SystemConfig, sample_frame
 from ncsa.pnc import PncModel
 
 # MiB, measured with numpy 2.4 on x86-64 Linux; a phase may grow to 1.25 times its value
-PEAK_MIB = {"sample_frame": 5.77, "batched_bp": 8.01, "ordinary_bp": 9.27}
+PEAK_MIB = {"sample_frame": 5.33, "batched_bp": 6.95, "ordinary_bp": 7.51}
 HEADROOM = 1.25
 
 
