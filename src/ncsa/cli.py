@@ -23,9 +23,20 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Iterable, Sequence
+
+# Load OpenBLAS with one thread unless the caller chose a count.  Its
+# default pool starts a worker per core when numpy loads, about 60 ms of a
+# CLI spawn on a 2-vCPU machine whenever a worker shares a core with the
+# main thread (`import numpy` 102-123 ms against 53-63 ms), and no command
+# can use it: the largest BLAS calls, the LP's solves of at most 31x31 and
+# products of about 200x31, are below OpenBLAS's own thresholds for
+# threading.  Set here, before the first numpy import, so a library import
+# such as `ncsa.frames` leaves BLAS threading alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -34,7 +45,6 @@ from .evolution import InvariantError, evolve, rate_upper_bound
 from .frames import DegreeDistribution, SystemConfig, sample_frame
 from .optimize import DESIGN_DEFAULTS, optimize, sweep
 from .pnc import PncModel, gamma_closed_form, gamma_k_enum
-from .svg import render_line_chart
 
 # `simulate` shares one rule table across its trials until it holds this
 # many shapes and rules, then starts a new one: small frames reuse almost
@@ -436,6 +446,9 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    # imported here, as no other command renders a chart
+    from .svg import render_line_chart
+
     cfg = _merged(args)
     if "input" not in cfg:
         raise ConfigError("an input CSV is required")

@@ -563,7 +563,12 @@ def _peel(
         """Clear the bits of newly known users; the units that held them."""
         at = _ranges(by_user[users], degree[users])
         units = edge_unit[at]
-        np.bitwise_xor.at(key, units, live[units].astype(key.dtype) << edge_shift[at])
+        # subtracting a bit clears it, as each (unit, row) bit is set once in
+        # the initial key and cleared once: for a pre-known user at the
+        # start, otherwise in the pass that first releases the user, which
+        # was unknown when that pass began.  numpy has a fast indexed loop
+        # for `subtract.at` and none for `bitwise_xor.at`
+        np.subtract.at(key, units, live[units].astype(key.dtype) << edge_shift[at])
         return units
 
     def wake(units: np.ndarray) -> np.ndarray:
@@ -770,13 +775,15 @@ def ge_oracle(frame: Frame, preknown: Mapping[int, bytes] | None = None,
     the global matrix columns plus unit columns for pre-known users.  This
     bounds every iterative decoder from above.
 
-    Computed by peeling first and eliminating only what is left
-    (inactivation decoding): every user `batched_bp` recovers lies in that
-    span, so only the residual core of still-unknown users goes through
-    elimination, over transfer columns restricted to the core's rows.  The
-    result is the same set as eliminating the whole frame, as a `UserSet`
-    marked from the peel's user array; the bitmasks are only as wide as the
-    core, and an empty core costs nothing beyond the peel.  Raises
+    Computed by peeling first and eliminating only what is left: every
+    user `batched_bp` recovers lies in that span, so only the residual core
+    of still-unknown users goes through elimination.  Each output column,
+    restricted to the core's rows, becomes one Python int bitmask;
+    `span_basis` reduces all of them densely, and `units_in_span` reads off
+    the core users whose unit vectors the basis spans.  The result is the
+    same set as eliminating the whole frame, as a `UserSet` marked from the
+    peel's user array; the bitmasks are only as wide as the core, and an
+    empty core costs nothing beyond the peel.  Raises
     FrameInconsistencyError when the peel finds the frame corrupt.
 
     `peeled` is the report of a `batched_bp` run on the same frame and
