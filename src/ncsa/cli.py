@@ -438,7 +438,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "command": "gamma",
         "model": _model_label(cfg, model),
         "enum_limit": enum_limit, "grid_step": step,
-        "note": "closed_form_dev compares the compact algebraic form against the enumerated table",
+        "note": "closed_form_dev and enum_dev compare the closed form and the enumeration with the counted table",
     }
     header = ["degree", "family_size", "poly", "closed_form_dev", "enum_dev"]
     _write_csv(cfg.get("out"), meta, header, rows)

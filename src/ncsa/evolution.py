@@ -2,10 +2,12 @@
 
 In the large-frame limit the collision size of a random slot is Poisson
 with mean equal to the offered load (user/slot ratio times mean repetition
-degree).  `resolve_prob` mixes the per-collision-size solvability
-polynomials over that law; the edge recursion in `evolve` then tracks the
-probability that a repetition of a random packet is resolved after each
-decoding iteration, and stops at its fixed point.
+degree).  Mixed over that law, the per-collision-size solvability
+polynomials give one polynomial per load, P_lam (`PoissonMixture`), whose
+coefficients are the Poisson-weighted sums of theirs; `evolve`,
+`resolve_prob` and `ncsa.optimize` evaluate it.  The edge recursion in
+`evolve` tracks the probability that a repetition of a random packet is
+resolved after each decoding iteration, and stops at its fixed point.
 
 `rate_upper_bound` is the capacity-style ceiling: no decoder can recover
 more packets per slot than the mean number of independent combinations a
@@ -59,17 +61,25 @@ def poisson_weights(lam: float, min_terms: int = 0) -> np.ndarray:
 
 
 class PoissonMixture:
-    """Precomputed sum_k w_k Gamma_k(x) for one (load, model) pair."""
+    """P_lam(x) = sum_k w_k Gamma_k(x) for one (load, model) pair as one
+    polynomial: coeffs[j] = sum_k w_k c_kj, the Poisson weights w_k times the
+    coefficients c_kj of `gamma_poly(k)` (0 from the cap on), summed by
+    `math.fsum` into the correctly rounded sum of the float products.  A call
+    evaluates it by Horner's rule, for a scalar or an ndarray alike."""
 
     def __init__(self, lam: float, model: PncModel):
         self.lam = lam
-        self.model = model
-        self.weights = poisson_weights(lam, min_terms=model.max_decodable - 1)
-        # Gamma_k is 0 from the cap on, so only the first max_decodable weights mix
-        self._weights = [float(w) for w in self.weights[:model.max_decodable]]
+        weights = poisson_weights(lam, min_terms=model.max_decodable - 1).tolist()
+        terms: list[list[float]] = [[] for _ in range(model.max_decodable)]
+        for k, w in enumerate(weights[:model.max_decodable]):
+            for j, c in enumerate(model.gamma_poly(k).coeffs):
+                terms[j].append(w * c)
+        self.coeffs = tuple(math.fsum(products) for products in terms if products)
 
     def __call__(self, x):
-        value = sum(w * g for w, g in zip(self._weights, self.model.gamma_values(x)))
+        value = 0.0
+        for a in reversed(self.coeffs):
+            value = value * x + a
         if not np.all((np.asarray(value) >= -1e-9) & (np.asarray(value) <= 1.0 + 1e-9)):
             raise InvariantError(f"mixture left [0,1]: {value!r}")
         return value
@@ -77,10 +87,8 @@ class PoissonMixture:
 
 def resolve_prob(x, lam: float, model: PncModel):
     """Probability that a slot resolves a given member packet, the rest of
-    the population being known independently with probability x.
-
-    Accepts a scalar or an ndarray of evaluation points.
-    """
+    the population being known independently with probability x (a scalar
+    or an ndarray): `PoissonMixture`'s polynomial P_lam at x."""
     return PoissonMixture(lam, model)(x)
 
 

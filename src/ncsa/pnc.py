@@ -30,7 +30,7 @@ subsets of the first d-1 users, once known, let the last user's packet be
 solved out of the slot.  Each family owns its two analysis tables: the mean
 rank (`expected_rank`) and the gamma-set size counts (`gamma_counts`), from
 which the model builds and caches the degree-(k) polynomials that drive the
-asymptotic recursion, and their values on the evaluation grids it has seen.
+asymptotic recursion.
 """
 from __future__ import annotations
 
@@ -45,11 +45,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .gf2 import BitMatrix, in_colspan, mask_dtype, rank, select_rows, span_basis, units_in_span
-
-# `PncModel.gamma_values` keeps the rows of at most this many grids.  A sweep
-# reuses its fine grid and first design grid at every load and each load's
-# refined design grids once, so the two shared grids stay cached.
-GAMMA_CACHE_GRIDS = 16
 
 _T10 = (1, 0)
 _T01 = (0, 1)
@@ -373,18 +368,20 @@ def gamma_set(matrix: BitMatrix) -> set[frozenset[int]]:
 
 def _gamma_value(sizes: Sequence[int], prob: float, k: int, x: float) -> float:
     total = 0.0
-    for s in sizes:
-        total += x**s * (1.0 - x) ** (k - s)
+    for j, n in enumerate(sizes):
+        total += n / (k + 1) * x**j * (1.0 - x) ** (k - j)
     return prob * total
 
 
 def gamma_k_enum(model: "PncModel", k: int, x: float | Iterable[float]) -> float | list[float]:
     """Degree-k solvability polynomial by brute enumeration of the family.
 
-    Walks every member of family(k+1), enumerates its gamma set, and sums
-    the weighted subset polynomial.  Deliberately the slow reference route;
-    cost grows with family size times 2^k.  `x` is one point or an iterable
-    of points (then a list of values is returned); each member's gamma set
+    Walks every member of family(k+1) with each of its d = k+1 rows moved
+    last as the target, enumerates that arrangement's gamma set, and sums
+    the weighted subset polynomial over the d targets divided by d, as
+    `gamma_counts` averages them.  Deliberately the slow reference route;
+    cost grows with family size times d 2^k.  `x` is one point or an
+    iterable of points (then a list of values is returned); each gamma set
     is enumerated once for all of them.
     """
     if k < 0:
@@ -393,7 +390,19 @@ def gamma_k_enum(model: "PncModel", k: int, x: float | Iterable[float]) -> float
     points = [x] if scalar else list(x)
     if not all(0.0 <= p <= 1.0 for p in points):
         raise ValueError("x must lie in [0, 1]")
-    members = [(prob, [len(subset) for subset in gamma_set(m)]) for m, prob in model.family(k + 1)]
+    d = k + 1
+    # arrangement -> its gamma set sizes; a stock arrangement recurs d times
+    enumerated: dict[BitMatrix, list[int]] = {}
+    members = []
+    for matrix, prob in model.family(d):
+        sizes = [0] * d
+        for target in range(d):
+            arranged = select_rows(matrix, [r for r in range(d) if r != target] + [target])
+            if arranged not in enumerated:
+                enumerated[arranged] = [len(subset) for subset in gamma_set(arranged)]
+            for size in enumerated[arranged]:
+                sizes[size] += 1
+        members.append((prob, sizes))
     values = [sum(_gamma_value(sizes, prob, k, p) for prob, sizes in members) for p in points]
     return values[0] if scalar else values
 
@@ -495,8 +504,6 @@ class PncModel:
             if one.size != 1 or one.entries[0][0] != _SINGLE.entries[0][0]:
                 raise ValueError("size-1 family must be the single [1] matrix")
         self._gamma: dict[int, GammaPoly] = {}
-        # (dtype, shape, bytes) of a grid -> its read-only Gamma_k rows, least recently used first
-        self._gamma_rows: dict[tuple, np.ndarray] = {}
 
     @classmethod
     def example(cls, max_decodable: int) -> "PncModel":
@@ -557,26 +564,6 @@ class PncModel:
         if poly is None:
             poly = self._gamma[k] = GammaPoly(k, _counts_to_coeffs(k, self.family(k + 1).gamma_counts()))
         return poly
-
-    def gamma_values(self, x):
-        """Gamma_k(x) for k = 0..max_decodable-1, one row per k: the polynomials
-        that can be nonzero, each evaluated as `gamma_poly(k)(x)`.
-
-        An ndarray grid's rows are cached, read-only, keyed by the grid's
-        dtype, shape and bytes, and the least recently used of
-        `GAMMA_CACHE_GRIDS` grids is dropped first; a scalar's are not.
-        """
-        if not isinstance(x, np.ndarray):
-            return [self.gamma_poly(k)(x) for k in range(self.max_decodable)]
-        key = (x.dtype.str, x.shape, x.tobytes())
-        rows = self._gamma_rows.pop(key, None)
-        if rows is None:
-            rows = np.array([self.gamma_poly(k)(x) for k in range(self.max_decodable)])
-            rows.flags.writeable = False
-        self._gamma_rows[key] = rows
-        if len(self._gamma_rows) > GAMMA_CACHE_GRIDS:
-            del self._gamma_rows[next(iter(self._gamma_rows))]
-        return rows
 
     def expected_rank(self, d: int) -> float:
         """Mean decoded-combination count (matrix rank) at collision size d;

@@ -79,7 +79,7 @@ SIMULATE_TEST_MODEL = {
         ),
         (   # past the peeling threshold: the oracle eliminates a non-empty core
             ["--users", "1000", "--rate", "1.75", "--dist", "3:1", "--cap", "10", "--trials", "2"],
-            "f022db10790dded5fe01f8120c1256690405f7503a105a537d79cb64fa3cccf9",
+            "3cb8cfefd6c4a9ded57885854e838c480cd3ab9b887634fe02a911e1d98d2bc3",
         ),
         (   # the custom model of SIMULATE_TEST_MODEL
             ["--users", "300", "--rate", "1.0", "--dist", "2:0.3,3:0.7", "--model", "model.json",
@@ -127,19 +127,19 @@ GAMMA_TEST_MODEL = {
     [
         (
             ["evolve", "--dist", "3:1", "--lam", "1.5", "--iters", "100", "--cap", "10"],
-            "52394ee149b0bb58fd8ada579861ae57351535624051576af5444714d1c03242",
+            "f8bf7245ca3e559872ce7fa4d38789f9654b919aa43137c88d54d6723d7df7c1",
         ),
-        (["gamma", "--cap", "8"], "0584e0bb1fb896d23dac0a4cb9adb63a616908dc7189863f89d715f3705d7f1e"),
-        (["gamma", "--model", "model.json"], "baf8ef80c2e1dec6d556941944bbfd8adcb31fbe477b5bbb94501023c037cf6c"),
+        (["gamma", "--cap", "8"], "9d916f4c44913ec1af24d8be2535af1bf7c5fc1d6b2251c6b0c5d52e452b0dfd"),
+        (["gamma", "--model", "model.json"], "11bad3dd3f70895b5113219a315489f8340b54e01864fe9dc6ede5ec4df9ceb6"),
         (
             ["evolve", "--dist", "3:1", "--lam", "1.2", "--model", "model.json"],
-            "f942934d57734d837a2814e5a7bcc6f1946c1ba43ace0db4212f559b2c3068de",
+            "8240fb3c944df54bb842dae9202950eaf581666aa678bc4bd9bab724f408e715",
         ),
         (
             ["optimize", "--lam", "1.0", "--cap", "10"],
-            "0d810d373da73ab1179a97178351e33f53dd3f261f874ab45d681079ca76b20b",
+            "7256f84bc3bd5861b70b746128ea194d79901672915d4e6e15f19db17d4e2fba",
         ),
-        (["sweep", "--cap", "10"], "1377677cde1eaa3647558ce43483a823de819e8b802bd02ac5a8dfbc357ac528"),
+        (["sweep", "--cap", "10"], "a940be7c8266f5aa94f701b05c57ecf67576f191895a878f27e71d4acf7c8391"),
     ],
     ids=["evolve-stock", "gamma-stock", "gamma-custom", "evolve-custom", "optimize-stock", "sweep-stock"],
 )
@@ -354,6 +354,20 @@ def test_gamma_custom_model(tmp_path):
     assert rows[1]["poly"] == "0.5 +0.5 x"
     assert rows[1]["closed_form_dev"] == ""  # stock-only diagnostic
     assert float(rows[1]["enum_dev"]) <= 1e-12
+
+
+def test_gamma_enumeration_averages_every_target_row(tmp_path):
+    # the families of SIMULATE_TEST_MODEL are not closed under row
+    # permutations: the enumeration agrees with the counted table only when
+    # it, too, takes every row of a member as the target, not the last alone
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps(SIMULATE_TEST_MODEL))
+    code, out = run(tmp_path, "gamma", "--model", str(mpath))
+    assert code == 0
+    _, _, rows = read_csv(str(out))
+    assert [int(r["degree"]) for r in rows] == [1, 2, 3]
+    for r in rows:
+        assert float(r["enum_dev"]) <= 1e-12
 
 
 def test_simulate_rejects_a_model_missing_a_key(tmp_path, capsys):
