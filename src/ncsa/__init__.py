@@ -12,8 +12,8 @@ Layers, bottom up:
   frame as CSR arrays (per-slot users and transfer columns, per-output
   members, payload and output rows); per-slot `Batch` objects on demand.
 - ``decoders``: batched and ordinary peeling over per-unit unknown masks,
-  one pass of array operations per generation over a shareable table of
-  release rules, plus the global-elimination oracle.
+  one pass of array operations per generation over release rules that the
+  module caches, plus the global-elimination oracle.
 - ``evolution``: the asymptotic edge recursion, run to its fixed point by
   ``evolve``, and the rate upper bound.
 - ``optimize``: LP design of degree distributions and load sweeps.

@@ -40,16 +40,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .decoders import FrameInconsistencyError, RuleTable, batched_bp, ge_oracle, ordinary_bp
+from .decoders import FrameInconsistencyError, batched_bp, ge_oracle, ordinary_bp
 from .evolution import InvariantError, evolve, rate_upper_bound
 from .frames import DegreeDistribution, SystemConfig, sample_frame
 from .optimize import DESIGN_DEFAULTS, optimize, sweep
 from .pnc import PncModel, gamma_closed_form, gamma_k_enum
-
-# `simulate` shares one rule table across its trials until it holds this
-# many shapes and rules, then starts a new one: small frames reuse almost
-# every rule, while large frames add new shapes and keys in every trial
-SHARED_RULES_LIMIT = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -266,10 +261,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     rows = []
     fractions: dict[str, list[float]] = {name: [] for name in decoders}
-    rules = RuleTable()  # release rules, shared by the trials and both peelers
     for trial in range(trials):
-        if rules.size > SHARED_RULES_LIMIT:
-            rules = RuleTable()
         frame = sample_frame(dataclasses.replace(config, seed=seed + trial))
         peel = None  # the batched row's report, which the oracle reuses
         for name in decoders:
@@ -281,9 +273,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 row = [trial, seed + trial, name, len(got), frac, None, None]
             else:
                 if name == "batched":
-                    report = peel = batched_bp(frame, max_iters=max_iters, rules=rules)
+                    report = peel = batched_bp(frame, max_iters=max_iters)
                 else:
-                    report = ordinary_bp(frame, max_iters=max_iters, rules=rules)
+                    report = ordinary_bp(frame, max_iters=max_iters)
                 elapsed = time.perf_counter() - t0
                 frac = report.decoded_fraction
                 row = [
@@ -382,7 +374,10 @@ def _parse_lam_grid(spec: str) -> list[float]:
                 raise ValueError
             values = np.arange(start, stop + step / 2, step)
             return [float(v) for v in values]
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        if not values:
+            raise ValueError
+        return values
     except ValueError as exc:
         raise ConfigError(f"bad load grid {spec!r}; use start:stop:step or v1,v2,...") from exc
 

@@ -17,21 +17,24 @@ Both peelers run one strict-generation schedule over the frame's CSR
 arrays: a unit is a slot for `batched_bp` and one output equation for
 `ordinary_bp`, which wakes an equation only when one unknown is left (the
 counter peel of invertible Bloom lookup tables).  What a unit releases is a
-pure function of its transfer columns and its unknown-row mask, kept in a
-`RuleTable` that one decode or many share.  `_peel` runs each generation as
-one pass of array operations over the woken units.  Each batch's shape (row
-count, column count, column masks) is packed into one int64 key, or a Python
-int past 63 bits; the shape keys, a pass's keys and the edges by user are
-grouped by the same 16-bit radix sorts (`frames.stable_order`), so each
-shape is named and the table probed once per distinct key.  New int64 keys
-of at most two columns are split off by the shape table's column counts and
-evaluated together in closed form (`_pair_rules`), and rows are gathered
-with `np.take`; `_slot_rule`, which runs `rcef`, is the reference of the
-closed form and serves the other keys.  Frames of at most
-`_SCALAR_ROWS` unit rows go through `_peel_scalar` instead, unit by unit
-with Python ints and `_slot_rule`, since a pass costs some fifty numpy
-calls whatever its size.  The two give the same report, whose `RecoveredPackets` keep the
-recovered users and packets as arrays.  An iteration sees only the
+pure function of its transfer columns and its unknown-row mask, its rule.
+`_peel` runs each generation as one pass of array operations over the
+woken units, and keeps the rules in one `RuleTable` per thread.
+Each batch's shape (row count, column count, column masks) is packed into
+one int64 key, or a Python int past 63 bits; the shape keys, a pass's keys
+and the edges by user are grouped by the same 16-bit radix sorts
+(`frames.stable_order`), so each shape is named and the table probed once
+per distinct key.  New int64 keys of at most two columns are split off by
+the shape table's column counts and evaluated together in closed form
+(`_pair_rules`), and rows are gathered with `np.take`; `_slot_rule`, which
+runs `rcef`, is the reference of the closed form and serves the other keys.
+Frames of at most `_SCALAR_ROWS` unit rows go through `_peel_scalar`
+instead, unit by unit with Python ints, since a pass costs some fifty numpy
+calls whatever its size; it names the frame's shapes itself and memoises
+`_slot_rule` per process.  `_RULES_LIMIT` bounds both caches, and neither
+shows in a report: the two paths give the same report, a function of the
+frame, the preknown packets and `max_iters` only, whose `RecoveredPackets`
+keep the recovered users and packets as arrays.  An iteration sees only the
 knowledge available when it started, which is the schedule the asymptotic
 recursion counts, so results do not depend on the order units are visited.
 All payload XORs and column operations of the per-unit reductions are
@@ -40,6 +43,8 @@ because a unit is revisited only after its unknown mask shrinks.
 """
 from __future__ import annotations
 
+import functools
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from typing import AbstractSet, Iterator, Mapping
@@ -58,6 +63,12 @@ _SHAPE_MASK = (1 << _SHAPE_BITS) - 1
 # (`_peel_scalar`): there a pass of array operations costs more in numpy
 # calls than the Python loop spends on the whole frame
 _SCALAR_ROWS = 200
+
+# `_peel`'s table is replaced at the start of a decode once it holds more
+# than this many shapes and rules, and `_peel_scalar`'s memo keeps this many
+# rules: small frames reuse almost every rule, while large frames add new
+# shapes and keys in every decode
+_RULES_LIMIT = 1 << 14
 
 
 class FrameInconsistencyError(Exception):
@@ -129,7 +140,7 @@ class DecodeReport:
     per_iteration: tuple[int, ...]
     field_ops: int
     users: int
-    # unit visits, and the rules this decode added to its table (eliminations)
+    # unit visits, and the distinct rules this decode applied (eliminations)
     visits: int = 0
     eliminations: int = 0
 
@@ -187,6 +198,12 @@ def _slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, 
     return tuple(released), spent + ops
 
 
+@functools.lru_cache(maxsize=_RULES_LIMIT)
+def _cached_slot_rule(rows: int, masks: tuple[int, ...], unknown: int) -> tuple[tuple, int]:
+    """`_slot_rule`, memoised for `_peel_scalar`."""
+    return _slot_rule(rows, masks, unknown)
+
+
 def _pair_rules(rows, cols, c1, c2, unknown):
     """`_slot_rule` on many keys of at most two columns at once, in closed
     form: int64 arrays of row counts, column counts, column masks (``c2`` is
@@ -225,7 +242,8 @@ def _pair_rules(rows, cols, c1, c2, unknown):
 
 
 class RuleTable:
-    """Release rules by unit shape and unknown mask, for one decode or many.
+    """Release rules by unit shape and unknown mask, as `_peel` reads them;
+    `_peel` keeps one table per thread for the whole process (`_local`).
 
     `shape_ids` numbers (row count, column masks) shapes, and `lookup`
     finds the rules of keys, adding the keys not held yet.  Rule k is
@@ -235,9 +253,7 @@ class RuleTable:
     C + r.  A released entry is a run of terms whose packets XOR to its
     row's packet; its first term names that row (at least 1, as C >= 1),
     the others hold 0.  Both arrays grow by doubling, so their rows past
-    those in use are spare.  ``entries[k]`` keeps rule k as `_slot_rule`
-    returns it, for `_peel_scalar`; `entry` fills it on first use when
-    `_pair_rules` made the rule.  ``_shape[i]`` is shape i's `_shape_row`,
+    those in use are spare.  ``_shape[i]`` is shape i's `_shape_row`,
     written when the shape is named, from which `add` splits off and
     gathers the keys that `_pair_rules` evaluates, as arrays.
     """
@@ -248,7 +264,6 @@ class RuleTable:
         self._shape = np.zeros((16, 4), np.int64)  # per named shape: `_shape_row`
         self._rules: dict[int, int] = {}  # key: the unknown mask above the shape id
         self._terms = 0
-        self.entries: list[tuple[tuple, int] | None] = []
         self.rule = np.zeros((16, 3), np.int64)
         self.term = np.zeros((64, 2), np.int64)
 
@@ -271,9 +286,9 @@ class RuleTable:
             named.extend(fresh)
         return out
 
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
-        """The rule of each key of an int64 or object array, and how many
-        distinct keys were new.  The keys are grouped (`first_seen`) by
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rule of each key of an int64 or object array, and the rules
+        of the distinct keys.  The keys are grouped (`first_seen`) by
         their unknown mask above a shape id only as wide as the shapes
         named, so the table is probed once per distinct key; the new keys
         are added (`add`) in order of first appearance."""
@@ -284,7 +299,7 @@ class RuleTable:
         new = (ids < 0).nonzero()[0]
         if len(new):
             ids[new] = self.add(keys[first[new]])
-        return ids[index], len(new)
+        return ids[index], ids
 
     def add(self, keys: np.ndarray) -> np.ndarray:
         """Evaluate and number `keys`, an int64 or object array of keys not
@@ -302,27 +317,18 @@ class RuleTable:
         ids[np.concatenate([narrow, wide])] = np.arange(held, held + len(keys))
         return ids
 
-    def entry(self, key: int) -> tuple[tuple, int]:
-        """Rule `key` as `_slot_rule` returns it, evaluated now if
-        `_pair_rules` made the rule."""
-        k = self._rules[key]
-        if self.entries[k] is None:
-            self.entries[k] = _slot_rule(*self._named[key & _SHAPE_MASK], key >> _SHAPE_BITS)
-        return self.entries[k]
-
     def _add_slot_rules(self, keys: list[int]) -> None:
         """Number `keys` as the next rules, evaluated by `_slot_rule`."""
-        entries, rules, terms = [], [], []
+        rules, terms = [], []
         for key in keys:
             rows, masks = self._named[key & _SHAPE_MASK]
-            released, spent = entry = _slot_rule(rows, masks, key >> _SHAPE_BITS)
+            released, spent = _slot_rule(rows, masks, key >> _SHAPE_BITS)
             first = self._terms + len(terms)
             for row, columns, known in released:
                 local = [*columns, *(len(masks) + r for r in known)]
                 terms += [(local[0], len(masks) + row), *((t, 0) for t in local[1:])]
-            entries.append(entry)
             rules.append((spent, first, self._terms + len(terms) - first))
-        self._add(keys, entries, rules, terms)
+        self._add(keys, rules, terms)
 
     def _add_pair_rules(self, keys: np.ndarray, shape: np.ndarray) -> None:
         """Number `keys`, int64 keys of at most two columns whose shapes
@@ -332,17 +338,20 @@ class RuleTable:
             return
         spent, sizes, terms = _pair_rules(*shape.T, keys >> _SHAPE_BITS)
         first = self._terms + sizes.cumsum() - sizes
-        self._add(keys.tolist(), [None] * len(keys), np.stack([spent, first, sizes], axis=1), terms)
+        self._add(keys.tolist(), np.stack([spent, first, sizes], axis=1), terms)
 
-    def _add(self, keys: list[int], entries: list, rules, terms) -> None:
-        """Number `keys` as the next rules, with their `entries` and their
-        `rule` and `term` rows."""
+    def _add(self, keys: list[int], rules, terms) -> None:
+        """Number `keys` as the next rules, with their `rule` and `term` rows."""
         used = len(self._rules)
         self._rules.update(zip(keys, range(used, used + len(keys))))
-        self.entries += entries
         self.rule = _put(self.rule, used, rules)
         self.term = _put(self.term, self._terms, terms)
         self._terms += len(terms)
+
+
+# `_peel`'s `RuleTable` as ``_local.rules``: one per thread, so no table is
+# ever changed by two decodes at once
+_local = threading.local()
 
 
 def _shape_row(rows: int, masks: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -413,14 +422,14 @@ def _write_packets(buf: np.ndarray, offset: int, users: np.ndarray, value: np.nd
     return (times > 0).nonzero()[0]  # a bool array's nonzero is about three times faster
 
 
-def _batch_shape_ids(frame: Frame, rules: RuleTable) -> np.ndarray:
-    """The shape id of each batch of `frame`.
+def _batch_shape_ids(frame: Frame) -> tuple[list[tuple[int, tuple[int, ...]]], np.ndarray]:
+    """The distinct ``(rows, column masks)`` shapes of the batches of
+    `frame`, in order of first appearance, and each batch's index into them.
 
     Each batch's row count, column count and column masks are packed into
     one key, in fields as wide as the frame's largest values: int64, or
     Python ints (`mask_dtype`) when the fields need more bits.  The keys are
-    grouped (`first_seen`), and only the distinct shapes are unpacked and
-    named, in order of first appearance.
+    grouped (`first_seen`), and only the distinct keys are unpacked.
     """
     rows = frame.batch_ptr[1:] - frame.batch_ptr[:-1]
     cols = frame.column_ptr[1:] - frame.column_ptr[:-1]
@@ -440,7 +449,7 @@ def _batch_shape_ids(frame: Frame, rules: RuleTable) -> np.ndarray:
     for k in key[first].tolist():  # each distinct key, unpacked
         masks = (k >> (shift + j * mask_bits) & field for j in range(k >> row_bits & col_field))
         shapes.append((k & row_field, tuple(masks)))
-    return rules.shape_ids(shapes)[index]
+    return shapes, index
 
 
 def _check_against_frame(frame: Frame, users: np.ndarray, values: np.ndarray) -> None:
@@ -485,8 +494,7 @@ def _peel(
     row_ptr: np.ndarray,
     row_users: np.ndarray,
     column_ptr: np.ndarray,
-    shape_id: np.ndarray,
-    rules: RuleTable,
+    shapes: tuple[list[tuple[int, tuple[int, ...]]], np.ndarray],
     preknown: Mapping[int, bytes] | None,
     max_iters: int,
     counter: bool,
@@ -494,12 +502,16 @@ def _peel(
     """Peel units in strict generations, each pass one run of array operations.
 
     Unit i holds the rows ``row_users[row_ptr[i]:row_ptr[i + 1]]`` and the
-    transfer columns of shape ``shape_id[i]``, whose outputs are frame
-    outputs ``column_ptr[i]:column_ptr[i + 1]``; units without columns take
-    no part.  A unit's key is its unknown-row mask above its shape id (a
-    Python int past 63 bits); the caller hands `shape_id` over, and it is
-    dropped once the keys are built.  A pass looks up the rule of every
-    woken unit's key (a key new to the table is one elimination).  One
+    transfer columns of shape ``distinct[index[i]]``, where `shapes` is
+    ``(distinct, index)``, whose outputs are frame outputs
+    ``column_ptr[i]:column_ptr[i + 1]``; units without columns take no part.
+    The shapes are named in the thread's table (`_local`), which is first
+    replaced by an empty one if it holds more than `_RULES_LIMIT` shapes
+    and rules.  A
+    unit's key is its unknown-row mask above its shape id (a Python int
+    past 63 bits); the caller hands `shapes` over, and it is dropped once
+    the keys are built.  A pass looks up the rule of every woken unit's key,
+    and each distinct rule the decode applies is one elimination.  One
     buffer holds the outputs, then one row per user, so one `xor_gather`
     computes every packet the pass releases in a bounded working set; the
     packets are scattered to their users, and only the users released more
@@ -518,6 +530,9 @@ def _peel(
     (`_check_against_frame`).
     """
     known = _checked_preknown(frame, preknown)
+    rules = getattr(_local, "rules", None)
+    if rules is None or rules.size > _RULES_LIMIT:
+        rules = _local.rules = RuleTable()
     outputs = len(frame.outputs)
     size = frame.payload_len
     rows = row_ptr[1:] - row_ptr[:-1]
@@ -527,8 +542,8 @@ def _peel(
     full <<= _SHAPE_BITS
     key = full << rows
     key -= full
-    key += shape_id
-    del shape_id  # freed here, as the callers pass it inline
+    key += rules.shape_ids(shapes[0])[shapes[1]]
+    del shapes  # freed here, as the callers pass it inline
     # every row is an edge, kept as its unit and its key bit's position (a
     # byte); grouped by user, a recovery finds the bits it clears
     owner, pos = segments(rows)
@@ -575,19 +590,19 @@ def _peel(
         unknowns = np.bitwise_count(key[units] >> _SHAPE_BITS)
         return units[unknowns == 1 if counter else unknowns > 0]
 
-    def release(units: np.ndarray) -> tuple[int, int, np.ndarray | None]:
-        """Look up the rules of `units`; the rules new to the table, the
-        field operations spent, and the users released, distinct and
-        ascending (None when nothing is).  The packets are XORed from the
-        buffer by `xor_gather` and written to their users' rows by
-        `_write_packets`; the pass's arrays are freed by the time this
-        returns."""
-        rule, new = rules.lookup(key[units])
+    def release(units: np.ndarray) -> tuple[int, np.ndarray | None]:
+        """Look up the rules of `units`, adding them to `applied`; the field
+        operations spent, and the users released, distinct and ascending
+        (None when nothing is).  The packets are XORed from the buffer by
+        `xor_gather` and written to their users' rows by `_write_packets`;
+        the pass's arrays are freed by the time this returns."""
+        rule, distinct_rules = rules.lookup(key[units])
+        applied.update(distinct_rules.tolist())
         spec = np.take(rules.rule, rule, axis=0)
         spent = int(spec[:, 0].sum())
         term = np.take(rules.term, _ranges(spec[:, 1], spec[:, 2]), axis=0)
         if not len(term):
-            return new, spent, None
+            return spent, None
         where = base[units].repeat(spec[:, 2])
         del rule, spec
         opens = term[:, 1].nonzero()[0]
@@ -596,7 +611,7 @@ def _peel(
         del term
         value = xor_gather(buf, local[where], np.append(opens, len(where)))
         del where
-        return new, spent, _write_packets(buf, outputs, dest - outputs, value, frame.users)
+        return spent, _write_packets(buf, outputs, dest - outputs, value, frame.users)
 
     pre = np.fromiter(known, np.int64, len(known))
     if len(pre):
@@ -605,13 +620,13 @@ def _peel(
     passes = max_iters if len(woken) else 0
     woken = wake(woken)
     found = [pre]
-    ops = visits = eliminations = iterations = 0
+    applied: set[int] = set()
+    ops = visits = iterations = 0
     per_iteration: list[int] = []
     while iterations < passes:
         iterations += 1
-        new, spent, fresh = release(woken)
+        spent, fresh = release(woken)
         visits += len(woken)
-        eliminations += new
         ops += spent
         if fresh is None:
             per_iteration.append(0)
@@ -623,7 +638,7 @@ def _peel(
     users = np.concatenate(found)
     values = np.take(buf, outputs + users, axis=0)
     del buf  # freed before the check against the frame
-    return _report(frame, users, values, preknown, iterations, per_iteration, ops, visits, eliminations)
+    return _report(frame, users, values, preknown, iterations, per_iteration, ops, visits, len(applied))
 
 
 def _peel_scalar(
@@ -631,25 +646,25 @@ def _peel_scalar(
     row_ptr: np.ndarray,
     row_users: np.ndarray,
     column_ptr: np.ndarray,
-    shape_id: np.ndarray,
-    rules: RuleTable,
+    shapes: tuple[list[tuple[int, tuple[int, ...]]], np.ndarray],
     preknown: Mapping[int, bytes] | None,
     max_iters: int,
     counter: bool,
 ) -> DecodeReport:
     """`_peel` unit by unit, with packets as Python ints, for small frames.
 
-    The units, keys, rule table and schedule are `_peel`'s, and so is the
-    report: a pass visits the woken units in index order and merges their
-    recoveries after it, which clears the recovered rows' bits and wakes
-    the touched units as `_peel` does.  Raises FrameInconsistencyError in
-    the same cases.
+    The units and schedule are `_peel`'s, and so is the report: a pass
+    visits the woken units in index order and merges their recoveries after
+    it, which clears the recovered rows' bits and wakes the touched units
+    as `_peel` does.  A key holds the unit's index into the frame's own
+    shapes, and each distinct key's rule is kept for the decode, taken from
+    `_cached_slot_rule`.  Raises FrameInconsistencyError in the same cases.
     """
     known = _checked_preknown(frame, preknown)
     size = frame.payload_len
     blob = frame.outputs.tobytes()
     ptr, users, first_column = row_ptr.tolist(), row_users.tolist(), column_ptr.tolist()
-    shapes = shape_id.tolist()
+    distinct, shapes = shapes[0], shapes[1].tolist()
     live = [i for i in range(len(shapes)) if first_column[i + 1] > first_column[i]]
     unknown = [0] * len(shapes)
     edges: dict[int, list[tuple[int, int]]] = {}  # per user, the (unit, row bit) of each of its rows
@@ -675,18 +690,17 @@ def _peel_scalar(
 
     merge({u: int.from_bytes(p, "big") for u, p in known.items()})
     woken = list(filter(wakes, live))
-    table, entries = rules._rules, rules.entries
-    ops = visits = eliminations = iterations = 0
+    rules: dict[int, tuple[tuple, int]] = {}
+    ops = visits = iterations = 0
     per_iteration: list[int] = []
     while live and iterations < max_iters:
         iterations += 1
         found: dict[int, int] = {}
         for i in woken:
             key = unknown[i] << _SHAPE_BITS | shapes[i]
-            if key not in table:
-                rules._add_slot_rules([key])
-                eliminations += 1
-            released, spent = entries[table[key]] or rules.entry(key)
+            if key not in rules:
+                rules[key] = _cached_slot_rule(*distinct[shapes[i]], unknown[i])
+            released, spent = rules[key]
             visits += 1
             ops += spent
             base, column = ptr[i], first_column[i]
@@ -708,15 +722,13 @@ def _peel_scalar(
     users = np.fromiter(value, np.int64, len(value))
     packets = b"".join(v.to_bytes(size, "big") for v in value.values())
     return _report(frame, users, np.frombuffer(packets, np.uint8).reshape(len(users), size), preknown,
-                   iterations, per_iteration, ops, visits, eliminations)
+                   iterations, per_iteration, ops, visits, len(rules))
 
 
 def batched_bp(
     frame: Frame,
     preknown: Mapping[int, bytes] | None = None,
     max_iters: int = 200,
-    *,
-    rules: RuleTable | None = None,
 ) -> DecodeReport:
     """Peel the frame slot-by-slot through per-batch Gaussian reduction.
 
@@ -724,18 +736,15 @@ def batched_bp(
     packet out of the outputs, reduces the unknown rows of the transfer
     matrix to column echelon form, applying the same column operations to
     the outputs, and reads off packets from unit columns.  Batches are
-    revisited only when another recovery enlarged their known set.  `rules`
-    may be a table shared with other decodes; by default each call makes
-    its own, so `eliminations` counts this frame's distinct keys.
+    revisited only when another recovery enlarged their known set.
 
     Raises FrameInconsistencyError when two resolutions of the same packet
     disagree or the recovered packets disagree with the frame (impossible
     for frames produced by `sample_frame`).
     """
-    rules = RuleTable() if rules is None else rules
     peel = _peel if len(frame.batch_users) > _SCALAR_ROWS else _peel_scalar
     return peel(
-        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, _batch_shape_ids(frame, rules), rules,
+        frame, frame.batch_ptr, frame.batch_users, frame.column_ptr, _batch_shape_ids(frame),
         preknown, max_iters, counter=False,
     )
 
@@ -744,8 +753,6 @@ def ordinary_bp(
     frame: Frame,
     preknown: Mapping[int, bytes] | None = None,
     max_iters: int = 200,
-    *,
-    rules: RuleTable | None = None,
 ) -> DecodeReport:
     """Classic peeling over individual output equations.
 
@@ -754,16 +761,14 @@ def ordinary_bp(
     releases it.  Cross-column structure inside a batch is deliberately
     ignored, which is what makes this the weaker baseline.  An equation is
     woken only when its unknown count drops to one: the counter peel of
-    invertible Bloom lookup tables.  `rules` is as for `batched_bp`.
+    invertible Bloom lookup tables.
     """
-    rules = RuleTable() if rules is None else rules
-    sizes = np.diff(frame.member_ptr)
-    ids = rules.shape_ids((n, ((1 << n) - 1,)) for n in range(int(sizes.max(initial=0)) + 1))
-    del sizes  # the peel holds neither the sizes nor the shape ids
+    top = int(np.diff(frame.member_ptr).max(initial=0))
+    shapes = [(n, ((1 << n) - 1,)) for n in range(top + 1)]
     peel = _peel if len(frame.members) > _SCALAR_ROWS else _peel_scalar
     return peel(
-        frame, frame.member_ptr, frame.members, np.arange(len(frame.member_ptr)), ids[np.diff(frame.member_ptr)],
-        rules, preknown, max_iters, counter=True,
+        frame, frame.member_ptr, frame.members, np.arange(len(frame.member_ptr)),
+        (shapes, np.diff(frame.member_ptr)), preknown, max_iters, counter=True,
     )
 
 

@@ -640,6 +640,17 @@ def test_non_finite_degree_probability_exits_2_with_one_line(tmp_path, capsys, a
     assert len(err) == 1 and err[0].startswith("error: probabilities must be finite")
 
 
+@pytest.mark.parametrize("grid", [",", " ", "", ", ,", "a,1", "1:2", "2:1:1", "1:2:0"],
+                         ids=["comma", "blank", "empty", "blanks", "word", "two-fields", "descending", "zero-step"])
+def test_a_bad_load_grid_exits_2_with_one_line(tmp_path, capsys, grid):
+    # a grid with no load left after the blanks is as bad as an unparsable one
+    code, out = run(tmp_path, "sweep", "--lam-grid", grid, "--cap", "6")
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad load grid {grid!r}; use start:stop:step or v1,v2,..."]
+
+
 def test_sweep_records_a_non_finite_load_in_one_cell(tmp_path):
     code, out = run(tmp_path, "sweep", "--lam-grid", "nan,1", "--cap", "6")
     assert code == 0

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from unittest import mock
 
@@ -237,6 +240,18 @@ PEEL_PATHS = {"arrays": -1, "scalar": math.inf}
 def peel_path(name):
     with mock.patch.object(ncsa.decoders, "_SCALAR_ROWS", PEEL_PATHS[name]):
         yield
+
+
+@contextmanager
+def empty_rule_caches(limit=None):
+    """Run with an empty `_peel` table in this thread and an empty
+    `_peel_scalar` memo of `limit` rules (by default `_RULES_LIMIT`), which
+    it yields; the module's own caches are back in place afterwards."""
+    memo = functools.lru_cache(maxsize=limit or ncsa.decoders._RULES_LIMIT)(
+        ncsa.decoders._cached_slot_rule.__wrapped__)
+    with mock.patch.object(ncsa.decoders._local, "rules", RuleTable(), create=True), \
+            mock.patch.object(ncsa.decoders, "_cached_slot_rule", memo):
+        yield memo
 
 
 def assert_same_peels(frame, pre=None, max_iters=200):
@@ -779,7 +794,8 @@ def test_batched_bp_eliminates_each_memo_key_once(monkeypatch):
 
     monkeypatch.setattr(ncsa.decoders, "_slot_rule", recording_slot_rule)
     monkeypatch.setattr(ncsa.decoders, "_pair_rules", recording_pair_rules)
-    report = batched_bp(frame)
+    with empty_rule_caches():
+        report = batched_bp(frame)
     assert report.decoded_fraction == 1.0
     assert 0 < len(keys) <= len(set(keys))
     assert report.eliminations == len(keys)
@@ -819,7 +835,8 @@ def test_a_peel_pass_probes_the_rule_table_once_per_distinct_key(peel, monkeypat
         return lookup(self, keys)
 
     monkeypatch.setattr(RuleTable, "lookup", recording_lookup)
-    report = peel(frame, rules=rules)
+    monkeypatch.setattr(ncsa.decoders._local, "rules", rules, raising=False)
+    report = peel(frame)
     assert report.decoded_fraction == 1.0
     assert len(distinct) == report.iterations
     assert rules._rules.probes == sum(distinct) < report.visits
@@ -841,32 +858,34 @@ def reference_add(rules, keys):
             *table.T, np.array(narrow, np.int64) >> ncsa.decoders._SHAPE_BITS,
         )
         first = rules._terms + sizes.cumsum() - sizes
-        rules._add(narrow, [None] * len(narrow), np.stack([spent, first, sizes], axis=1), terms)
+        rules._add(narrow, np.stack([spent, first, sizes], axis=1), terms)
     rules._add_slot_rules([key for key, w in zip(keys, wide) if w])
 
 
 def reference_lookup(rules, keys):
     """`RuleTable.lookup` one key at a time: the keys not held are added in
-    order of first appearance (`reference_add`), then every key is read
-    from the table."""
+    order of first appearance (`reference_add`), then every key and every
+    distinct key, in order of first appearance, is read from the table."""
     found = rules._rules
-    new = [key for key in dict.fromkeys(keys.tolist()) if key not in found]
-    reference_add(rules, np.array(new, keys.dtype))
-    return [found[key] for key in keys.tolist()], len(new)
+    distinct = list(dict.fromkeys(keys.tolist()))
+    reference_add(rules, np.array([key for key in distinct if key not in found], keys.dtype))
+    return [found[key] for key in keys.tolist()], [found[key] for key in distinct]
 
 
 def assert_lookups_match_the_reference(shapes, batches, dtype):
     """Look up each batch of keys in two tables naming the same shapes, by
     `RuleTable.lookup` (whose `add` splits and gathers the new keys as
-    arrays) and by `reference_lookup`: the rule ids, the new-key counts and
-    the rules held are equal."""
+    arrays) and by `reference_lookup`: the rule ids of all keys and of the
+    distinct keys, the number of rules held after each batch and the rules
+    held are equal."""
     grouped, reference = RuleTable(), RuleTable()
     grouped.shape_ids(shapes)
     reference.shape_ids(shapes)
     for keys in batches:
-        ids, new = grouped.lookup(np.array(keys, dtype))
-        assert (ids.tolist(), new) == reference_lookup(reference, np.array(keys, dtype))
-    assert grouped._rules == reference._rules and grouped.entries == reference.entries
+        ids, distinct = grouped.lookup(np.array(keys, dtype))
+        assert (ids.tolist(), distinct.tolist()) == reference_lookup(reference, np.array(keys, dtype))
+        assert len(grouped) == len(reference)
+    assert grouped._rules == reference._rules
     assert np.array_equal(grouped.rule[:len(grouped)], reference.rule[:len(reference)])
     assert np.array_equal(grouped.term[:grouped._terms], reference.term[:reference._terms])
 
@@ -886,8 +905,8 @@ def test_grouped_lookup_matches_the_per_key_reference_on_random_keys(rows, dtype
 
 
 def test_grouped_lookup_matches_the_per_key_reference_on_peel_keys(monkeypatch):
-    """The keys the passes of both peelers look up, over a frame with
-    three-column members and a shared table."""
+    """The keys the passes of both peelers look up, over two frames with
+    three-column members and one table."""
     batches = []
     lookup = RuleTable.lookup
 
@@ -897,9 +916,11 @@ def test_grouped_lookup_matches_the_per_key_reference_on_peel_keys(monkeypatch):
 
     rules = RuleTable()
     monkeypatch.setattr(RuleTable, "lookup", recording_lookup)
+    monkeypatch.setattr(ncsa.decoders._local, "rules", rules, raising=False)
     for frame in wide_frames(2):
         for peel in (batched_bp, ordinary_bp):
-            peel(frame, rules=rules)
+            peel(frame)
+    assert ncsa.decoders._local.rules is rules
     monkeypatch.undo()
     assert sum(map(len, batches)) > len({key for keys in batches for key in keys}) > 0
     assert_lookups_match_the_reference(list(rules.shapes), batches, np.int64)
@@ -1024,6 +1045,14 @@ def reference_shape_row(rows, masks):
     return [rows, len(masks), *first, *[0] * (2 - len(first))]
 
 
+def named_batch_shape_ids(frame, rules):
+    """The shape id of each batch of `frame`, its `_batch_shape_ids` shapes
+    named in `rules` as `_peel` names them; the shapes are distinct."""
+    shapes, index = ncsa.decoders._batch_shape_ids(frame)
+    assert len(set(shapes)) == len(shapes)
+    return rules.shape_ids(shapes)[index]
+
+
 def test_packed_batch_shape_ids_match_the_lexsort_reference():
     # one pair of tables over every case with int64 masks, so shapes named
     # by earlier frames are found again; the cap-30 frame's shapes need more
@@ -1033,7 +1062,7 @@ def test_packed_batch_shape_ids_match_the_lexsort_reference():
         _, frame = differential_frame(name)
         if frame.column_masks.dtype == object:
             continue  # the lexsort table holds int64 masks only
-        got = ncsa.decoders._batch_shape_ids(frame, packed)
+        got = named_batch_shape_ids(frame, packed)
         assert got.tolist() == reference_batch_shape_ids(frame, reference).tolist(), name
     assert list(packed.shapes.items()) == list(reference.shapes.items())
     assert packed._named == reference._named
@@ -1057,7 +1086,8 @@ def reference_tuple_shape_ids(frame, rules):
 
 def test_batch_shapes_are_named_alike_in_arrays_and_tuples():
     # the differential cases include shapes packed past 63 bits (cap-30) and
-    # masks past int64 (object-masks)
+    # masks past int64 (object-masks); `_peel_scalar` reads the frame's own
+    # shapes by index, `_peel` names them in its table
     stock = [sample_frame(SystemConfig(
         users=2_000, slots=1_500, dist=DegreeDistribution({1: 0.2, 3: 0.5, 6: 0.3}), model=PncModel.example(10),
         seed=seed,
@@ -1065,40 +1095,18 @@ def test_batch_shapes_are_named_alike_in_arrays_and_tuples():
     differential = [differential_frame(name)[1] for name in DIFFERENTIAL_CASES]
     arrays, tuples = RuleTable(), RuleTable()
     for frame in [*stock, *wide_frames(2), *differential]:
-        got = ncsa.decoders._batch_shape_ids(frame, arrays)
-        assert got.tolist() == reference_tuple_shape_ids(frame, tuples).tolist()
+        shapes, index = ncsa.decoders._batch_shape_ids(frame)
+        want = reference_tuple_shape_ids(frame, tuples).tolist()
+        assert named_batch_shape_ids(frame, arrays).tolist() == want
+        assert [tuples._named[i] for i in want] == [shapes[i] for i in index.tolist()]
     assert arrays.shapes == tuples.shapes
-
-
-@pytest.mark.parametrize("first, then", [("arrays", "scalar"), ("scalar", "arrays")])
-def test_a_table_filled_down_one_path_serves_the_other(first, then):
-    """Rules either path added serve the other with no new elimination, and
-    the reports are a fresh table's; a rule `_pair_rules` made is evaluated
-    by `_slot_rule` on first scalar use."""
-    rules = RuleTable()
-    frames = list(small_frames(20))
-    with peel_path(first):
-        for frame in frames:
-            for peel in (batched_bp, ordinary_bp):
-                peel(frame, rules=rules)
-    held, pending = len(rules), rules.entries.count(None)
-    assert bool(pending) == (first == "arrays")
-    with peel_path(then):
-        for frame in frames:
-            for peel in (batched_bp, ordinary_bp):
-                shared, fresh = peel(frame, rules=rules), peel(frame)
-                assert shared.eliminations == 0
-                assert dataclasses.replace(shared, eliminations=0) == dataclasses.replace(fresh, eliminations=0)
-    assert len(rules) == held
-    if first == "arrays":
-        assert rules.entries.count(None) < pending
 
 
 @pytest.mark.parametrize("path", PEEL_PATHS)
 def test_peel_counters_are_pinned(path):
     """Visits, eliminations and field operations of both peelers on a
-    fixed-seed 20k-user frame; with a fresh rule table per decode they are
-    what the earlier per-decode memo counted."""
+    fixed-seed 20k-user frame; the eliminations, the distinct rules each
+    decode applied, are what the earlier per-decode memo evaluated."""
     frame = sample_frame(SystemConfig(
         users=20_000, slots=40_000, dist=DegreeDistribution({3: 1.0}), model=PncModel.example(10), seed=1,
     ))
@@ -1117,22 +1125,65 @@ def small_frames(count, payload_len=2):
         yield sample_frame(SystemConfig(users=50, slots=60, dist=dist, model=model, seed=seed, payload_len=payload_len))
 
 
+@functools.cache
+def report_model(kind):
+    return {"stock": lambda: PncModel.example(5), "three-columns": lambda: PncModel.from_dict(WIDE_MODEL),
+            "past-int64": lambda: PncModel.example(70)}[kind]()
+
+
+def report_frame(kind, seed):
+    """A small frame of one of three kinds: stock (the `small-frames` call),
+    three-column custom members (keys `_peel` evaluates by `_slot_rule`),
+    and two slots of some 35 users whose keys do not fit int64."""
+    dist = {"stock": {1: 0.15, 2: 0.35, 3: 0.3, 4: 0.2}, "three-columns": {1: 0.2, 2: 0.3, 3: 0.5},
+            "past-int64": {1: 1.0}}[kind]
+    users, slots = {"stock": (50, 60), "three-columns": (60, 45), "past-int64": (70, 2)}[kind]
+    return sample_frame(SystemConfig(users=users, slots=slots, dist=DegreeDistribution(dist),
+                                     model=report_model(kind), seed=seed, payload_len=2))
+
+
+REPORT_FRAME_KINDS = ["stock", "three-columns", "past-int64"]
+report_frames = st.builds(report_frame, st.sampled_from(REPORT_FRAME_KINDS), st.integers(0, 2**16))
+
+
+@st.composite
+def report_decodes(draw):
+    """A frame, preknown packets (none, about half, or all but a few users)
+    and an iteration cap."""
+    frame = draw(report_frames)
+    users = range(frame.users)
+    hidden = draw(st.one_of(
+        st.none(),
+        st.sets(st.sampled_from(users), min_size=frame.users // 2, max_size=frame.users // 2),
+        st.sets(st.sampled_from(users), max_size=4).map(lambda few: set(users) - few),
+    ))
+    pre = None if hidden is None else {u: frame.payloads[u] for u in users if u not in hidden}
+    return frame, pre, draw(st.sampled_from([1, 3, 200]))
+
+
 @pytest.mark.parametrize("path", PEEL_PATHS)
-def test_a_shared_rule_table_changes_only_the_elimination_count(path):
-    rules = RuleTable()
-    shared_eliminations = fresh_eliminations = 0
+@settings(max_examples=50, deadline=None, database=None)
+@given(decode=report_decodes(), earlier=st.lists(report_frames, min_size=1, max_size=3))
+def test_a_report_depends_only_on_its_frame_preknown_and_max_iters(path, decode, earlier):
+    """A decode reports the same in full, counters included, whatever the
+    process decoded first: with the rule caches as they are, with both
+    emptied, and after unrelated frames went down both peelers."""
+    frame, pre, max_iters = decode
     with peel_path(path):
-        for frame in small_frames(20):
-            for peel in (batched_bp, ordinary_bp):
-                shared, fresh = peel(frame, rules=rules), peel(frame)
-                assert dataclasses.replace(shared, eliminations=0) == dataclasses.replace(fresh, eliminations=0)
-                shared_eliminations += shared.eliminations
-                fresh_eliminations += fresh.eliminations
-    assert shared_eliminations == len(rules) < fresh_eliminations
+        for peel in (batched_bp, ordinary_bp):
+            current = peel(frame, pre, max_iters)
+            with empty_rule_caches():
+                cold = peel(frame, pre, max_iters)
+                for other in earlier:
+                    batched_bp(other), ordinary_bp(other)
+                warm = peel(frame, pre, max_iters)
+            assert current == cold == warm
+            assert current.recovered.users.tolist() == cold.recovered.users.tolist() == warm.recovered.users.tolist()
 
 
 def test_simulate_evaluates_each_rule_once(tmp_path, monkeypatch):
-    """One table serves every trial and both peelers of a simulate call."""
+    """With the rule caches emptied first, every trial and both peelers of a
+    simulate call evaluate each (shape, unknown mask) key once."""
     keys = []
     slot_rule = ncsa.decoders._slot_rule
 
@@ -1143,28 +1194,91 @@ def test_simulate_evaluates_each_rule_once(tmp_path, monkeypatch):
     monkeypatch.setattr(ncsa.decoders, "_slot_rule", recording_slot_rule)
     argv = ["simulate", "--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
             "--payload-bytes", "2", "--decoder", "all", "--trials", "20", "--out", str(tmp_path / "sim.csv")]
-    assert main(argv) == 0
+    with empty_rule_caches():
+        assert main(argv) == 0
     assert 0 < len(keys) == len(set(keys))
 
 
-def test_simulate_starts_a_new_rule_table_past_its_limit(tmp_path, monkeypatch):
-    """Past `SHARED_RULES_LIMIT` shapes and rules, simulate drops its table,
-    so some keys are evaluated again, and writes the same rows."""
+def test_rule_caches_past_their_limit_change_no_report(tmp_path, monkeypatch):
+    """With a limit of 100, `_peel`'s table is replaced only between decodes
+    and `_peel_scalar`'s memo never holds more than 100 rules, so some keys
+    are evaluated again; every report and the simulate CSV stay the same."""
+    argv = ["simulate", "--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
+            "--payload-bytes", "2", "--decoder", "all", "--trials", "20", "--omit-times", "--out"]
+    frames = [*small_frames(20), *wide_frames(1)]
+    used = []  # per decode, the tables its passes looked up in
+
+    def reports(memo=None):
+        out = []
+        for path in PEEL_PATHS:
+            with peel_path(path):
+                for frame in frames:
+                    for peel in (batched_bp, ordinary_bp):
+                        used.append([])
+                        out.append(peel(frame))
+                        assert memo is None or memo.cache_info().currsize <= 100
+        return out
+
+    with empty_rule_caches():
+        want = reports()
+        assert main([*argv, str(tmp_path / "unbounded.csv")]) == 0
+
     keys = []
-    slot_rule = ncsa.decoders._slot_rule
+    slot_rule, lookup = ncsa.decoders._slot_rule, RuleTable.lookup
 
     def recording_slot_rule(rows, masks, unknown):
         keys.append((rows, masks, unknown))
         return slot_rule(rows, masks, unknown)
 
-    argv = ["simulate", "--users", "50", "--slots", "60", "--dist", "1:0.15,2:0.35,3:0.3,4:0.2", "--cap", "5",
-            "--payload-bytes", "2", "--decoder", "all", "--trials", "20", "--omit-times", "--out"]
-    assert main([*argv, str(tmp_path / "shared.csv")]) == 0
-    monkeypatch.setattr(ncsa.cli, "SHARED_RULES_LIMIT", 100)
+    def recording_lookup(self, unit_keys):
+        used[-1].append(self)
+        return lookup(self, unit_keys)
+
+    monkeypatch.setattr(ncsa.decoders, "_RULES_LIMIT", 100)
     monkeypatch.setattr(ncsa.decoders, "_slot_rule", recording_slot_rule)
-    assert main([*argv, str(tmp_path / "bounded.csv")]) == 0
+    monkeypatch.setattr(RuleTable, "lookup", recording_lookup)
+    used.clear()
+    with empty_rule_caches(limit=100) as memo:
+        got = reports(memo)
+        assert main([*argv, str(tmp_path / "bounded.csv")]) == 0
+        assert memo.cache_info().currsize <= 100 < memo.cache_info().misses
+    assert got == want
+    assert [r.recovered.users.tolist() for r in got] == [r.recovered.users.tolist() for r in want]
+    assert all(len(set(map(id, tables))) <= 1 for tables in used)
+    replaced = list(dict.fromkeys(table for tables in used for table in tables))
+    assert len(replaced) > 1 and all(table.size > 100 for table in replaced[:-1])
     assert len(keys) > len(set(keys))
-    assert (tmp_path / "bounded.csv").read_bytes() == (tmp_path / "shared.csv").read_bytes()
+    assert (tmp_path / "bounded.csv").read_bytes() == (tmp_path / "unbounded.csv").read_bytes()
+
+
+def test_decodes_in_several_threads_report_what_serial_ones_do():
+    """Six threads, each decoding every frame in its own order, with a
+    switch interval short enough to interleave their passes.  Each thread
+    keeps its own `_peel` table, and they share `_peel_scalar`'s memo, so
+    every report equals the serial one; six threads sharing one table
+    misreport dozens of decodes in one such round."""
+    model = PncModel.example(6)
+    dist = DegreeDistribution({1: 0.2, 2: 0.3, 3: 0.3, 5: 0.2})
+    frames = [sample_frame(SystemConfig(users=300, slots=250, dist=dist, model=model, seed=seed, payload_len=2))
+              for seed in range(12)]
+    frames += [*small_frames(4), *(report_frame("past-int64", seed) for seed in range(2))]
+    with empty_rule_caches():
+        want = [(batched_bp(frame), ordinary_bp(frame)) for frame in frames]
+
+    def decode_all(seed):
+        order = list(range(len(frames)))
+        random.Random(seed).shuffle(order)
+        return {i: (batched_bp(frames[i]), ordinary_bp(frames[i])) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with empty_rule_caches(), ThreadPoolExecutor(6) as pool:
+            done = [future.result(timeout=60) for future in [pool.submit(decode_all, k) for k in range(6)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in done:
+        assert [got[i] for i in range(len(frames))] == want
 
 
 @pytest.mark.parametrize("path", PEEL_PATHS)
